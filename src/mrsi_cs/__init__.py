@@ -25,7 +25,6 @@ from .model import (
     dft_spectral,
     normal_matrix,
 )
-from .oracle import OracleConfig, kkt_residual, oracle_solve
 from .phantom import (
     ConstantProfile,
     Peak,
@@ -57,3 +56,12 @@ from .solver import (
     update_h,
     update_x_frame,
 )
+
+
+def __getattr__(name):
+    # the oracle pulls in scipy, which the CLI stages never need: load it on first use
+    if name in ("OracleConfig", "kkt_residual", "oracle_solve"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,16 +12,20 @@ base spectra; no full-grid tensor is ever materialised.
 
 All DFTs are unitary, so the adjoint of the sampling operator is its
 conjugate transpose with no extra scaling.
+
+The solver's normal matrices Re(A^H A) + shift*I are kept in low-rank
+form (:class:`NormalFactor`): one sampled point contributes a rank-2J
+term, so a frame's solve needs only a small inverse (Woodbury identity),
+and many frames' factors stack into one batch (:func:`stack_factors`).
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ParameterError, ScheduleError, ShapeError
 
@@ -38,6 +42,7 @@ __all__ = [
     "apply_adjoint",
     "normal_matrix",
     "NormalFactor",
+    "stack_factors",
     "FactorizationCache",
 ]
 
@@ -434,45 +439,41 @@ def _kspace_row(point: SamplePoint, geometry: AcquisitionGeometry) -> np.ndarray
     return np.conj(dft_spatial(grid, "to_image", geometry).reshape(-1))
 
 
-def gram_matrix(
-    frame_points: Sequence[SamplePoint],
-    base: BaseSpectraSet,
-    geometry: AcquisitionGeometry,
-) -> np.ndarray:
-    """Dense real Gram matrix Re(A^H A) of one frame's operator, shape (N*J, N*J).
-
-    Exploits the rank-one spatial structure per point: with f the sampled
-    DFT row and G the readout Gram of the base spectra at the point's
-    evolution index, the complex Gram is kron(conj(f) f^T, G) and its
-    real part assembles from the real/imaginary parts of both factors.
-    """
-    base_check(base, geometry)
-    n, j = geometry.n_voxels, base.n_substances
-    out = np.zeros((n * j, n * j))
-    for point in frame_points:
-        _check_point(point, geometry)
-        f = _kspace_row(point, geometry)
-        phi = np.outer(np.conj(f), f)
-        b = base.fid[:, point.spectral_index - 1, :]
-        g = np.conj(b) @ b.T  # (J, J) Hermitian
-        out += np.kron(phi.real, g.real) - np.kron(phi.imag, g.imag)
-    return out
-
-
 class NormalFactor:
-    """Solve-capable representation of Re(A^H A) + shift*I for one frame.
+    """Re(A^H A) + shift*I of a frame, held as a low-rank product plus a scaled identity.
 
-    Holds the dense matrix and its Cholesky factorization; ``solve``
-    applies the inverse to one or more right-hand sides.
+    ``v`` (N*J x r) satisfies V V^T = Re(A^H A), and ``k_inv`` is the
+    inverse of the small r x r matrix K = shift*I + V^T V, so that by the
+    Woodbury identity
+
+        (shift*I + V V^T)^-1 rhs = (rhs - V K^-1 V^T rhs) / shift.
+
+    Both arrays may carry one leading frame axis (see
+    :func:`stack_factors`); ``solve`` then takes one right-hand side per
+    frame.  The products run fastest with each column of V contiguous in
+    memory, the layout :func:`normal_matrix` and :func:`stack_factors` build.
     """
 
-    def __init__(self, matrix: np.ndarray, shift: float):
-        self.matrix = matrix
+    def __init__(self, v: np.ndarray, shift: float, k_inv: np.ndarray | None = None):
+        self.v = v
         self.shift = shift
-        self._factor = cho_factor(matrix, lower=True, check_finite=False)
+        if k_inv is None:
+            k = np.swapaxes(v, -1, -2) @ v
+            k[..., np.arange(v.shape[-1]), np.arange(v.shape[-1])] += shift
+            k_inv = np.linalg.inv(k)
+        self.k_inv = k_inv
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense V V^T + shift*I, assembled on demand."""
+        out = self.v @ np.swapaxes(self.v, -1, -2)
+        out[..., np.arange(out.shape[-1]), np.arange(out.shape[-1])] += self.shift
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._factor, rhs, check_finite=False)
+        coeff = np.einsum("...nr,...n->...r", self.v, rhs)
+        coeff = np.einsum("...rs,...s->...r", self.k_inv, coeff)
+        return (rhs - np.einsum("...nr,...r->...n", self.v, coeff)) / self.shift
 
 
 def normal_matrix(
@@ -481,24 +482,51 @@ def normal_matrix(
     geometry: AcquisitionGeometry,
     shift: float,
 ) -> NormalFactor:
-    """Factorized Re(A^H A) + shift*I for one frame's sample points.
+    """Low-rank factor of Re(A^H A) + shift*I for one frame's sample points.
 
-    The result depends only on the points (not on frame index or data),
-    so it can be shared across frames and iterations.
+    Per point the complex Gram is kron(conj(f) f^T, R^H R), with f the
+    sampled spatial DFT row and R the triangular QR factor of the base
+    spectra's readout matrix at the point's evolution index; so with
+    C = kron(conj(f), R^H) its real part is V V^T for V = [Re C, Im C],
+    2J columns (fewer when the readout is shorter than J).  Points stack
+    their columns.  The result depends only on the points (not on frame
+    index or data), so it can be shared across frames and iterations.
     """
-    if not shift > 0:
-        raise ParameterError(f"shift must be > 0, got {shift}")
-    gram = gram_matrix(frame_points, base, geometry)
-    gram[np.diag_indices_from(gram)] += shift
-    return NormalFactor(gram, shift)
+    if not (shift > 0 and math.isfinite(shift)):
+        raise ParameterError(f"shift must be finite and > 0, got {shift}")
+    base_check(base, geometry)
+    blocks = []
+    for point in frame_points:
+        _check_point(point, geometry)
+        f = _kspace_row(point, geometry)
+        r = np.linalg.qr(base.fid[:, point.spectral_index - 1, :].T, mode="r")
+        c = np.kron(np.conj(f)[:, None], np.conj(r.T))  # (N*J, rank)
+        blocks += [c.real.T, c.imag.T]
+    return NormalFactor(np.concatenate(blocks).T, shift)
+
+
+def stack_factors(factors: Sequence[NormalFactor]) -> NormalFactor:
+    """One factor with a leading frame axis over per-frame factors of one shift.
+
+    Frames with fewer points get zero columns in V (and the matching
+    1/shift block in K^-1), which leaves their solves unchanged.
+    """
+    shift = factors[0].shift
+    width = max(f.v.shape[-1] for f in factors)
+    vt = np.zeros((len(factors), width, factors[0].v.shape[0]))
+    k_inv = np.zeros((len(factors), width, width))
+    k_inv[:, np.arange(width), np.arange(width)] = 1.0 / shift
+    for i, f in enumerate(factors):
+        r = f.v.shape[-1]
+        vt[i, :r] = f.v.T
+        k_inv[i, :r, :r] = f.k_inv
+    return NormalFactor(vt.swapaxes(1, 2), shift, k_inv)
 
 
 class FactorizationCache:
-    """Per-point cache of :class:`NormalFactor` objects.
+    """Per-solve store of :class:`NormalFactor` objects keyed by a frame's point tuple.
 
-    Safe for concurrent reads; insertion is serialized.  Keys are the
-    frame's point tuples, so frames sampling the same points share one
-    factorization.
+    Frames sampling the same points share one factor.
     """
 
     def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry, shift: float):
@@ -506,16 +534,13 @@ class FactorizationCache:
         self.geometry = geometry
         self.shift = shift
         self._store: dict[tuple[SamplePoint, ...], NormalFactor] = {}
-        self._lock = threading.Lock()
 
     def get(self, frame_points: Iterable[SamplePoint]) -> NormalFactor:
         key = tuple(frame_points)
         found = self._store.get(key)
-        if found is not None:
-            return found
-        factor = normal_matrix(key, self.base, self.geometry, self.shift)
-        with self._lock:
-            return self._store.setdefault(key, factor)
+        if found is None:
+            found = self._store[key] = normal_matrix(key, self.base, self.geometry, self.shift)
+        return found
 
     def __len__(self) -> int:
         return len(self._store)

@@ -8,6 +8,7 @@ and signal vectors.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -45,18 +46,22 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ShapeError(f"{path}: not an MRST file (bad magic {raw[:4]!r})")
+    if len(raw) < 16:
+        raise ShapeError(f"{path}: {len(raw)} bytes is shorter than the 16-byte header")
     version, code, ndim = struct.unpack_from("<III", raw, 4)
     if version != VERSION:
         raise ShapeError(f"{path}: unsupported MRST version {version}")
-    dims = struct.unpack_from(f"<{ndim}Q", raw, 16)
     offset = 16 + 8 * ndim
+    if len(raw) < offset:
+        raise ShapeError(f"{path}: {len(raw)} bytes is shorter than the {offset}-byte header")
+    dims = struct.unpack_from(f"<{ndim}Q", raw, 16)
     if code == _DTYPE_REAL64:
         dtype = np.dtype("<f8")
     elif code == _DTYPE_COMPLEX128:
         dtype = np.dtype("<c16")
     else:
         raise ShapeError(f"{path}: unknown dtype code {code}")
-    count = int(np.prod(dims)) if dims else 1
+    count = math.prod(dims)
     expected = offset + count * dtype.itemsize
     if len(raw) != expected:
         raise ShapeError(f"{path}: payload is {len(raw) - offset} bytes, expected {expected - offset}")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, ParameterError
 from .model import AcquisitionGeometry, SamplePoint, SamplingSchedule
@@ -93,6 +92,8 @@ def sobol_sequence(n: int, d: int, skip: int = 0) -> np.ndarray:
         raise ParameterError("n must be >= 1")
     if d < 1:
         raise ParameterError("d must be >= 1")
+    from scipy.stats import qmc  # only the design stage needs scipy; keep it off start-up
+
     try:
         engine = qmc.Sobol(d=d, scramble=False)
     except ValueError as exc:  # dimension beyond the direction-number tables
@@ -194,23 +195,22 @@ def schedule_from_json(text: str) -> SamplingSchedule:
         doc = json.loads(text)
         m_total = int(doc["M"])
         interval = float(doc["frame_interval_s"])
-        entries = doc["frames"]
+        frames: list[list[SamplePoint] | None] = [None] * m_total
+        for entry in doc["frames"]:
+            m = int(entry["m"])
+            if not 0 <= m < m_total:
+                raise ConfigError(f"frame index {m} outside [0, {m_total})", field="frames.m")
+            if entry.get("gap"):
+                continue
+            point = entry.get("point")
+            if point is None:
+                raise ConfigError(f"frame {m} has neither gap nor point", field="frames.point")
+            sp = SamplePoint(int(point["spectral"]), tuple(int(c) for c in point["k"]))
+            if frames[m] is None:
+                frames[m] = []
+            frames[m].append(sp)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed schedule document: {exc}") from exc
-    frames: list[list[SamplePoint] | None] = [None] * m_total
-    for entry in entries:
-        m = int(entry["m"])
-        if not 0 <= m < m_total:
-            raise ConfigError(f"frame index {m} outside [0, {m_total})", field="frames.m")
-        if entry.get("gap"):
-            continue
-        point = entry.get("point")
-        if point is None:
-            raise ConfigError(f"frame {m} has neither gap nor point", field="frames.point")
-        sp = SamplePoint(int(point["spectral"]), tuple(int(c) for c in point["k"]))
-        if frames[m] is None:
-            frames[m] = []
-        frames[m].append(sp)
+        raise ConfigError(f"malformed schedule document: {exc!r}") from exc
     return SamplingSchedule(
         frames=tuple(None if f is None else tuple(f) for f in frames),
         frame_interval_s=interval,

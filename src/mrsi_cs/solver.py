@@ -8,15 +8,20 @@ The objective being minimized over per-frame coefficient vectors x_m is
 
 where D is the set of frames with data.  Splitting duplicates (x, h)
 into (z, s) tied by the first-difference constraint s = Wz; each outer
-iteration then runs four steps: a per-frame inner ADMM for x (a cached
-normal-equation solve plus an l1 shrinkage that is skipped on data-free
-frames), a closed-form elastic-net shrinkage for h, a banded-Cholesky
-projection onto the constraint set, and the dual ascent.
+iteration then runs four steps: a per-frame inner ADMM for x, a
+closed-form elastic-net shrinkage for h, a banded-Cholesky projection
+onto the constraint set, and the dual ascent.
+
+The x step runs on all frames at once, in two batches.  Frames with data
+solve their normal equations through one stacked low-rank (Woodbury)
+factor, built once per solve, and then shrink toward sparsity; data-free
+frames take a weighted average and skip the shrinkage.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +39,7 @@ from .model import (
     apply_adjoint,
     apply_forward,
     base_check,
+    stack_factors,
 )
 
 __all__ = [
@@ -74,6 +80,11 @@ class SolverConfig:
     stop_tol: float | None = None
 
     def __post_init__(self):
+        settings = (self.lambda_x, self.lambda_w1, self.lambda_w2, self.rho1, self.rho2, self.mu)
+        if not all(math.isfinite(v) for v in settings):
+            raise ParameterError("regularization weights and penalty parameters must be finite")
+        if self.stop_tol is not None and not math.isfinite(self.stop_tol):
+            raise ParameterError("stop_tol must be finite")
         if min(self.lambda_x, self.lambda_w1, self.lambda_w2) < 0:
             raise ParameterError("regularization weights must be >= 0")
         if min(self.rho1, self.rho2, self.mu) <= 0:
@@ -103,7 +114,7 @@ class SolverState:
 
 @dataclass
 class ResidualLog:
-    """Per-iteration root-mean-square gaps ||x-z|| and ||z-z_prev||."""
+    """Per-iteration root-mean-square gaps ||x-z|| and ||z-z_prev||, as Python floats."""
 
     rms_x_minus_z: list[float] = field(default_factory=list)
     rms_z_delta: list[float] = field(default_factory=list)
@@ -116,7 +127,7 @@ class ResidualLog:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "rms_x_minus_z", "rms_z_delta"])
             for i, (a, b) in enumerate(zip(self.rms_x_minus_z, self.rms_z_delta), start=1):
-                writer.writerow([i, repr(a), repr(b)])
+                writer.writerow([i, repr(float(a)), repr(float(b))])
 
 
 def soft_threshold(xi: np.ndarray | float, iota: float) -> np.ndarray | float:
@@ -209,6 +220,10 @@ def update_x_frame(
     average and the l1 shrinkage is skipped (shrinking frames without
     data would drive them to zero).  ``alpha_m`` and ``beta_m`` are
     updated in place; the new x_m is returned.
+
+    Every array may carry a leading frame axis, with ``factor`` stacked
+    to match (:func:`~mrsi_cs.model.stack_factors`); all frames of one
+    call must then be acquired, or all data-free.
     """
     rho1, mu = config.rho1, config.mu
     acquired = aty_m is not None
@@ -260,11 +275,17 @@ def solve(
     acquired = schedule.acquired_index_set
 
     cache = FactorizationCache(base, geometry, shift=config.rho1 + config.mu)
-    aty: dict[int, np.ndarray] = {}
-    factors: dict[int, NormalFactor] = {}
-    for m in acquired:
-        aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
-        factors[m] = cache.get(schedule.frames[m])
+    aty = np.zeros((len(acquired), n_unknown))
+    factors = []
+    for i, m in enumerate(acquired):
+        aty[i] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
+        factors.append(cache.get(schedule.frames[m]))
+    free = [m for m in range(m_total) if schedule.frames[m] is None]
+    batches = []  # (frame rows, Re(A^H y), factor): acquired frames, then data-free ones
+    if acquired:
+        batches.append((np.array(acquired), aty, stack_factors(factors)))
+    if free:
+        batches.append((np.array(free), None, None))
 
     state = SolverState(
         x=np.zeros((m_total, n_unknown)),
@@ -276,25 +297,20 @@ def solve(
         alpha=np.zeros((m_total, n_unknown)),
         beta=np.zeros((m_total, n_unknown)),
     )
-    for m in acquired:
-        state.x[m] = aty[m]
+    state.x[list(acquired)] = aty
     state.z[:] = state.x
 
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
     log = ResidualLog()
-    denom = np.sqrt(m_total * n_unknown)
+    denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
-        for m in range(m_total):
-            state.x[m] = update_x_frame(
-                aty.get(m),
-                factors.get(m),
-                state.z[m],
-                state.u[m],
-                state.alpha[m],
-                state.beta[m],
-                config,
+        for rows, aty_rows, factor in batches:
+            alpha, beta = state.alpha[rows], state.beta[rows]
+            state.x[rows] = update_x_frame(
+                aty_rows, factor, state.z[rows], state.u[rows], alpha, beta, config
             )
+            state.alpha[rows], state.beta[rows] = alpha, beta
         if m_total >= 2:
             state.h = update_h(state.s, state.nu, config)
             omega = state.x + state.u

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import mrsi_cs
 from mrsi_cs.cli import main
 from mrsi_cs.manifest import sha256_file
 from mrsi_cs.mrst import read_tensor, write_tensor
@@ -190,6 +193,72 @@ class TestReconstructCommand:
             ],
         )
         assert result.exit_code == 4
+
+
+def reconstruct_args(config, signals, schedule, base, out):
+    return [
+        "reconstruct",
+        "--config", config,
+        "--signals", signals,
+        "--schedule", schedule,
+        "--base", base,
+        "--out", out,
+        "--iters", "3",
+    ]
+
+
+def assert_clean_exit(result, code):
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("option, value", [("--lambda-x", "nan"), ("--lambda-w1", "inf")])
+    def test_non_finite_weight_exits_2(self, runner, tmp_path, option, value):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        args = reconstruct_args(
+            config, acquire_out["signals"], design_out["schedule"], phantom_out["base"],
+            str(tmp_path / "r2"),
+        )
+        result = runner.invoke(main, args + [option, value])
+        assert_clean_exit(result, 2)
+        assert "finite" in result.output
+
+    def test_truncated_signals_header_exits_3(self, runner, tmp_path):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        short = tmp_path / "short.mrst"
+        short.write_bytes(Path(acquire_out["signals"]).read_bytes()[:10])
+        args = reconstruct_args(
+            config, str(short), design_out["schedule"], phantom_out["base"], str(tmp_path / "r2")
+        )
+        assert_clean_exit(runner.invoke(main, args), 3)
+
+    @pytest.mark.parametrize("owner, key", [("entry", "m"), ("point", "spectral"), ("point", "k")])
+    def test_schedule_entry_missing_field_exits_2(self, runner, tmp_path, owner, key):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        doc = json.loads(Path(design_out["schedule"]).read_text())
+        entry = next(e for e in doc["frames"] if "point" in e)
+        del (entry if owner == "entry" else entry["point"])[key]
+        bad = tmp_path / "bad_schedule.json"
+        bad.write_text(json.dumps(doc))
+        args = reconstruct_args(
+            config, acquire_out["signals"], str(bad), phantom_out["base"], str(tmp_path / "r2")
+        )
+        assert_clean_exit(runner.invoke(main, args), 2)
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(mrsi_cs.__file__).resolve().parents[1])
+        code = (
+            "import sys, mrsi_cs.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCvCommand:

@@ -16,6 +16,7 @@ from mrsi_cs import (
     dft_spectral,
     normal_matrix,
 )
+from mrsi_cs.model import stack_factors
 from conftest import random_points
 
 
@@ -206,6 +207,20 @@ class TestNormalMatrix:
     def test_rejects_nonpositive_shift(self, small_base, small_geometry):
         with pytest.raises(ParameterError):
             normal_matrix([SamplePoint(1, (1, 1))], small_base, small_geometry, shift=0.0)
+
+    def test_stacked_mixed_point_counts_match_dense_solves(self, rng, small_base, small_geometry):
+        shift = 0.2
+        frames = [random_points(rng, small_geometry, count) for count in (1, 2, 3, 1)]
+        stacked = stack_factors(
+            [normal_matrix(p, small_base, small_geometry, shift) for p in frames]
+        )
+        assert stacked.v.shape == (4, 32, 12)  # 2J columns per point, padded to 3 points
+        rhs = rng.standard_normal((4, 32))
+        got = stacked.solve(rhs)
+        for points, b, x in zip(frames, rhs, got):
+            dense = dense_operator(points, small_base, small_geometry)
+            expected = np.linalg.solve((dense.conj().T @ dense).real + shift * np.eye(32), b)
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestFactorizationCache:

@@ -51,6 +51,15 @@ def test_rejects_bad_magic(tmp_path):
         read_tensor(path)
 
 
+@pytest.mark.parametrize("keep", [4, 10, 16, 20, 31])
+def test_rejects_truncated_header(tmp_path, keep):
+    path = tmp_path / "short.mrst"
+    write_tensor(path, np.zeros((2, 3)))  # 32-byte header for two axes
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ShapeError, match="header"):
+        read_tensor(path)
+
+
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "trunc.mrst"
     write_tensor(path, np.zeros(8))

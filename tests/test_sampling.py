@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,22 @@ class TestBuildSchedule:
         )
         back = schedule_from_json(schedule_to_json(schedule))
         assert back == schedule
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"point": {"spectral": 1, "k": [1, 1]}},
+            {"m": 0, "point": {"k": [1, 1]}},
+            {"m": 0, "point": {"spectral": 1}},
+            {"m": 0, "point": {"spectral": 1, "k": 1}},
+            {"m": "zero", "gap": True},
+            ["m", 0],
+        ],
+    )
+    def test_malformed_entry_is_config_error(self, entry):
+        doc = {"M": 2, "frame_interval_s": 4.0, "frames": [{"m": 1, "gap": True}, entry]}
+        with pytest.raises(ConfigError):
+            schedule_from_json(json.dumps(doc))
 
     def test_points_in_range(self):
         geometry = self.make_geometry()

@@ -22,8 +22,9 @@ from mrsi_cs import (
     update_h,
     update_x_frame,
 )
-from mrsi_cs.solver import SolverConfig
-from conftest import random_schedule
+from mrsi_cs.model import stack_factors
+from mrsi_cs.solver import ResidualLog, SolverConfig
+from conftest import random_points, random_schedule
 
 
 def scalar_problem():
@@ -43,6 +44,16 @@ def full_sampling_schedule(geometry, n_frames):
         for k in range(geometry.n_voxels)
     )
     return SamplingSchedule(frames=tuple(points for _ in range(n_frames)))
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "field", ["lambda_x", "lambda_w1", "lambda_w2", "rho1", "rho2", "mu", "stop_tol"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ParameterError):
+            SolverConfig(**{field: value})
 
 
 class TestSoftThreshold:
@@ -173,6 +184,41 @@ class TestUpdateXFrame:
                 assert abs(grad[i] + lam * np.sign(x[i])) < 1e-6
             else:
                 assert abs(grad[i]) <= lam + 1e-6
+
+    def test_batched_frames_match_per_frame_loop(self, rng, small_base, small_geometry):
+        config = SolverConfig(lambda_x=0.05, rho1=0.3, mu=0.2, inner_iters=3)
+        shift = config.rho1 + config.mu
+        counts = (1, None, 3, 2, None, 1)  # points per frame; None marks a data-free frame
+        n = 32
+        z, u, alpha, beta = (rng.standard_normal((len(counts), n)) for _ in range(4))
+        aty, factors = {}, {}
+        for m, count in enumerate(counts):
+            if count is not None:
+                points = random_points(rng, small_geometry, count)
+                factors[m] = normal_matrix(points, small_base, small_geometry, shift)
+                aty[m] = rng.standard_normal(n)
+
+        expected_alpha, expected_beta = alpha.copy(), beta.copy()
+        expected = np.stack([
+            update_x_frame(
+                aty.get(m), factors.get(m), z[m], u[m], expected_alpha[m], expected_beta[m], config
+            )
+            for m in range(len(counts))
+        ])
+
+        got = np.empty_like(expected)
+        acquired = sorted(factors)
+        free = [m for m in range(len(counts)) if m not in factors]
+        for rows, aty_rows, factor in (
+            (acquired, np.stack([aty[m] for m in acquired]), stack_factors([factors[m] for m in acquired])),
+            (free, None, None),
+        ):
+            a, b = alpha[rows], beta[rows]
+            got[rows] = update_x_frame(aty_rows, factor, z[rows], u[rows], a, b, config)
+            alpha[rows], beta[rows] = a, b
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(beta, expected_beta, rtol=1e-12, atol=1e-14)
 
     def test_missing_factor_raises(self):
         config = SolverConfig()
@@ -311,6 +357,23 @@ class TestSolve:
         config = SolverConfig(outer_iters=17)
         _, log = solve(signals, schedule, small_base, small_geometry, config)
         assert len(log) == 17
+
+    def test_residual_csv_holds_plain_numbers(self, rng, small_base, small_geometry, tmp_path):
+        schedule = random_schedule(rng, small_geometry, 5)
+        truth = SubstanceDistribution(values=np.ones((5, 16, 2)), geometry=small_geometry)
+        signals = acquire(truth, small_base, schedule, 0.1, rng_seed=1)
+        _, log = solve(signals, schedule, small_base, small_geometry, SolverConfig(outer_iters=4))
+        assert all(type(v) is float for v in log.rms_x_minus_z + log.rms_z_delta)
+        path = tmp_path / "residuals.csv"
+        log.write_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "iteration,rms_x_minus_z,rms_z_delta"
+        assert all(float(v) >= 0 for line in lines[1:] for v in line.split(",")[1:])
+
+    def test_residual_csv_converts_numpy_scalars(self, tmp_path):
+        log = ResidualLog(rms_x_minus_z=[np.float64(0.5)], rms_z_delta=[np.float64(0.25)])
+        log.write_csv(tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text().splitlines()[1] == "1,0.5,0.25"
 
     def test_early_stop(self, rng, small_base, small_geometry):
         schedule = random_schedule(rng, small_geometry, 5)
