@@ -14,7 +14,6 @@ from .errors import (
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
-    FactorizationCache,
     SamplePoint,
     SamplingSchedule,
     SignalSet,
@@ -23,7 +22,6 @@ from .model import (
     apply_forward,
     dft_spatial,
     dft_spectral,
-    normal_matrix,
 )
 from .phantom import (
     ConstantProfile,
@@ -44,17 +42,13 @@ from .sampling import (
 )
 from .selection import CvPlan, cv_rmse, grid_search, split_readouts
 from .solver import (
-    BandCholesky,
-    ResidualLog,
     SolverConfig,
-    SolverState,
     band_cholesky,
     objective_value,
     project_constraint,
     soft_threshold,
     solve,
     update_h,
-    update_x_frame,
 )
 
 

@@ -11,6 +11,7 @@ variable (error, info or debug).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import logging
@@ -43,7 +44,7 @@ from .evaluate import (
     write_pgm,
     write_profiles_csv,
 )
-from .manifest import RunManifest, StageTimer
+from .manifest import StageTimer, write_manifest
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
@@ -84,8 +85,11 @@ def _handle_errors(func):
     return wrapper
 
 
-def _emit(summary: dict) -> None:
-    click.echo(json.dumps(summary, sort_keys=True))
+def _finish(outdir: Path, command: str, timer: StageTimer, summary: dict, **manifest) -> None:
+    """Close the "write" stage, write the run manifest and print the stdout summary."""
+    timer.lap("write")
+    write_manifest(outdir, command, timer.timings_s, **manifest)
+    click.echo(json.dumps({"command": command, **summary}, sort_keys=True))
 
 
 def _outdir(out: str) -> Path:
@@ -154,28 +158,23 @@ def phantom(config_path, out, seed):
     base_path = outdir / "base.mrst"
     write_tensor(truth_path, truth.spatial())
     write_tensor(base_path, base.spectra)
-    timer.lap("write")
 
-    manifest = RunManifest(
-        command="phantom",
-        arguments={"config": str(config_path), "out": str(out), "seed": seed},
-        config=doc,
-        seeds={"rng_seed": config.rng_seed},
-        timings_s=timer.timings_s,
-    )
-    manifest.add_input(config_path)
-    manifest.add_output(truth_path)
-    manifest.add_output(base_path)
-    manifest.write(outdir / "manifest.json")
-    _emit(
+    _finish(
+        outdir,
+        "phantom",
+        timer,
         {
-            "command": "phantom",
             "truth": str(truth_path),
             "base": str(base_path),
             "n_frames": config.n_frames,
             "spatial_dims": list(config.geometry.spatial_dims),
             "substances": list(config.labels),
-        }
+        },
+        arguments={"config": config_path, "out": out, "seed": seed},
+        config=doc,
+        seeds={"rng_seed": config.rng_seed},
+        inputs=[config_path],
+        outputs=[truth_path, base_path],
     )
 
 
@@ -194,26 +193,22 @@ def design(config_path, out):
     outdir = _outdir(out)
     schedule_path = outdir / "schedule.json"
     write_schedule(schedule_path, schedule)
-    timer.lap("write")
 
-    manifest = RunManifest(
-        command="design",
-        arguments={"config": str(config_path), "out": str(out)},
-        config=doc,
-        seeds={"sobol_skip": config.skip},
-        timings_s=timer.timings_s,
-    )
-    manifest.add_input(config_path)
-    manifest.add_output(schedule_path)
-    manifest.write(outdir / "manifest.json")
-    _emit(
+    _finish(
+        outdir,
+        "design",
+        timer,
         {
-            "command": "design",
             "schedule": str(schedule_path),
             "n_frames": schedule.n_frames,
             "n_acquired": schedule.n_acquired,
             "psi": config.psi,
-        }
+        },
+        arguments={"config": config_path, "out": out},
+        config=doc,
+        seeds={"sobol_skip": config.skip},
+        inputs=[config_path],
+        outputs=[schedule_path],
     )
 
 
@@ -251,33 +246,28 @@ def acquire(config_path, schedule_path, truth_path, base_path, out, seed):
     outdir = _outdir(out)
     signals_path = outdir / "signals.mrst"
     write_tensor(signals_path, signals.concatenated(schedule))
-    timer.lap("write")
 
-    manifest = RunManifest(
-        command="acquire",
+    _finish(
+        outdir,
+        "acquire",
+        timer,
+        {
+            "signals": str(signals_path),
+            "n_acquired": schedule.n_acquired,
+            "noise_sigma": config.noise_sigma,
+        },
         arguments={
-            "config": str(config_path),
-            "schedule": str(schedule_path),
-            "truth": str(truth_path),
-            "base": str(base_path),
-            "out": str(out),
+            "config": config_path,
+            "schedule": schedule_path,
+            "truth": truth_path,
+            "base": base_path,
+            "out": out,
             "seed": seed,
         },
         config=doc,
         seeds={"rng_seed": config.rng_seed},
-        timings_s=timer.timings_s,
-    )
-    for p in (config_path, schedule_path, truth_path, base_path):
-        manifest.add_input(p)
-    manifest.add_output(signals_path)
-    manifest.write(outdir / "manifest.json")
-    _emit(
-        {
-            "command": "acquire",
-            "signals": str(signals_path),
-            "n_acquired": schedule.n_acquired,
-            "noise_sigma": config.noise_sigma,
-        }
+        inputs=[config_path, schedule_path, truth_path, base_path],
+        outputs=[signals_path],
     )
 
 
@@ -338,45 +328,27 @@ def reconstruct(
     residual_path = outdir / "residuals.csv"
     write_tensor(recon_path, estimate.spatial())
     residuals.write_csv(residual_path)
-    timer.lap("write")
 
-    manifest = RunManifest(
-        command="reconstruct",
-        arguments={
-            "config": str(config_path),
-            "signals": str(signals_path),
-            "schedule": str(schedule_path),
-            "base": str(base_path),
-            "out": str(out),
-        },
-        config={
-            "geometry": doc.get("geometry", {}),
-            "solver": {
-                "lambda_x": solver_config.lambda_x,
-                "lambda_w1": solver_config.lambda_w1,
-                "lambda_w2": solver_config.lambda_w2,
-                "rho1": solver_config.rho1,
-                "rho2": solver_config.rho2,
-                "mu": solver_config.mu,
-                "outer_iters": solver_config.outer_iters,
-                "inner_iters": solver_config.inner_iters,
-            },
-        },
-        timings_s=timer.timings_s,
-    )
-    for p in (config_path, signals_path, schedule_path, base_path):
-        manifest.add_input(p)
-    manifest.add_output(recon_path)
-    manifest.add_output(residual_path)
-    manifest.write(outdir / "manifest.json")
-    _emit(
+    _finish(
+        outdir,
+        "reconstruct",
+        timer,
         {
-            "command": "reconstruct",
             "recon": str(recon_path),
             "residuals": str(residual_path),
             "iterations": len(residuals),
-            "final_rms_x_minus_z": residuals.rms_x_minus_z[-1] if len(residuals) else None,
-        }
+            "final_rms_x_minus_z": residuals.rms_x_minus_z[-1],
+        },
+        arguments={
+            "config": config_path,
+            "signals": signals_path,
+            "schedule": schedule_path,
+            "base": base_path,
+            "out": out,
+        },
+        config={"geometry": doc.get("geometry", {}), "solver": dataclasses.asdict(solver_config)},
+        inputs=[config_path, signals_path, schedule_path, base_path],
+        outputs=[recon_path, residual_path],
     )
 
 
@@ -387,7 +359,7 @@ def reconstruct(
 @click.option("--base", "base_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--paper-grid", is_flag=True, help="Use the full 12-value grid per axis.")
-@click.option("--threads", type=int, default=1, help="Worker processes for the sweep.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, help="Worker processes for the sweep.")
 @click.option("--iters", type=int, default=None, help="Outer iterations per CV solve.")
 @_handle_errors
 def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, threads, iters):
@@ -398,7 +370,7 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
     )
     solver_doc = dict(doc.get("solver", {}))
     solver_doc.setdefault("outer_iters", 200)  # ranking needs less polish than the final fit
-    solver_config = parse_solver_config(solver_doc, outer_iters=iters, record_residuals=False)
+    solver_config = parse_solver_config(solver_doc, outer_iters=iters)
     grid = PAPER_GRID if paper_grid else COARSE_GRID
     plan = CvPlan(grid_x=grid, grid_w1=grid, grid_w2=grid, base_config=solver_config)
     timer.lap("load")
@@ -419,37 +391,31 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
         selected_path,
         {"lambda_x": best[0], "lambda_w1": best[1], "lambda_w2": best[2], "rmse": best_rmse},
     )
-    timer.lap("write")
 
-    manifest = RunManifest(
-        command="cv",
-        arguments={
-            "config": str(config_path),
-            "signals": str(signals_path),
-            "schedule": str(schedule_path),
-            "base": str(base_path),
-            "out": str(out),
-            "paper_grid": paper_grid,
-            "threads": threads,
-        },
-        config={"grid": list(grid), "outer_iters": solver_config.outer_iters},
-        timings_s=timer.timings_s,
-    )
-    for p in (config_path, signals_path, schedule_path, base_path):
-        manifest.add_input(p)
-    manifest.add_output(table_path)
-    manifest.add_output(selected_path)
-    manifest.write(outdir / "manifest.json")
-    _emit(
+    _finish(
+        outdir,
+        "cv",
+        timer,
         {
-            "command": "cv",
             "table": str(table_path),
             "selected": str(selected_path),
             "lambda_x": best[0],
             "lambda_w1": best[1],
             "lambda_w2": best[2],
             "combinations": len(table),
-        }
+        },
+        arguments={
+            "config": config_path,
+            "signals": signals_path,
+            "schedule": schedule_path,
+            "base": base_path,
+            "out": out,
+            "paper_grid": paper_grid,
+            "threads": threads,
+        },
+        config={"grid": list(grid), "outer_iters": solver_config.outer_iters},
+        inputs=[config_path, signals_path, schedule_path, base_path],
+        outputs=[table_path, selected_path],
     )
 
 
@@ -460,7 +426,7 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Phantom configuration supplying substance labels.")
 @click.option("--frames", default=None, help="Comma-separated snapshot frame indices.")
-@click.option("--upsample", type=int, default=1, help="Integer nearest-neighbor upscaling.")
+@click.option("--upsample", type=click.IntRange(min=1), default=1, help="Integer nearest-neighbor upscaling.")
 @_handle_errors
 def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
     """Compare a reconstruction against ground truth and export summaries."""
@@ -517,34 +483,26 @@ def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
             path = snapshot_dir / f"{label}_frame{f:04d}.pgm"
             write_pgm(path, scaled[f], upsample=upsample)
             snapshot_paths.append(path)
-    timer.lap("write")
 
-    manifest = RunManifest(
-        command="evaluate",
-        arguments={
-            "recon": str(recon_path),
-            "truth": str(truth_path),
-            "out": str(out),
-            "config": str(config_path) if config_path else None,
-            "frames": snapshot_frames,
-            "upsample": upsample,
-        },
-        timings_s=timer.timings_s,
-    )
-    manifest.add_input(recon_path)
-    manifest.add_input(truth_path)
-    manifest.add_output(metrics_path)
-    manifest.add_output(profiles_path)
-    for p in snapshot_paths:
-        manifest.add_output(p)
-    manifest.write(outdir / "manifest.json")
-    _emit(
+    _finish(
+        outdir,
+        "evaluate",
+        timer,
         {
-            "command": "evaluate",
             "metrics": str(metrics_path),
             "profiles": str(profiles_path),
             "snapshots": [str(p) for p in snapshot_paths],
-        }
+        },
+        arguments={
+            "recon": recon_path,
+            "truth": truth_path,
+            "out": out,
+            "config": config_path,
+            "frames": snapshot_frames,
+            "upsample": upsample,
+        },
+        inputs=[recon_path, truth_path],
+        outputs=[metrics_path, profiles_path, *snapshot_paths],
     )
 
 

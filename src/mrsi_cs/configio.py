@@ -6,6 +6,7 @@ path of the offending field, which the CLI reports verbatim.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any
@@ -158,18 +159,7 @@ def parse_solver_config(doc: dict, **overrides) -> SolverConfig:
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
-    known = {
-        "lambda_x",
-        "lambda_w1",
-        "lambda_w2",
-        "rho1",
-        "rho2",
-        "mu",
-        "outer_iters",
-        "inner_iters",
-        "record_residuals",
-        "stop_tol",
-    }
+    known = {field.name for field in dataclasses.fields(SolverConfig)}
     unknown = set(merged) - known
     if unknown:
         raise ConfigError(f"unknown solver fields: {sorted(unknown)}", field=sorted(unknown)[0])

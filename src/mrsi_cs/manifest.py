@@ -11,12 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 
-__all__ = ["sha256_file", "RunManifest", "StageTimer"]
+__all__ = ["sha256_file", "write_manifest", "StageTimer"]
+
+TOOL = "mrsi-cs"
 
 
 def sha256_file(path: str | Path) -> str:
@@ -40,34 +42,31 @@ class StageTimer:
         self._mark = now
 
 
-@dataclass
-class RunManifest:
-    command: str
-    arguments: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    timings_s: dict = field(default_factory=dict)
-    tool: str = "mrsi-cs"
-    version: str = __version__
+def write_manifest(
+    outdir: str | Path,
+    command: str,
+    timings_s: dict,
+    *,
+    arguments: dict,
+    inputs: Iterable[str | Path],
+    outputs: Iterable[str | Path],
+    config: dict | None = None,
+    seeds: dict | None = None,
+) -> None:
+    """Hash every input and output file and write ``outdir/manifest.json``."""
 
-    def add_input(self, path: str | Path) -> None:
-        self.inputs.append({"path": str(path), "sha256": sha256_file(path)})
+    def entries(paths):
+        return [{"path": str(p), "sha256": sha256_file(p)} for p in paths]
 
-    def add_output(self, path: str | Path) -> None:
-        self.outputs.append({"path": str(path), "sha256": sha256_file(path)})
-
-    def write(self, path: str | Path) -> None:
-        doc = {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "arguments": self.arguments,
-            "config": self.config,
-            "seeds": self.seeds,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "timings_s": self.timings_s,
-        }
-        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    doc = {
+        "tool": TOOL,
+        "version": __version__,
+        "command": command,
+        "arguments": arguments,
+        "config": config or {},
+        "seeds": seeds or {},
+        "inputs": entries(inputs),
+        "outputs": entries(outputs),
+        "timings_s": timings_s,
+    }
+    (Path(outdir) / "manifest.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

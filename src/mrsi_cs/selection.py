@@ -77,10 +77,6 @@ class CvPlan:
                 raise ParameterError(f"{name} must be a non-empty list of positive values")
             object.__setattr__(self, name, grid)
 
-    @property
-    def folds(self) -> int:
-        return 2
-
     def combinations(self) -> list[tuple[float, float, float]]:
         return list(itertools.product(self.grid_x, self.grid_w1, self.grid_w2))
 
@@ -117,13 +113,7 @@ def _directional_rmse(
     config: SolverConfig,
 ) -> float:
     lam_x, lam_w1, lam_w2 = lambdas
-    cfg = replace(
-        config,
-        lambda_x=lam_x,
-        lambda_w1=lam_w1,
-        lambda_w2=lam_w2,
-        record_residuals=False,
-    )
+    cfg = replace(config, lambda_x=lam_x, lambda_w1=lam_w1, lambda_w2=lam_w2)
     estimate, _ = solve(train.signals, train.schedule, base, geometry, cfg)
     x = estimate.frame_matrix()
     squared = 0.0

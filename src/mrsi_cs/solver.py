@@ -44,7 +44,6 @@ from .model import (
 
 __all__ = [
     "SolverConfig",
-    "SolverState",
     "BandCholesky",
     "ResidualLog",
     "soft_threshold",
@@ -76,7 +75,6 @@ class SolverConfig:
     mu: float = 1e-3
     outer_iters: int = 1000
     inner_iters: int = 2
-    record_residuals: bool = True
     stop_tol: float | None = None
 
     def __post_init__(self):
@@ -95,21 +93,6 @@ class SolverConfig:
     @property
     def gamma(self) -> float:
         return self.rho2 / self.rho1
-
-
-@dataclass
-class SolverState:
-    """All primal, dual and auxiliary iterates, exposed for inspection."""
-
-    x: np.ndarray
-    z: np.ndarray
-    u: np.ndarray
-    h: np.ndarray
-    s: np.ndarray
-    nu: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    iteration: int = 0
 
 
 @dataclass
@@ -287,18 +270,12 @@ def solve(
     if free:
         batches.append((np.array(free), None, None))
 
-    state = SolverState(
-        x=np.zeros((m_total, n_unknown)),
-        z=np.zeros((m_total, n_unknown)),
-        u=np.zeros((m_total, n_unknown)),
-        h=np.zeros((max(m_total - 1, 0), n_unknown)),
-        s=np.zeros((max(m_total - 1, 0), n_unknown)),
-        nu=np.zeros((max(m_total - 1, 0), n_unknown)),
-        alpha=np.zeros((m_total, n_unknown)),
-        beta=np.zeros((m_total, n_unknown)),
-    )
-    state.x[list(acquired)] = aty
-    state.z[:] = state.x
+    # primal x, its copy z and dual u per frame; differences h, their copy s and dual nu;
+    # the inner splitting's copy alpha and dual beta
+    x, u, alpha, beta = (np.zeros((m_total, n_unknown)) for _ in range(4))
+    h, s, nu = (np.zeros((max(m_total - 1, 0), n_unknown)) for _ in range(3))
+    x[list(acquired)] = aty
+    z = x.copy()
 
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
     log = ResidualLog()
@@ -306,37 +283,33 @@ def solve(
 
     for k in range(1, config.outer_iters + 1):
         for rows, aty_rows, factor in batches:
-            alpha, beta = state.alpha[rows], state.beta[rows]
-            state.x[rows] = update_x_frame(
-                aty_rows, factor, state.z[rows], state.u[rows], alpha, beta, config
+            alpha_rows, beta_rows = alpha[rows], beta[rows]
+            x[rows] = update_x_frame(
+                aty_rows, factor, z[rows], u[rows], alpha_rows, beta_rows, config
             )
-            state.alpha[rows], state.beta[rows] = alpha, beta
+            alpha[rows], beta[rows] = alpha_rows, beta_rows
         if m_total >= 2:
-            state.h = update_h(state.s, state.nu, config)
-            omega = state.x + state.u
-            q = state.h + state.nu
-            z_new, s_new = project_constraint(omega, q, chol, config.gamma)
+            h = update_h(s, nu, config)
+            z_new, s_new = project_constraint(x + u, h + nu, chol, config.gamma)
         else:
-            z_new, s_new = state.x + state.u, state.s
-        rms_x_z = float(np.linalg.norm(state.x - z_new)) / denom
-        rms_z_delta = float(np.linalg.norm(z_new - state.z)) / denom
-        state.u += state.x - z_new
-        state.nu += state.h - s_new
-        state.z, state.s = z_new, s_new
-        state.iteration = k
+            z_new, s_new = x + u, s
+        rms_x_z = float(np.linalg.norm(x - z_new)) / denom
+        rms_z_delta = float(np.linalg.norm(z_new - z)) / denom
+        u += x - z_new
+        nu += h - s_new
+        z, s = z_new, s_new
         if not np.isfinite(rms_x_z) or not np.isfinite(rms_z_delta):
             raise DivergenceError(
                 f"non-finite iterates at outer iteration {k}", iteration=k
             )
-        if config.record_residuals:
-            log.rms_x_minus_z.append(rms_x_z)
-            log.rms_z_delta.append(rms_z_delta)
+        log.rms_x_minus_z.append(rms_x_z)
+        log.rms_z_delta.append(rms_z_delta)
         if config.stop_tol is not None:
-            xnorm = float(np.linalg.norm(state.x))
-            if xnorm > 0 and np.linalg.norm(state.x - state.z) / xnorm < config.stop_tol:
+            xnorm = float(np.linalg.norm(x))
+            if xnorm > 0 and np.linalg.norm(x - z) / xnorm < config.stop_tol:
                 break
 
-    values = state.x.reshape(m_total, geometry.n_voxels, base.n_substances)
+    values = x.reshape(m_total, geometry.n_voxels, base.n_substances)
     return SubstanceDistribution(values=values, geometry=geometry), log
 
 

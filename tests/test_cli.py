@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import mrsi_cs
 from mrsi_cs.cli import main
 from mrsi_cs.manifest import sha256_file
 from mrsi_cs.mrst import read_tensor, write_tensor
+from mrsi_cs.solver import SolverConfig
 
 TINY_PHANTOM = {
     "geometry": {
@@ -247,6 +249,25 @@ class TestInputBoundary:
         )
         assert_clean_exit(runner.invoke(main, args), 2)
 
+    def test_zero_upsample_exits_2_before_writing(self, runner, tmp_path):
+        config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+        phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "p")])
+        out = tmp_path / "ev"
+        args = ["evaluate", "--recon", phantom_out["truth"], "--truth", phantom_out["truth"],
+                "--out", str(out), "--upsample", "0"]
+        assert_clean_exit(runner.invoke(main, args), 2)
+        assert not out.exists()
+
+    def test_negative_threads_exits_2_before_writing(self, runner, tmp_path):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        out = tmp_path / "cv"
+        args = reconstruct_args(
+            config, acquire_out["signals"], design_out["schedule"], phantom_out["base"], str(out)
+        )
+        args[0] = "cv"
+        assert_clean_exit(runner.invoke(main, args + ["--threads", "-3"]), 2)
+        assert not out.exists()
+
 
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
@@ -355,3 +376,58 @@ class TestPipelineDeterminism:
             (first[4]["residuals"], second[4]["residuals"]),
         ]:
             assert sha256_file(a) == sha256_file(b)
+
+
+MANIFEST_KEYS = {
+    "tool", "version", "command", "arguments", "config", "seeds", "inputs", "outputs", "timings_s",
+}
+
+
+class TestManifests:
+    def test_every_command_records_its_files(self, runner, tmp_path):
+        config, phantom_out, design_out, acquire_out, recon_out = build_pipeline(runner, tmp_path)
+        recon_inputs = [config, acquire_out["signals"], design_out["schedule"], phantom_out["base"]]
+        cv_out = run_ok(
+            runner,
+            ["cv", "--config", config, "--signals", acquire_out["signals"],
+             "--schedule", design_out["schedule"], "--base", phantom_out["base"],
+             "--out", str(tmp_path / "cv"), "--iters", "2"],
+        )
+        eval_out = run_ok(
+            runner,
+            ["evaluate", "--recon", recon_out["recon"], "--truth", phantom_out["truth"],
+             "--out", str(tmp_path / "ev"), "--config", config],
+        )
+        expected = {
+            "ph": ("phantom", [config], [phantom_out["truth"], phantom_out["base"]]),
+            "de": ("design", [str(tmp_path / "design.json")], [design_out["schedule"]]),
+            "ac": (
+                "acquire",
+                [config, design_out["schedule"], phantom_out["truth"], phantom_out["base"]],
+                [acquire_out["signals"]],
+            ),
+            "re": ("reconstruct", recon_inputs, [recon_out["recon"], recon_out["residuals"]]),
+            "cv": ("cv", recon_inputs, [cv_out["table"], cv_out["selected"]]),
+            "ev": (
+                "evaluate",
+                [recon_out["recon"], phantom_out["truth"]],
+                [eval_out["metrics"], eval_out["profiles"], *eval_out["snapshots"]],
+            ),
+        }
+        assert len(eval_out["snapshots"]) == 3
+        manifests = {}
+        for outdir, (command, inputs, outputs) in expected.items():
+            manifest = json.loads((tmp_path / outdir / "manifest.json").read_text())
+            manifests[command] = manifest
+            assert set(manifest) == MANIFEST_KEYS
+            assert manifest["command"] == command
+            assert manifest["tool"] == "mrsi-cs"
+            assert manifest["version"] == mrsi_cs.__version__
+            assert "write" in manifest["timings_s"]
+            assert [e["path"] for e in manifest["inputs"]] == inputs
+            assert [e["path"] for e in manifest["outputs"]] == outputs
+            for entry in manifest["inputs"] + manifest["outputs"]:
+                assert Path(entry["path"]).is_file()
+                assert entry["sha256"] == sha256_file(entry["path"])
+        resolved = SolverConfig(lambda_x=0.001, lambda_w1=0.01, lambda_w2=0.01, outer_iters=10)
+        assert manifests["reconstruct"]["config"]["solver"] == dataclasses.asdict(resolved)

@@ -4,7 +4,6 @@ import pytest
 from mrsi_cs import (
     AcquisitionGeometry,
     BaseSpectraSet,
-    FactorizationCache,
     ParameterError,
     SamplePoint,
     ScheduleError,
@@ -14,9 +13,8 @@ from mrsi_cs import (
     apply_forward,
     dft_spatial,
     dft_spectral,
-    normal_matrix,
 )
-from mrsi_cs.model import stack_factors
+from mrsi_cs.model import FactorizationCache, normal_matrix, stack_factors
 from conftest import random_points
 
 

@@ -14,16 +14,14 @@ from mrsi_cs import (
     acquire,
     apply_forward,
     band_cholesky,
-    normal_matrix,
     objective_value,
     project_constraint,
     soft_threshold,
     solve,
     update_h,
-    update_x_frame,
 )
-from mrsi_cs.model import stack_factors
-from mrsi_cs.solver import ResidualLog, SolverConfig
+from mrsi_cs.model import normal_matrix, stack_factors
+from mrsi_cs.solver import ResidualLog, SolverConfig, update_x_frame
 from conftest import random_points, random_schedule
 
 
