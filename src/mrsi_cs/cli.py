@@ -359,7 +359,8 @@ def reconstruct(
 @click.option("--base", "base_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--paper-grid", is_flag=True, help="Use the full 12-value grid per axis.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, help="Worker processes for the sweep.")
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              help="Threads, each scoring one contiguous part of the grid.")
 @click.option("--iters", type=int, default=None, help="Outer iterations per CV solve.")
 @_handle_errors
 def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, threads, iters):
@@ -413,7 +414,7 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
             "paper_grid": paper_grid,
             "threads": threads,
         },
-        config={"grid": list(grid), "outer_iters": solver_config.outer_iters},
+        config={"grid": list(grid), "solver": dataclasses.asdict(solver_config)},
         inputs=[config_path, signals_path, schedule_path, base_path],
         outputs=[table_path, selected_path],
     )
@@ -501,7 +502,7 @@ def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
             "frames": snapshot_frames,
             "upsample": upsample,
         },
-        inputs=[recon_path, truth_path],
+        inputs=[recon_path, truth_path, *([config_path] if config_path is not None else [])],
         outputs=[metrics_path, profiles_path, *snapshot_paths],
     )
 

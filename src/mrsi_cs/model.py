@@ -350,16 +350,16 @@ class SignalSet:
 
 
 def _spatial_spectrum(x_m: np.ndarray, base: BaseSpectraSet, geometry: AcquisitionGeometry) -> np.ndarray:
-    """k-space transform of each substance map: returns (*spatial_dims, J) complex."""
+    """k-space transform of each substance map: returns (..., *spatial_dims, J) complex."""
     n, j = geometry.n_voxels, base.n_substances
     x_m = np.asarray(x_m, dtype=np.float64)
-    if x_m.shape != (n * j,):
-        raise ShapeError(f"x_m must have length N*J = {n * j}; got {x_m.shape}")
-    cube = x_m.reshape(*geometry.spatial_dims, j).astype(np.complex128)
-    # moveaxis puts substances first so the spatial axes are trailing for the DFT
-    cube = np.moveaxis(cube, -1, 0)
-    khat = dft_spatial(cube, "to_kspace", geometry)
-    return np.moveaxis(khat, 0, -1)
+    if x_m.shape[-1:] != (n * j,):
+        raise ShapeError(f"x_m must have length N*J = {n * j} on its last axis; got {x_m.shape}")
+    cube = x_m.reshape(*x_m.shape[:-1], *geometry.spatial_dims, j).astype(np.complex128)
+    # substances go before the spatial axes so those are trailing for the DFT
+    substance_axis = -1 - len(geometry.spatial_dims)
+    khat = dft_spatial(np.moveaxis(cube, -1, substance_axis), "to_kspace", geometry)
+    return np.moveaxis(khat, substance_axis, -1)
 
 
 def apply_forward(
@@ -373,17 +373,19 @@ def apply_forward(
     For each sampled point (d, k) the output block over the readout axis
     is  sum_j  Xhat_j(k) * fid_j(d, :),  where Xhat_j is the unitary
     spatial DFT of the j-th substance map.  Output blocks follow the
-    order of ``frame_points``.
+    order of ``frame_points``.  ``x_m`` may carry leading axes, e.g. one
+    row per weight triple of a stacked solve; the output keeps them.
     """
     base_check(base, geometry)
-    khat = _spatial_spectrum(x_m, base, geometry)  # (*spatial, J)
-    out = np.empty((len(frame_points), base.n_readout), dtype=np.complex128)
+    khat = _spatial_spectrum(x_m, base, geometry)  # (..., *spatial, J)
+    lead = khat.shape[: -1 - len(geometry.spatial_dims)]
+    out = np.empty((*lead, len(frame_points), base.n_readout), dtype=np.complex128)
     for i, point in enumerate(frame_points):
         _check_point(point, geometry)
         kidx = tuple(c - 1 for c in point.k_index)
-        weights = khat[kidx]  # (J,)
-        out[i] = weights @ base.fid[:, point.spectral_index - 1, :]
-    return out.ravel()
+        weights = khat[(..., *kidx, slice(None))]  # (..., J)
+        out[..., i, :] = weights @ base.fid[:, point.spectral_index - 1, :]
+    return out.reshape(*lead, -1)
 
 
 def apply_adjoint(

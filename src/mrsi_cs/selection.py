@@ -6,18 +6,31 @@ each fold keeps the full frame axis but withholds the other fold's data
 triple is scored by reconstructing from one fold, predicting the
 withheld readouts, and averaging the root-mean-square prediction error
 over both orientations.  The search is an exhaustive sweep of the grid.
+
+The sweep runs as a regularization path without warm starts: the
+triples form a (C, 3) weight axis, and each orientation scores the
+stack with one :func:`~mrsi_cs.solver.solve` call, so the adjoints and
+the normal-matrix factors are built once per fold and the rows iterate
+in lockstep.  :data:`~mrsi_cs.solver.STACK_BYTES` bounds what grows
+with C: the solver's outer-loop state per chunk of rows, and here the
+estimates one solve returns, so a long grid on a large geometry takes
+several solves per orientation.  A row's score does not depend on the
+chunk, solve or thread it ran in, so the table is the same for every
+``threads`` value.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import solver
 from .errors import ParameterError, ShapeError
 from .model import (
     AcquisitionGeometry,
@@ -73,8 +86,8 @@ class CvPlan:
     def __post_init__(self):
         for name, grid in (("grid_x", self.grid_x), ("grid_w1", self.grid_w1), ("grid_w2", self.grid_w2)):
             grid = tuple(float(v) for v in grid)
-            if not grid or any(v <= 0 for v in grid):
-                raise ParameterError(f"{name} must be a non-empty list of positive values")
+            if not grid or not all(math.isfinite(v) and v > 0 for v in grid):
+                raise ParameterError(f"{name} must be a non-empty list of finite positive values")
             object.__setattr__(self, name, grid)
 
     def combinations(self) -> list[tuple[float, float, float]]:
@@ -105,53 +118,69 @@ def split_readouts(schedule: SamplingSchedule, signals: SignalSet) -> tuple[Fold
 
 
 def _directional_rmse(
-    lambdas: tuple[float, float, float],
+    lambdas: tuple[float, float, float] | np.ndarray,
     train: Fold,
     test: Fold,
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> float:
-    lam_x, lam_w1, lam_w2 = lambdas
-    cfg = replace(config, lambda_x=lam_x, lambda_w1=lam_w1, lambda_w2=lam_w2)
-    estimate, _ = solve(train.signals, train.schedule, base, geometry, cfg)
-    x = estimate.frame_matrix()
-    squared = 0.0
+) -> float | np.ndarray:
+    """RMSE of predicting ``test``'s readouts from a fit to ``train``, per weight triple.
+
+    ``lambdas`` is one triple (the result is a float) or a (C, 3) stack
+    (the result has one entry per row).  The stack is solved in blocks
+    whose estimates fit :data:`~mrsi_cs.solver.STACK_BYTES`, one solve
+    per block, so a long grid on a large geometry does not hold every
+    estimate at once.
+    """
+    weights = np.asarray(lambdas, dtype=np.float64)
+    stack = np.atleast_2d(weights)
+    estimate_bytes = 8 * train.schedule.n_frames * geometry.n_voxels * base.n_substances
+    block = max(1, solver.STACK_BYTES // estimate_bytes)
+    rmse = np.concatenate([
+        _block_rmse(stack[i : i + block], train, test, base, geometry, config)
+        for i in range(0, len(stack), block)
+    ])
+    return float(rmse[0]) if weights.ndim == 1 else rmse
+
+
+def _block_rmse(
+    weights: np.ndarray,
+    train: Fold,
+    test: Fold,
+    base: BaseSpectraSet,
+    geometry: AcquisitionGeometry,
+    config: SolverConfig,
+) -> np.ndarray:
+    """One solve over a (C, 3) block of weight rows, then its prediction RMSEs."""
+    estimates, _ = solve(train.signals, train.schedule, base, geometry, config, weights=weights)
+    x = estimates.reshape(*estimates.shape[:2], -1)  # (C, M, N*J)
+    squared = np.zeros(len(x))
     count = 0
     for m in test.schedule.acquired_index_set:
-        predicted = apply_forward(x[m], test.schedule.frames[m], base, geometry)
-        residual = predicted - test.signals.per_frame[m]
-        squared += float(np.vdot(residual, residual).real)
-        count += 2 * residual.size  # real and imaginary parts each counted
-    return float(np.sqrt(squared / count))
+        residual = apply_forward(x[:, m], test.schedule.frames[m], base, geometry)
+        residual -= test.signals.per_frame[m]
+        squared += (residual.real**2 + residual.imag**2).sum(axis=-1)
+        count += 2 * residual.shape[-1]  # real and imaginary parts each counted
+    return np.sqrt(squared / count)
 
 
 def cv_rmse(
-    lambdas: tuple[float, float, float],
+    lambdas: tuple[float, float, float] | np.ndarray,
     fold_a: Fold,
     fold_b: Fold,
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> float:
-    """Prediction RMSE for one weight triple, averaged over both orientations."""
+) -> float | np.ndarray:
+    """Prediction RMSE averaged over both orientations, with the weights stacked per solve.
+
+    ``lambdas`` is one (lambda_x, lambda_w1, lambda_w2) triple, scored
+    as a float, or a (C, 3) stack of them, scored as an array of C.
+    """
     ab = _directional_rmse(lambdas, fold_a, fold_b, base, geometry, config)
     ba = _directional_rmse(lambdas, fold_b, fold_a, base, geometry, config)
     return 0.5 * (ab + ba)
-
-
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_worker(fold_a, fold_b, base, geometry, config):
-    _WORKER_CONTEXT.update(
-        fold_a=fold_a, fold_b=fold_b, base=base, geometry=geometry, config=config
-    )
-
-
-def _evaluate_combo(lambdas: tuple[float, float, float]) -> float:
-    c = _WORKER_CONTEXT
-    return cv_rmse(lambdas, c["fold_a"], c["fold_b"], c["base"], c["geometry"], c["config"])
 
 
 def grid_search(
@@ -164,26 +193,25 @@ def grid_search(
 ) -> tuple[tuple[float, float, float], list[GridRow]]:
     """Exhaustive sweep; returns the winning triple and the full score table.
 
-    Ties are broken toward the lexicographically smallest triple, so the
-    result is independent of enumeration order and worker scheduling.
+    The grid is split into ``threads`` contiguous parts, each scored by
+    one :func:`cv_rmse` call on its own thread.  Ties are broken toward
+    the lexicographically smallest triple, so the result is independent
+    of enumeration order and of the split.
     """
     fold_a, fold_b = split_readouts(schedule, signals)
     combos = plan.combinations()
     logger.info("cross-validation sweep over %d combinations", len(combos))
-    if threads > 1:
-        with ProcessPoolExecutor(
-            max_workers=threads,
-            initializer=_init_worker,
-            initargs=(fold_a, fold_b, base, geometry, plan.base_config),
-        ) as pool:
-            scores = list(pool.map(_evaluate_combo, combos, chunksize=4))
+
+    def score(part: np.ndarray) -> np.ndarray:
+        return cv_rmse(part, fold_a, fold_b, base, geometry, plan.base_config)
+
+    parts = [p for p in np.array_split(np.array(combos), threads) if len(p)]
+    if len(parts) > 1:
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            scores = np.concatenate(list(pool.map(score, parts)))
     else:
-        scores = []
-        for i, lambdas in enumerate(combos, start=1):
-            scores.append(cv_rmse(lambdas, fold_a, fold_b, base, geometry, plan.base_config))
-            if i % 25 == 0 or i == len(combos):
-                logger.info("evaluated %d/%d combinations", i, len(combos))
-    table = [GridRow(*lams, rmse) for lams, rmse in zip(combos, scores)]
+        scores = score(parts[0])
+    table = [GridRow(*lams, float(rmse)) for lams, rmse in zip(combos, scores)]
     best = min(table, key=lambda row: (row.rmse, (row.lambda_x, row.lambda_w1, row.lambda_w2)))
     logger.info(
         "selected lambda_x=%g lambda_w1=%g lambda_w2=%g (rmse=%g)",

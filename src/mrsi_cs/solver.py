@@ -16,6 +16,15 @@ The x step runs on all frames at once, in two batches.  Frames with data
 solve their normal equations through one stacked low-rank (Woodbury)
 factor, built once per solve, and then shrink toward sparsity; data-free
 frames take a weighted average and skip the shrinkage.
+
+The three weights only set thresholds and the h-step scale, so
+:func:`solve` can run a stack of C weight triples in lockstep: the
+iterates are laid out (frame, row, N*J), the weights broadcast as one
+(C, 1) column per row, and the adjoints, factors and banded Cholesky
+factor are built once per call.  Rows never mix, so each row's result
+does not depend on the stack it ran in.  The rows run in chunks whose
+outer-loop state fits :data:`STACK_BYTES`, which bounds the memory of a
+long stack; a solve without a stack is the C = 1 case.
 """
 
 from __future__ import annotations
@@ -113,9 +122,13 @@ class ResidualLog:
                 writer.writerow([i, repr(float(a)), repr(float(b))])
 
 
-def soft_threshold(xi: np.ndarray | float, iota: float) -> np.ndarray | float:
-    """Elementwise shrinkage toward zero: sign(xi) * max(|xi| - iota, 0)."""
-    if iota < 0:
+def soft_threshold(xi: np.ndarray | float, iota: np.ndarray | float) -> np.ndarray | float:
+    """Elementwise shrinkage toward zero: sign(xi) * max(|xi| - iota, 0).
+
+    ``iota`` may be an array that broadcasts against ``xi``, e.g. one
+    threshold per row of a weight stack.
+    """
+    if np.any(np.less(iota, 0)):
         raise ParameterError(f"threshold must be >= 0, got {iota}")
     return np.sign(xi) * np.maximum(np.abs(xi) - iota, 0.0)
 
@@ -160,8 +173,8 @@ def project_constraint(
     """Project (omega, q) onto the set {(z, s) : s = Wz}.
 
     Solves (I + gamma*W^T W) z = omega + gamma*W^T q by forward/back
-    substitution with the banded factor, columnwise over the second
-    axis, then rebuilds s from z so the constraint holds exactly.
+    substitution with the banded factor, columnwise over the trailing
+    axes, then rebuilds s from z so the constraint holds exactly.
     """
     omega = np.asarray(omega, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -195,6 +208,7 @@ def update_x_frame(
     alpha_m: np.ndarray,
     beta_m: np.ndarray,
     config: SolverConfig,
+    lambda_x: np.ndarray | float | None = None,
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
@@ -206,9 +220,13 @@ def update_x_frame(
 
     Every array may carry a leading frame axis, with ``factor`` stacked
     to match (:func:`~mrsi_cs.model.stack_factors`); all frames of one
-    call must then be acquired, or all data-free.
+    call must then be acquired, or all data-free.  ``lambda_x`` replaces
+    ``config.lambda_x``; as an array it broadcasts against the iterates,
+    e.g. shape (C, 1) for one weight per row of (frame, C, N*J) iterates.
     """
     rho1, mu = config.rho1, config.mu
+    if lambda_x is None:
+        lambda_x = config.lambda_x
     acquired = aty_m is not None
     if acquired and factor is None:
         raise MrsiCsError("acquired frame is missing its normal-matrix factorization")
@@ -217,7 +235,7 @@ def update_x_frame(
         rhs = rho1 * (z_m - u_m) + mu * (alpha_m - beta_m)
         if acquired:
             x_m = factor.solve(aty_m + rhs)
-            np.copyto(alpha_m, soft_threshold(x_m + beta_m, config.lambda_x / mu))
+            np.copyto(alpha_m, soft_threshold(x_m + beta_m, lambda_x / mu))
         else:
             x_m = rhs / (rho1 + mu)
             np.copyto(alpha_m, x_m + beta_m)
@@ -225,11 +243,31 @@ def update_x_frame(
     return x_m
 
 
-def update_h(s: np.ndarray, nu: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Closed-form elastic-net proximal step for the difference variables."""
-    scale = 1.0 + config.lambda_w2 / config.rho2
-    threshold = config.lambda_w1 / (config.rho2 * scale)
+def update_h(
+    s: np.ndarray,
+    nu: np.ndarray,
+    config: SolverConfig,
+    lambda_w1: np.ndarray | float | None = None,
+    lambda_w2: np.ndarray | float | None = None,
+) -> np.ndarray:
+    """Closed-form elastic-net proximal step for the difference variables.
+
+    ``lambda_w1`` and ``lambda_w2`` replace the config's weights and may
+    broadcast per row, as in :func:`update_x_frame`.
+    """
+    if lambda_w1 is None:
+        lambda_w1 = config.lambda_w1
+    if lambda_w2 is None:
+        lambda_w2 = config.lambda_w2
+    scale = 1.0 + lambda_w2 / config.rho2
+    threshold = lambda_w1 / (config.rho2 * scale)
     return soft_threshold((s - nu) / scale, threshold)
+
+
+# Byte budget for what grows with the number of weight rows: the outer-loop state of
+# one chunk in :func:`solve`, and the estimates one solve returns to the CV sweep
+STACK_BYTES = 512 * 1024
+_STATE_ARRAYS = 8  # x, z, u, alpha, beta per frame; h, s, nu per frame difference
 
 
 def _prepared_inputs(signals, schedule, base, geometry):
@@ -238,21 +276,44 @@ def _prepared_inputs(signals, schedule, base, geometry):
     signals.validate_schedule(schedule, base.n_readout)
 
 
+def _weight_rows(weights, config: SolverConfig) -> np.ndarray:
+    """The (C, 3) stack of weight triples a solve runs; the config's triple when ``weights`` is None."""
+    if weights is None:
+        return np.array([[config.lambda_x, config.lambda_w1, config.lambda_w2]])
+    rows = np.asarray(weights, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != 3:
+        raise ShapeError(f"weights must be a (C, 3) stack of weight triples; got shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ParameterError("regularization weights must be finite")
+    if np.any(rows < 0):
+        raise ParameterError("regularization weights must be >= 0")
+    return rows
+
+
 def solve(
     signals: SignalSet,
     schedule: SamplingSchedule,
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> tuple[SubstanceDistribution, ResidualLog]:
+    weights: np.ndarray | None = None,
+) -> tuple[SubstanceDistribution, ResidualLog] | tuple[np.ndarray, list[ResidualLog]]:
     """Run the full outer iteration and return the estimate with its residual log.
 
     Frames with data initialize from the adjoint of their measurements;
     data-free frames start at zero and acquire neighbor information
     through the projection step.  Raises :class:`DivergenceError` as
     soon as any iterate turns non-finite.
+
+    ``weights`` is an optional (C, 3) stack of (lambda_x, lambda_w1,
+    lambda_w2) rows that replace the config's three weights.  The rows
+    share one set-up and iterate in lockstep, in chunks bounded by
+    :data:`STACK_BYTES`; the call then returns a (C, M, N, J) array of
+    estimates and one residual log per row.  With ``stop_tol`` set, each
+    row stops on its own, at the iteration its solo solve would.
     """
     _prepared_inputs(signals, schedule, base, geometry)
+    rows = _weight_rows(weights, config)
     m_total = schedule.n_frames
     n_unknown = geometry.n_voxels * base.n_substances
     acquired = schedule.acquired_index_set
@@ -264,53 +325,98 @@ def solve(
         aty[i] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
         factors.append(cache.get(schedule.frames[m]))
     free = [m for m in range(m_total) if schedule.frames[m] is None]
-    batches = []  # (frame rows, Re(A^H y), factor): acquired frames, then data-free ones
+    batches = []  # (frame indices, Re(A^H y), factor): acquired frames, then data-free ones
     if acquired:
-        batches.append((np.array(acquired), aty, stack_factors(factors)))
+        stacked = stack_factors(factors)
+        # a unit row axis lets the per-frame arrays broadcast over (frame, row, N*J) iterates
+        factor = NormalFactor(stacked.v[:, None], stacked.shift, stacked.k_inv[:, None])
+        batches.append((np.array(acquired), aty[:, None], factor))
     if free:
         batches.append((np.array(free), None, None))
-
-    # primal x, its copy z and dual u per frame; differences h, their copy s and dual nu;
-    # the inner splitting's copy alpha and dual beta
-    x, u, alpha, beta = (np.zeros((m_total, n_unknown)) for _ in range(4))
-    h, s, nu = (np.zeros((max(m_total - 1, 0), n_unknown)) for _ in range(3))
-    x[list(acquired)] = aty
-    z = x.copy()
-
+    x0 = np.zeros((m_total, n_unknown))
+    x0[list(acquired)] = aty
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
-    log = ResidualLog()
+
+    x = np.empty((len(rows), m_total, n_unknown))
+    logs = []
+    chunk = max(1, STACK_BYTES // (_STATE_ARRAYS * x0.nbytes))
+    for start in range(0, len(rows), chunk):
+        logs += _iterate(x[start : start + chunk], rows[start : start + chunk], x0, batches, chol, config)
+
+    values = x.reshape(len(rows), m_total, geometry.n_voxels, base.n_substances)
+    if weights is None:
+        return SubstanceDistribution(values=values[0], geometry=geometry), logs[0]
+    return values, logs
+
+
+def _row_norms(a: np.ndarray) -> list[float]:
+    """Euclidean norm of each row of (frame, row, N*J) iterates, as ``np.linalg.norm(a[:, i])``."""
+    rows = np.ascontiguousarray(a.swapaxes(0, 1)).reshape(a.shape[1], 1, -1)
+    return np.sqrt(rows @ rows.swapaxes(1, 2)).ravel().tolist()
+
+
+def _iterate(
+    out: np.ndarray,
+    weights: np.ndarray,
+    x0: np.ndarray,
+    batches: list,
+    chol: BandCholesky | None,
+    config: SolverConfig,
+) -> list[ResidualLog]:
+    """Outer iterations of one chunk of weight rows, from the start point ``x0``.
+
+    Writes each row's estimate into ``out`` (C, M, N*J) and returns the
+    rows' residual logs.  A row that meets ``stop_tol`` is written out
+    and dropped from the stack.
+    """
+    n_rows = len(weights)
+    m_total, n_unknown = x0.shape
+    lambda_x, lambda_w1, lambda_w2 = (weights[:, k, None] for k in range(3))  # (C, 1) columns
+    # primal x, its copy z and dual u per frame; differences h, their copy s and dual nu;
+    # the inner splitting's copy alpha and dual beta; each laid out (frame, row, N*J)
+    x = np.repeat(x0[:, None], n_rows, axis=1)
+    z = x.copy()
+    u, alpha, beta = (np.zeros_like(x) for _ in range(3))
+    h, s, nu = (np.zeros((max(m_total - 1, 0), n_rows, n_unknown)) for _ in range(3))
+    logs = [ResidualLog() for _ in range(n_rows)]
+    live = np.arange(n_rows)  # the row of ``out`` each stacked row belongs to
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
-        for rows, aty_rows, factor in batches:
-            alpha_rows, beta_rows = alpha[rows], beta[rows]
-            x[rows] = update_x_frame(
-                aty_rows, factor, z[rows], u[rows], alpha_rows, beta_rows, config
+        for frames, aty, factor in batches:
+            alpha_f, beta_f = alpha[frames], beta[frames]
+            x[frames] = update_x_frame(
+                aty, factor, z[frames], u[frames], alpha_f, beta_f, config, lambda_x
             )
-            alpha[rows], beta[rows] = alpha_rows, beta_rows
+            alpha[frames], beta[frames] = alpha_f, beta_f
         if m_total >= 2:
-            h = update_h(s, nu, config)
+            h = update_h(s, nu, config, lambda_w1, lambda_w2)
             z_new, s_new = project_constraint(x + u, h + nu, chol, config.gamma)
         else:
             z_new, s_new = x + u, s
-        rms_x_z = float(np.linalg.norm(x - z_new)) / denom
-        rms_z_delta = float(np.linalg.norm(z_new - z)) / denom
+        gap, step = _row_norms(x - z_new), _row_norms(z_new - z)
         u += x - z_new
         nu += h - s_new
         z, s = z_new, s_new
-        if not np.isfinite(rms_x_z) or not np.isfinite(rms_z_delta):
-            raise DivergenceError(
-                f"non-finite iterates at outer iteration {k}", iteration=k
-            )
-        log.rms_x_minus_z.append(rms_x_z)
-        log.rms_z_delta.append(rms_z_delta)
+        if not all(math.isfinite(v) for v in gap + step):
+            raise DivergenceError(f"non-finite iterates at outer iteration {k}", iteration=k)
+        for i, row in enumerate(live):
+            logs[row].rms_x_minus_z.append(gap[i] / denom)
+            logs[row].rms_z_delta.append(step[i] / denom)
         if config.stop_tol is not None:
-            xnorm = float(np.linalg.norm(x))
-            if xnorm > 0 and np.linalg.norm(x - z) / xnorm < config.stop_tol:
-                break
-
-    values = x.reshape(m_total, geometry.n_voxels, base.n_substances)
-    return SubstanceDistribution(values=values, geometry=geometry), log
+            stopped = np.array(
+                [xn > 0 and g / xn < config.stop_tol for g, xn in zip(gap, _row_norms(x))]
+            )
+            if stopped.any():
+                out[live[stopped]] = x[:, stopped].swapaxes(0, 1)
+                keep = ~stopped
+                if not keep.any():
+                    return logs
+                x, z, u, alpha, beta, h, s, nu = (a[:, keep] for a in (x, z, u, alpha, beta, h, s, nu))
+                lambda_x, lambda_w1, lambda_w2 = lambda_x[keep], lambda_w1[keep], lambda_w2[keep]
+                live = live[keep]
+    out[live] = x.swapaxes(0, 1)
+    return logs
 
 
 def objective_value(

@@ -12,6 +12,7 @@ import mrsi_cs
 from mrsi_cs.cli import main
 from mrsi_cs.manifest import sha256_file
 from mrsi_cs.mrst import read_tensor, write_tensor
+from mrsi_cs.selection import COARSE_GRID
 from mrsi_cs.solver import SolverConfig
 
 TINY_PHANTOM = {
@@ -410,7 +411,7 @@ class TestManifests:
             "cv": ("cv", recon_inputs, [cv_out["table"], cv_out["selected"]]),
             "ev": (
                 "evaluate",
-                [recon_out["recon"], phantom_out["truth"]],
+                [recon_out["recon"], phantom_out["truth"], config],
                 [eval_out["metrics"], eval_out["profiles"], *eval_out["snapshots"]],
             ),
         }
@@ -431,3 +432,5 @@ class TestManifests:
                 assert entry["sha256"] == sha256_file(entry["path"])
         resolved = SolverConfig(lambda_x=0.001, lambda_w1=0.01, lambda_w2=0.01, outer_iters=10)
         assert manifests["reconstruct"]["config"]["solver"] == dataclasses.asdict(resolved)
+        assert manifests["cv"]["config"]["solver"] == dataclasses.asdict(SolverConfig(outer_iters=2))
+        assert manifests["cv"]["config"]["grid"] == list(COARSE_GRID)

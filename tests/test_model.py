@@ -137,6 +137,17 @@ class TestApplyForward:
             slow = naive_forward(x, points, small_base, small_geometry)
             np.testing.assert_allclose(fast, slow, atol=1e-10)
 
+    def test_leading_axes_match_single_vectors(self, rng, small_base, small_geometry):
+        x = rng.standard_normal((2, 3, 32))
+        points = random_points(rng, small_geometry, 3)
+        out = apply_forward(x, points, small_base, small_geometry)
+        assert out.shape == (2, 3, 3 * 8)
+        for index in np.ndindex(2, 3):
+            single = apply_forward(x[index], points, small_base, small_geometry)
+            np.testing.assert_allclose(out[index], single, rtol=1e-13, atol=1e-14)
+        with pytest.raises(ShapeError):
+            apply_forward(np.zeros((2, 31)), points, small_base, small_geometry)
+
     def test_out_of_range_point(self, small_base, small_geometry):
         with pytest.raises(ScheduleError):
             apply_forward(np.zeros(32), [SamplePoint(5, (1, 1))], small_base, small_geometry)

@@ -5,6 +5,7 @@ from mrsi_cs import (
     AcquisitionGeometry,
     BaseSpectraSet,
     CvPlan,
+    ParameterError,
     SamplePoint,
     SamplingSchedule,
     ShapeError,
@@ -123,6 +124,41 @@ class TestCvRmse:
         assert combined == pytest.approx(0.5 * (ab + ba))
 
 
+class TestCvPlan:
+    @pytest.mark.parametrize("axis", ["grid_x", "grid_w1", "grid_w2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_rejects_non_finite_or_non_positive(self, axis, value):
+        with pytest.raises(ParameterError):
+            CvPlan(**{axis: (1.0, value)})
+
+
+class TestLockstepSweep:
+    def test_stack_scores_match_single_triples(self, rng):
+        geometry, base, schedule, signals, _ = make_instance(rng, n_frames=10, gaps={3, 4})
+        fold1, fold2 = split_readouts(schedule, signals)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=40)
+        combos = CvPlan(grid_x=(1e-3, 1.0), grid_w1=(1e-2, 10.0), grid_w2=(0.1, 5.0)).combinations()
+        stacked = cv_rmse(np.array(combos), fold1, fold2, base, geometry, config)
+        assert stacked.shape == (len(combos),)
+        single = [cv_rmse(lambdas, fold1, fold2, base, geometry, config) for lambdas in combos]
+        assert all(type(v) is float for v in single)
+        np.testing.assert_allclose(stacked, single, rtol=1e-12)
+
+    def test_scores_do_not_depend_on_chunk_budget(self, rng, monkeypatch):
+        geometry, base, schedule, signals, _ = make_instance(rng, n_frames=10, gaps={3, 4})
+        plan = CvPlan(
+            grid_x=(1e-3, 1.0),
+            grid_w1=(1e-2, 10.0),
+            grid_w2=(0.1, 5.0),
+            base_config=SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=40),
+        )
+        tables = []
+        for budget in (1, 1 << 40):  # one row per chunk, then the whole grid in one chunk
+            monkeypatch.setattr("mrsi_cs.solver.STACK_BYTES", budget)
+            tables.append(grid_search(plan, schedule, signals, base, geometry)[1])
+        assert tables[0] == tables[1]
+
+
 class TestGridSearch:
     def test_paper_grid_size(self):
         plan = CvPlan()
@@ -143,7 +179,9 @@ class TestGridSearch:
 
     def test_tie_breaking_is_lexicographic(self, rng, monkeypatch):
         geometry, base, schedule, signals, _ = make_instance(rng)
-        monkeypatch.setattr("mrsi_cs.selection.cv_rmse", lambda *a, **k: 1.0)
+        monkeypatch.setattr(
+            "mrsi_cs.selection.cv_rmse", lambda lambdas, *a, **k: np.ones(len(lambdas))
+        )
         plan = CvPlan(
             grid_x=(2.0, 1.0),
             grid_w1=(3.0, 4.0),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ class TestSoftThreshold:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ParameterError):
             soft_threshold(1.0, -0.1)
+
+    def test_per_row_thresholds_broadcast(self, rng):
+        xi = rng.standard_normal((5, 3, 4))
+        iota = np.array([[0.0], [0.3], [2.0]])
+        out = soft_threshold(xi, iota)
+        for c in range(3):
+            np.testing.assert_array_equal(out[:, c], soft_threshold(xi[:, c], float(iota[c, 0])))
+        with pytest.raises(ParameterError):
+            soft_threshold(xi, np.array([[0.1], [-0.1], [0.2]]))
 
 
 class TestBandCholesky:
@@ -245,6 +256,16 @@ class TestUpdateH:
         out = update_h(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)), config)
         np.testing.assert_array_equal(out, 0.0)
 
+    def test_per_row_weights_match_configs(self, rng):
+        config = SolverConfig(rho2=0.7)
+        w1 = np.array([[0.0], [0.2], [1.5]])
+        w2 = np.array([[0.4], [0.0], [3.0]])
+        s, nu = rng.standard_normal((4, 3, 5)), rng.standard_normal((4, 3, 5))
+        out = update_h(s, nu, config, w1, w2)
+        for c in range(3):
+            row_config = replace(config, lambda_w1=float(w1[c, 0]), lambda_w2=float(w2[c, 0]))
+            np.testing.assert_array_equal(out[:, c], update_h(s[:, c], nu[:, c], row_config))
+
 
 class TestSolve:
     def test_zero_data_gives_zero(self, rng, small_base, small_geometry):
@@ -382,6 +403,74 @@ class TestSolve:
         config = SolverConfig(outer_iters=5000, stop_tol=1e-6)
         _, log = solve(signals, schedule, small_base, small_geometry, config)
         assert len(log) < 5000
+
+
+def gapped_instance(rng, small_base, small_geometry, n_frames=10):
+    schedule = random_schedule(rng, small_geometry, n_frames, acquire_prob=0.6)
+    values = np.zeros((n_frames, 16, 2))
+    values[:, 3, 0] = np.linspace(0.2, 0.9, n_frames)
+    values[:, 9, 1] = 0.5
+    truth = SubstanceDistribution(values=values, geometry=small_geometry)
+    return schedule, acquire(truth, small_base, schedule, 0.05, rng_seed=5)
+
+
+WEIGHT_STACK = np.array(
+    [[1e-3, 1e-2, 1e-1], [0.05, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 1e-3, 10.0], [0.01, 0.01, 0.01]]
+)
+
+
+class TestWeightStack:
+    def test_stacked_rows_match_solo_solves(self, rng, small_base, small_geometry):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        assert None in schedule.frames
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=60)
+        values, logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)
+        assert values.shape == (len(WEIGHT_STACK), schedule.n_frames, 16, 2)
+        assert len(logs) == len(WEIGHT_STACK)
+        for i, (lam_x, lam_w1, lam_w2) in enumerate(WEIGHT_STACK):
+            solo_config = replace(config, lambda_x=lam_x, lambda_w1=lam_w1, lambda_w2=lam_w2)
+            estimate, log = solve(signals, schedule, small_base, small_geometry, solo_config)
+            np.testing.assert_allclose(values[i], estimate.values, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(logs[i].rms_x_minus_z, log.rms_x_minus_z, rtol=1e-12)
+            np.testing.assert_allclose(logs[i].rms_z_delta, log.rms_z_delta, rtol=1e-12)
+
+    def test_rows_stop_at_their_solo_iteration(self, rng, small_base, small_geometry):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3000, stop_tol=1e-4)
+        values, logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)
+        solo_lengths = []
+        for i, (lam_x, lam_w1, lam_w2) in enumerate(WEIGHT_STACK):
+            solo_config = replace(config, lambda_x=lam_x, lambda_w1=lam_w1, lambda_w2=lam_w2)
+            estimate, log = solve(signals, schedule, small_base, small_geometry, solo_config)
+            solo_lengths.append(len(log))
+            np.testing.assert_allclose(values[i], estimate.values, rtol=1e-12, atol=1e-14)
+        assert [len(log) for log in logs] == solo_lengths
+        assert len(set(solo_lengths)) > 1  # the rows really stop at different iterations
+
+    def test_chunk_budget_does_not_change_rows(self, rng, small_base, small_geometry, monkeypatch):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=30)
+        results = []
+        for budget in (1, 1 << 40):
+            monkeypatch.setattr("mrsi_cs.solver.STACK_BYTES", budget)
+            results.append(solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        assert results[0][1] == results[1][1]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
+    def test_rejects_non_finite_or_negative_rows(self, value, rng, small_base, small_geometry):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        weights = WEIGHT_STACK.copy()
+        weights[2, 1] = value
+        with pytest.raises(ParameterError):
+            solve(signals, schedule, small_base, small_geometry, SolverConfig(outer_iters=2), weights=weights)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 2), (1, 2, 3)])
+    def test_rejects_malformed_stack(self, shape, rng, small_base, small_geometry):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        with pytest.raises(ShapeError):
+            solve(signals, schedule, small_base, small_geometry, SolverConfig(outer_iters=2),
+                  weights=np.zeros(shape))
 
 
 class TestObjectiveValue:
