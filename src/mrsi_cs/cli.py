@@ -360,7 +360,7 @@ def reconstruct(
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--paper-grid", is_flag=True, help="Use the full 12-value grid per axis.")
 @click.option("--threads", type=click.IntRange(min=1), default=1,
-              help="Threads, each scoring one contiguous part of the grid.")
+              help="Accepted for compatibility; has no effect (the sweep runs on one thread).")
 @click.option("--iters", type=int, default=None, help="Outer iterations per CV solve.")
 @_handle_errors
 def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, threads, iters):
@@ -376,7 +376,7 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
     plan = CvPlan(grid_x=grid, grid_w1=grid, grid_w2=grid, base_config=solver_config)
     timer.lap("load")
 
-    best, table = grid_search(plan, schedule, signals, base, geometry, threads=threads)
+    best, table = grid_search(plan, schedule, signals, base, geometry)
     timer.lap("search")
 
     outdir = _outdir(out)

@@ -526,9 +526,10 @@ def stack_factors(factors: Sequence[NormalFactor]) -> NormalFactor:
 
 
 class FactorizationCache:
-    """Per-solve store of :class:`NormalFactor` objects keyed by a frame's point tuple.
+    """Store of :class:`NormalFactor` objects of one shift, keyed by a frame's point tuple.
 
-    Frames sampling the same points share one factor.
+    Frames sampling the same points share one factor, also across the
+    solves that are given the same cache.
     """
 
     def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry, shift: float):

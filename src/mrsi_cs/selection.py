@@ -8,15 +8,15 @@ withheld readouts, and averaging the root-mean-square prediction error
 over both orientations.  The search is an exhaustive sweep of the grid.
 
 The sweep runs as a regularization path without warm starts: the
-triples form a (C, 3) weight axis, and each orientation scores the
-stack with one :func:`~mrsi_cs.solver.solve` call, so the adjoints and
-the normal-matrix factors are built once per fold and the rows iterate
-in lockstep.  :data:`~mrsi_cs.solver.STACK_BYTES` bounds what grows
-with C: the solver's outer-loop state per chunk of rows, and here the
-estimates one solve returns, so a long grid on a large geometry takes
-several solves per orientation.  A row's score does not depend on the
-chunk, solve or thread it ran in, so the table is the same for every
-``threads`` value.
+triples form a (C, 3) weight axis, and each orientation solves the stack
+with :func:`~mrsi_cs.solver.solve` in blocks of rows that iterate in
+lockstep.  The solver keeps eight (M, N*J) arrays of state per row, and
+:data:`STACK_BYTES` bounds one block's state: 16 rows at 32 frames and
+NJ = 16, but one row on exp3 (256 frames, NJ = 384, 6.3 MB per row),
+where the rows run one after another.  The blocks of an orientation
+share one factor cache, so the normal-matrix factors are built once per
+fold at any size, and each block is scored before the next is solved.
+A row's score does not depend on the block it ran in.
 """
 
 from __future__ import annotations
@@ -24,17 +24,16 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import solver
 from .errors import ParameterError, ShapeError
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
+    FactorizationCache,
     SamplingSchedule,
     SignalSet,
     apply_forward,
@@ -55,6 +54,10 @@ __all__ = [
 
 PAPER_GRID: tuple[float, ...] = tuple(10.0**k for k in range(-4, 8))
 COARSE_GRID: tuple[float, ...] = tuple(10.0**k for k in (-3, -1, 1, 3, 5))
+
+# Byte budget for the outer-loop state of one solve's block of weight rows
+STACK_BYTES = 512 * 1024
+_ROW_STATE_ARRAYS = 8  # solve keeps x, z, u, alpha, beta, h, s and nu per row
 
 
 class Fold(NamedTuple):
@@ -129,31 +132,30 @@ def _directional_rmse(
 
     ``lambdas`` is one triple (the result is a float) or a (C, 3) stack
     (the result has one entry per row).  The stack is solved in blocks
-    whose estimates fit :data:`~mrsi_cs.solver.STACK_BYTES`, one solve
-    per block, so a long grid on a large geometry does not hold every
-    estimate at once.
+    whose state fits :data:`STACK_BYTES`, all sharing one factor cache,
+    and each block is scored before the next is solved.
     """
     weights = np.asarray(lambdas, dtype=np.float64)
     stack = np.atleast_2d(weights)
-    estimate_bytes = 8 * train.schedule.n_frames * geometry.n_voxels * base.n_substances
-    block = max(1, solver.STACK_BYTES // estimate_bytes)
-    rmse = np.concatenate([
-        _block_rmse(stack[i : i + block], train, test, base, geometry, config)
-        for i in range(0, len(stack), block)
-    ])
+    n_unknown = geometry.n_voxels * base.n_substances
+    block = max(1, STACK_BYTES // (_ROW_STATE_ARRAYS * 8 * train.schedule.n_frames * n_unknown))
+    cache = FactorizationCache(base, geometry, shift=config.rho1 + config.mu)
+    rmse = np.empty(len(stack))
+    for start in range(0, len(stack), block):
+        stop = min(start + block, len(stack))
+        estimates, _ = solve(
+            train.signals, train.schedule, base, geometry, config,
+            weights=stack[start:stop], cache=cache,
+        )
+        rmse[start:stop] = _prediction_rmse(estimates, test, base, geometry)
+        logger.info("solved %d/%d combinations on one fold", stop, len(stack))
     return float(rmse[0]) if weights.ndim == 1 else rmse
 
 
-def _block_rmse(
-    weights: np.ndarray,
-    train: Fold,
-    test: Fold,
-    base: BaseSpectraSet,
-    geometry: AcquisitionGeometry,
-    config: SolverConfig,
+def _prediction_rmse(
+    estimates: np.ndarray, test: Fold, base: BaseSpectraSet, geometry: AcquisitionGeometry
 ) -> np.ndarray:
-    """One solve over a (C, 3) block of weight rows, then its prediction RMSEs."""
-    estimates, _ = solve(train.signals, train.schedule, base, geometry, config, weights=weights)
+    """RMSE of the (C, M, N, J) estimates' predictions of ``test``'s readouts, per row."""
     x = estimates.reshape(*estimates.shape[:2], -1)  # (C, M, N*J)
     squared = np.zeros(len(x))
     count = 0
@@ -193,24 +195,16 @@ def grid_search(
 ) -> tuple[tuple[float, float, float], list[GridRow]]:
     """Exhaustive sweep; returns the winning triple and the full score table.
 
-    The grid is split into ``threads`` contiguous parts, each scored by
-    one :func:`cv_rmse` call on its own thread.  Ties are broken toward
-    the lexicographically smallest triple, so the result is independent
-    of enumeration order and of the split.
+    The whole grid is scored by one :func:`cv_rmse` call.  ``threads``
+    is accepted for compatibility and has no effect: the stacked solve's
+    numpy calls are too small to gain from threads.  Ties are broken
+    toward the lexicographically smallest triple, so the result is
+    independent of enumeration order.
     """
     fold_a, fold_b = split_readouts(schedule, signals)
     combos = plan.combinations()
     logger.info("cross-validation sweep over %d combinations", len(combos))
-
-    def score(part: np.ndarray) -> np.ndarray:
-        return cv_rmse(part, fold_a, fold_b, base, geometry, plan.base_config)
-
-    parts = [p for p in np.array_split(np.array(combos), threads) if len(p)]
-    if len(parts) > 1:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            scores = np.concatenate(list(pool.map(score, parts)))
-    else:
-        scores = score(parts[0])
+    scores = cv_rmse(np.array(combos), fold_a, fold_b, base, geometry, plan.base_config)
     table = [GridRow(*lams, float(rmse)) for lams, rmse in zip(combos, scores)]
     best = min(table, key=lambda row: (row.rmse, (row.lambda_x, row.lambda_w1, row.lambda_w2)))
     logger.info(

@@ -22,9 +22,10 @@ The three weights only set thresholds and the h-step scale, so
 iterates are laid out (frame, row, N*J), the weights broadcast as one
 (C, 1) column per row, and the adjoints, factors and banded Cholesky
 factor are built once per call.  Rows never mix, so each row's result
-does not depend on the stack it ran in.  The rows run in chunks whose
-outer-loop state fits :data:`STACK_BYTES`, which bounds the memory of a
-long stack; a solve without a stack is the C = 1 case.
+does not depend on the stack it ran in.  The state holds eight
+(M, N*J) arrays per row, so the caller bounds C to bound the memory
+(the CV sweep solves its grid in blocks that share one factor cache);
+a solve without a stack is the C = 1 case.
 """
 
 from __future__ import annotations
@@ -264,12 +265,6 @@ def update_h(
     return soft_threshold((s - nu) / scale, threshold)
 
 
-# Byte budget for what grows with the number of weight rows: the outer-loop state of
-# one chunk in :func:`solve`, and the estimates one solve returns to the CV sweep
-STACK_BYTES = 512 * 1024
-_STATE_ARRAYS = 8  # x, z, u, alpha, beta per frame; h, s, nu per frame difference
-
-
 def _prepared_inputs(signals, schedule, base, geometry):
     base_check(base, geometry)
     schedule.validate_geometry(geometry)
@@ -297,6 +292,7 @@ def solve(
     geometry: AcquisitionGeometry,
     config: SolverConfig,
     weights: np.ndarray | None = None,
+    cache: FactorizationCache | None = None,
 ) -> tuple[SubstanceDistribution, ResidualLog] | tuple[np.ndarray, list[ResidualLog]]:
     """Run the full outer iteration and return the estimate with its residual log.
 
@@ -307,10 +303,15 @@ def solve(
 
     ``weights`` is an optional (C, 3) stack of (lambda_x, lambda_w1,
     lambda_w2) rows that replace the config's three weights.  The rows
-    share one set-up and iterate in lockstep, in chunks bounded by
-    :data:`STACK_BYTES`; the call then returns a (C, M, N, J) array of
-    estimates and one residual log per row.  With ``stop_tol`` set, each
-    row stops on its own, at the iteration its solo solve would.
+    share one set-up and iterate in lockstep; the call then returns a
+    (C, M, N, J) array of estimates and one residual log per row.  With
+    ``stop_tol`` set, each row stops on its own, at the iteration its
+    solo solve would.
+
+    ``cache`` lets several solves of frames from one point set share
+    their normal-matrix factors, e.g. the blocks of a CV sweep; it must
+    have been built for ``base``, ``geometry`` and the shift
+    rho1 + mu.  A new cache is built when it is None.
     """
     _prepared_inputs(signals, schedule, base, geometry)
     rows = _weight_rows(weights, config)
@@ -318,7 +319,11 @@ def solve(
     n_unknown = geometry.n_voxels * base.n_substances
     acquired = schedule.acquired_index_set
 
-    cache = FactorizationCache(base, geometry, shift=config.rho1 + config.mu)
+    shift = config.rho1 + config.mu
+    if cache is None:
+        cache = FactorizationCache(base, geometry, shift=shift)
+    elif cache.base is not base or cache.geometry is not geometry or cache.shift != shift:
+        raise ParameterError("factorization cache was built for another base, geometry or shift")
     aty = np.zeros((len(acquired), n_unknown))
     factors = []
     for i, m in enumerate(acquired):
@@ -337,12 +342,7 @@ def solve(
     x0[list(acquired)] = aty
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
 
-    x = np.empty((len(rows), m_total, n_unknown))
-    logs = []
-    chunk = max(1, STACK_BYTES // (_STATE_ARRAYS * x0.nbytes))
-    for start in range(0, len(rows), chunk):
-        logs += _iterate(x[start : start + chunk], rows[start : start + chunk], x0, batches, chol, config)
-
+    x, logs = _iterate(rows, x0, batches, chol, config)
     values = x.reshape(len(rows), m_total, geometry.n_voxels, base.n_substances)
     if weights is None:
         return SubstanceDistribution(values=values[0], geometry=geometry), logs[0]
@@ -356,21 +356,20 @@ def _row_norms(a: np.ndarray) -> list[float]:
 
 
 def _iterate(
-    out: np.ndarray,
     weights: np.ndarray,
     x0: np.ndarray,
     batches: list,
     chol: BandCholesky | None,
     config: SolverConfig,
-) -> list[ResidualLog]:
-    """Outer iterations of one chunk of weight rows, from the start point ``x0``.
+) -> tuple[np.ndarray, list[ResidualLog]]:
+    """Outer iterations of a (C, 3) stack of weight rows, from the start point ``x0``.
 
-    Writes each row's estimate into ``out`` (C, M, N*J) and returns the
-    rows' residual logs.  A row that meets ``stop_tol`` is written out
-    and dropped from the stack.
+    Returns the rows' (C, M, N*J) estimates and residual logs.  A row
+    that meets ``stop_tol`` is written out and dropped from the stack.
     """
     n_rows = len(weights)
     m_total, n_unknown = x0.shape
+    out = np.empty((n_rows, m_total, n_unknown))
     lambda_x, lambda_w1, lambda_w2 = (weights[:, k, None] for k in range(3))  # (C, 1) columns
     # primal x, its copy z and dual u per frame; differences h, their copy s and dual nu;
     # the inner splitting's copy alpha and dual beta; each laid out (frame, row, N*J)
@@ -411,12 +410,12 @@ def _iterate(
                 out[live[stopped]] = x[:, stopped].swapaxes(0, 1)
                 keep = ~stopped
                 if not keep.any():
-                    return logs
+                    return out, logs
                 x, z, u, alpha, beta, h, s, nu = (a[:, keep] for a in (x, z, u, alpha, beta, h, s, nu))
                 lambda_x, lambda_w1, lambda_w2 = lambda_x[keep], lambda_w1[keep], lambda_w2[keep]
                 live = live[keep]
     out[live] = x.swapaxes(0, 1)
-    return logs
+    return out, logs
 
 
 def objective_value(

@@ -16,6 +16,7 @@ from mrsi_cs import (
     grid_search,
     split_readouts,
 )
+from mrsi_cs.model import normal_matrix
 from mrsi_cs.selection import PAPER_GRID, _directional_rmse
 from mrsi_cs.solver import SolverConfig
 from test_solver import full_sampling_schedule
@@ -153,10 +154,33 @@ class TestLockstepSweep:
             base_config=SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=40),
         )
         tables = []
-        for budget in (1, 1 << 40):  # one row per chunk, then the whole grid in one chunk
-            monkeypatch.setattr("mrsi_cs.solver.STACK_BYTES", budget)
+        for budget in (1, 1 << 40):  # one row per block, then the whole grid in one block
+            monkeypatch.setattr("mrsi_cs.selection.STACK_BYTES", budget)
             tables.append(grid_search(plan, schedule, signals, base, geometry)[1])
         assert tables[0] == tables[1]
+
+    def test_blocks_build_each_factor_once_per_fold(self, rng, monkeypatch):
+        geometry, base, schedule, signals, _ = make_instance(rng, n_frames=10, gaps={3, 4})
+        built = []
+
+        def counting_normal_matrix(points, *args, **kwargs):
+            built.append(points)
+            return normal_matrix(points, *args, **kwargs)
+
+        monkeypatch.setattr("mrsi_cs.model.normal_matrix", counting_normal_matrix)
+        monkeypatch.setattr("mrsi_cs.selection.STACK_BYTES", 1)  # one row per block
+        plan = CvPlan(
+            grid_x=(1e-3, 1.0),
+            grid_w1=(1e-2,),
+            grid_w2=(0.1, 5.0),
+            base_config=SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=5),
+        )
+        grid_search(plan, schedule, signals, base, geometry)
+        per_fold = [
+            len({fold.schedule.frames[m] for m in fold.schedule.acquired_index_set})
+            for fold in split_readouts(schedule, signals)
+        ]
+        assert len(built) == sum(per_fold)
 
 
 class TestGridSearch:

@@ -22,7 +22,7 @@ from mrsi_cs import (
     solve,
     update_h,
 )
-from mrsi_cs.model import normal_matrix, stack_factors
+from mrsi_cs.model import FactorizationCache, normal_matrix, stack_factors
 from mrsi_cs.solver import ResidualLog, SolverConfig, update_x_frame
 from conftest import random_points, random_schedule
 
@@ -447,15 +447,26 @@ class TestWeightStack:
         assert [len(log) for log in logs] == solo_lengths
         assert len(set(solo_lengths)) > 1  # the rows really stop at different iterations
 
-    def test_chunk_budget_does_not_change_rows(self, rng, small_base, small_geometry, monkeypatch):
+    def test_blocks_sharing_a_cache_match_one_stack(self, rng, small_base, small_geometry):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=30)
-        results = []
-        for budget in (1, 1 << 40):
-            monkeypatch.setattr("mrsi_cs.solver.STACK_BYTES", budget)
-            results.append(solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK))
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        assert results[0][1] == results[1][1]
+        whole, whole_logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)
+        cache = FactorizationCache(small_base, small_geometry, shift=config.rho1 + config.mu)
+        for i in range(len(WEIGHT_STACK)):
+            values, logs = solve(
+                signals, schedule, small_base, small_geometry, config,
+                weights=WEIGHT_STACK[i : i + 1], cache=cache,
+            )
+            np.testing.assert_array_equal(values[0], whole[i])
+            assert logs[0] == whole_logs[i]
+        assert len(cache) == len({schedule.frames[m] for m in schedule.acquired_index_set})
+
+    def test_rejects_cache_of_another_shift(self, rng, small_base, small_geometry):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        config = SolverConfig(rho1=0.1, mu=0.1, outer_iters=2)
+        cache = FactorizationCache(small_base, small_geometry, shift=0.3)
+        with pytest.raises(ParameterError):
+            solve(signals, schedule, small_base, small_geometry, config, cache=cache)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
     def test_rejects_non_finite_or_negative_rows(self, value, rng, small_base, small_geometry):
