@@ -77,8 +77,10 @@ class AcquisitionGeometry:
             raise ParameterError(
                 f"dft_sign_convention must be 'forward' or 'inverse', got {self.dft_sign_convention!r}"
             )
-        if not self.frame_interval_s > 0:
-            raise ParameterError("frame_interval_s must be > 0")
+        if not (math.isfinite(self.frame_interval_s) and self.frame_interval_s > 0):
+            raise ParameterError(
+                f"frame_interval_s must be finite and > 0, got {self.frame_interval_s}"
+            )
 
     @property
     def n_voxels(self) -> int:
@@ -269,8 +271,10 @@ class SamplingSchedule:
             if f is not None and len(f) == 0:
                 raise ScheduleError(f"acquired frame {m} has no sample points")
         object.__setattr__(self, "frames", frames)
-        if not self.frame_interval_s > 0:
-            raise ParameterError("frame_interval_s must be > 0")
+        if not (math.isfinite(self.frame_interval_s) and self.frame_interval_s > 0):
+            raise ParameterError(
+                f"frame_interval_s must be finite and > 0, got {self.frame_interval_s}"
+            )
 
     @property
     def n_frames(self) -> int:

@@ -5,16 +5,21 @@ undersampled axes (spectral evolution plus the spatial k-axes).  The
 spectral coordinate is pushed through an exponential index transform so
 early evolution indices (higher signal) are sampled more often, with
 P(d) proportional to psi**d; the spatial coordinates are quantized
-uniformly.  Direction numbers come from scipy's Sobol implementation
-(the Joe & Kuo 2008 tables), so sequences are reproducible given
-(n, d, skip).
+uniformly.
+
+The Sobol generator is numpy only.  Its direction numbers are the
+Joe & Kuo (2008, SIAM J. Sci. Comput. 30(5)) primitive polynomials and
+initial values for up to ``SOBOL_MAX_DIM`` = 8 dimensions, embedded
+below, at 30-bit resolution: coordinates are multiples of 2**-30 and at
+most 2**30 points exist (``skip + n``).  Points follow the gray-code
+order, so a sequence is reproducible given (n, d, skip) and equals
+scipy's ``qmc.Sobol(d, scramble=False)`` bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +27,23 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 from .model import AcquisitionGeometry, SamplePoint, SamplingSchedule
+
+SOBOL_BITS = 30
+SOBOL_MAX_POINTS = 2**SOBOL_BITS
+# Joe & Kuo (2008) direction numbers for dimensions 2..8: the primitive
+# polynomial over GF(2) as an integer (bit i is the coefficient of x**i),
+# and the initial m_1..m_s for its degree s.  Dimension 1 is the van der
+# Corput sequence (every m_j = 1).
+_JOE_KUO = (
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+)
+SOBOL_MAX_DIM = len(_JOE_KUO) + 1
 
 __all__ = [
     "SamplerConfig",
@@ -73,6 +95,14 @@ class SamplerConfig:
         object.__setattr__(self, "psi", float(psi))
         if self.skip < 0:
             raise ParameterError("skip must be >= 0")
+        if len(self.dims) > SOBOL_MAX_DIM:
+            raise ParameterError(
+                f"dims has {len(self.dims)} axes; the Sobol table covers at most {SOBOL_MAX_DIM}"
+            )
+        if self.skip + self.n_points > SOBOL_MAX_POINTS:
+            raise ParameterError(
+                f"skip + n_points must be <= 2**{SOBOL_BITS}, got {self.skip + self.n_points}"
+            )
 
     @property
     def total_gap(self) -> int:
@@ -83,28 +113,44 @@ class SamplerConfig:
         return self.n_points + self.total_gap
 
 
+def _direction_numbers(d: int) -> np.ndarray:
+    """(bits, d) direction numbers v_j = m_j * 2**(bits - j), j = 1..bits."""
+    m = np.ones((SOBOL_BITS, d), dtype=np.uint64)
+    for axis, (poly, m_init) in enumerate(_JOE_KUO[: d - 1], start=1):
+        s = len(m_init)
+        col = list(m_init)
+        for j in range(s, SOBOL_BITS):
+            # m_j = 2 a_1 m_{j-1} ^ 4 a_2 m_{j-2} ^ ... ^ 2**s m_{j-s} ^ m_{j-s}
+            new = col[j - s] ^ (col[j - s] << s)
+            for k in range(1, s):
+                if (poly >> (s - k)) & 1:
+                    new ^= col[j - k] << k
+            col.append(new)
+        m[:, axis] = col
+    return m << np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint64)[:, None]
+
+
 def sobol_sequence(n: int, d: int, skip: int = 0) -> np.ndarray:
     """First ``n`` points of the d-dimensional Sobol sequence after ``skip``.
 
-    Deterministic (no scrambling).  Coordinates lie in [0, 1).
+    Deterministic (no scrambling).  Coordinates lie in [0, 1).  Point i
+    XORs the direction numbers picked by the bits of gray(i) = i ^ (i >> 1).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    from scipy.stats import qmc  # only the design stage needs scipy; keep it off start-up
-
-    try:
-        engine = qmc.Sobol(d=d, scramble=False)
-    except ValueError as exc:  # dimension beyond the direction-number tables
-        raise ParameterError(f"unsupported Sobol dimension {d}: {exc}") from exc
-    if skip:
-        engine.fast_forward(skip)
-    with warnings.catch_warnings():
-        # sequence length is the caller's choice; the power-of-2 balance
-        # hint does not affect the distributional guarantees tested here
-        warnings.filterwarnings("ignore", message=".*balance properties.*")
-        return engine.random(n)
+    if not 1 <= d <= SOBOL_MAX_DIM:
+        raise ParameterError(f"unsupported Sobol dimension {d}: must lie in [1, {SOBOL_MAX_DIM}]")
+    if skip < 0:
+        raise ParameterError("skip must be >= 0")
+    if skip + n > SOBOL_MAX_POINTS:
+        raise ParameterError(f"skip + n must be <= 2**{SOBOL_BITS}, got {skip + n}")
+    index = np.arange(skip, skip + n, dtype=np.uint64)
+    gray = index ^ (index >> np.uint64(1))
+    directions = _direction_numbers(d)
+    ints = np.zeros((n, d), dtype=np.uint64)
+    for bit in range(int(skip + n - 1).bit_length()):
+        ints ^= ((gray >> np.uint64(bit)) & np.uint64(1))[:, None] * directions[bit]
+    return ints / float(SOBOL_MAX_POINTS)
 
 
 def spectral_index_transform(eta: float, n_c: int, psi: float) -> int:

@@ -393,8 +393,11 @@ def _iterate(
             z_new, s_new = project_constraint(x + u, h + nu, chol, config.gamma)
         else:
             z_new, s_new = x + u, s
-        gap, step = _row_norms(x - z_new), _row_norms(z_new - z)
-        u += x - z_new
+        r = x - z_new
+        gap = _row_norms(r)
+        u += r
+        del r  # freed before z_new - z is formed, and not held into the next iteration
+        step = _row_norms(z_new - z)
         nu += h - s_new
         z, s = z_new, s_new
         if not all(math.isfinite(v) for v in gap + step):

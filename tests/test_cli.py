@@ -139,6 +139,36 @@ class TestDesignCommand:
         gaps = [e for e in doc["frames"] if e.get("gap")]
         assert [e["m"] for e in gaps] == [4, 5]
 
+    @pytest.mark.parametrize(
+        "design, digest",
+        [
+            (
+                {"n_points": 256, "dims": [16, 8, 16], "skip": 0, "frame_interval_s": 4.0},
+                "4a8a32e2144d4709669fd3a210de2a521233ca1a59e34d1807634dd4365a6ab0",
+            ),
+            (
+                {"n_points": 32, "dims": [4, 4, 4], "skip": 0, "frame_interval_s": 4.0},
+                "c72f6270ddbedd2e641537b66511f4c130b3a9e2708c8dace2050ccc7586fe98",
+            ),
+        ],
+        ids=["recon-exp3", "cv-coarse"],
+    )
+    def test_benchmark_schedules_are_pinned(self, runner, tmp_path, design, digest):
+        config = write_config(tmp_path / "design.json", design)
+        out = run_ok(runner, ["design", "--config", config, "--out", str(tmp_path / "d")])
+        assert sha256_file(out["schedule"]) == digest
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"skip": 2**30 - 4}, {"dims": [2] * 9}, {"frame_interval_s": float("inf")}],
+        ids=["past-sequence-end", "too-many-axes", "infinite-interval"],
+    )
+    def test_unsupported_request_exits_2_before_writing(self, runner, tmp_path, change):
+        config = write_config(tmp_path / "design.json", {**TINY_DESIGN, **change})
+        out = tmp_path / "d"
+        assert_clean_exit(runner.invoke(main, ["design", "--config", config, "--out", str(out)]), 2)
+        assert not out.exists()
+
 
 class TestAcquireCommand:
     def test_signal_length(self, runner, tmp_path):
@@ -271,16 +301,31 @@ class TestInputBoundary:
 
 
 class TestStartup:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def scipy_modules_after(code):
+        """The scipy modules loaded by a fresh interpreter after ``code`` runs."""
         src = str(Path(mrsi_cs.__file__).resolve().parents[1])
         code = (
-            "import sys, mrsi_cs.cli; "
+            f"import sys; {code}; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.scipy_modules_after("import mrsi_cs.cli") == "[]"
+
+    def test_design_loads_no_scipy(self):
+        code = (
+            "import mrsi_cs as mc; "
+            "g = mc.AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=16, "
+            "readout_points=1); "
+            "s = mc.build_schedule(mc.SamplerConfig(n_points=64, dims=(16, 8, 8)), g); "
+            "assert s.n_acquired == 64"
+        )
+        assert self.scipy_modules_after(code) == "[]"
 
 
 class TestCvCommand:

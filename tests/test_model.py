@@ -6,6 +6,7 @@ from mrsi_cs import (
     BaseSpectraSet,
     ParameterError,
     SamplePoint,
+    SamplingSchedule,
     ScheduleError,
     ShapeError,
     SubstanceDistribution,
@@ -268,3 +269,13 @@ class TestTypes:
                 spatial_dims=(4,), spectral_evolution_points=1, readout_points=1,
                 frame_interval_s=0.0,
             )
+
+    @pytest.mark.parametrize("interval", [float("inf"), float("-inf"), float("nan")])
+    def test_frame_interval_must_be_finite(self, interval):
+        with pytest.raises(ParameterError, match="finite"):
+            AcquisitionGeometry(
+                spatial_dims=(4,), spectral_evolution_points=1, readout_points=1,
+                frame_interval_s=interval,
+            )
+        with pytest.raises(ParameterError, match="finite"):
+            SamplingSchedule(frames=(None,), frame_interval_s=interval)

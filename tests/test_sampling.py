@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from mrsi_cs import (
     sobol_sequence,
     spectral_index_transform,
 )
-from mrsi_cs.sampling import schedule_from_json, schedule_to_json
+from mrsi_cs.sampling import (
+    SOBOL_MAX_DIM,
+    SOBOL_MAX_POINTS,
+    _JOE_KUO,
+    schedule_from_json,
+    schedule_to_json,
+)
 
 
 class TestSobolSequence:
@@ -49,6 +57,41 @@ class TestSobolSequence:
             sobol_sequence(4, 0)
         with pytest.raises(ParameterError):
             sobol_sequence(4, 10**6)
+
+    @pytest.mark.parametrize("d", range(1, SOBOL_MAX_DIM + 1))
+    def test_matches_scipy_bit_for_bit(self, d):
+        for skip in (0, 1, 5, 100, 2**20):
+            for n in (1, 7, 1000, 4096):
+                engine = qmc.Sobol(d, scramble=False)
+                if skip:
+                    engine.fast_forward(skip)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # scipy's power-of-2 balance hint
+                    expected = engine.random(n)
+                got = sobol_sequence(n, d, skip)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected, err_msg=f"skip={skip} n={n}")
+
+    def test_embedded_table_matches_scipy(self):
+        table = np.load(Path(qmc.__file__).parent / "_sobol_direction_numbers.npz")
+        assert table["poly"][0] == 1  # dimension 1: van der Corput
+        for dim, (poly, m_init) in enumerate(_JOE_KUO, start=1):
+            assert poly == table["poly"][dim]
+            degree = poly.bit_length() - 1
+            assert len(m_init) == degree
+            assert tuple(table["vinit"][dim, :degree]) == m_init
+            assert not table["vinit"][dim, degree:].any()
+
+    def test_point_limit(self):
+        engine = qmc.Sobol(3, scramble=False)
+        engine.fast_forward(SOBOL_MAX_POINTS - 5)
+        np.testing.assert_array_equal(sobol_sequence(5, 3, skip=SOBOL_MAX_POINTS - 5), engine.random(5))
+        with pytest.raises(ParameterError):
+            sobol_sequence(6, 3, skip=SOBOL_MAX_POINTS - 5)
+        with pytest.raises(ParameterError):
+            sobol_sequence(4, 3, skip=-1)
+        with pytest.raises(ParameterError):
+            sobol_sequence(4, SOBOL_MAX_DIM + 1)
 
 
 class TestSpectralIndexTransform:
@@ -201,3 +244,15 @@ class TestBuildSchedule:
     def test_default_psi(self):
         config = SamplerConfig(n_points=8, dims=(32, 8, 8))
         assert config.psi == pytest.approx(math.exp(-4 / 32))
+
+
+class TestSamplerConfig:
+    def test_rejects_more_axes_than_the_table(self):
+        SamplerConfig(n_points=8, dims=(4,) * SOBOL_MAX_DIM)
+        with pytest.raises(ParameterError):
+            SamplerConfig(n_points=8, dims=(4,) * (SOBOL_MAX_DIM + 1))
+
+    def test_rejects_points_past_the_sequence_end(self):
+        SamplerConfig(n_points=4, dims=(4, 4), skip=SOBOL_MAX_POINTS - 4)
+        with pytest.raises(ParameterError):
+            SamplerConfig(n_points=5, dims=(4, 4), skip=SOBOL_MAX_POINTS - 4)
