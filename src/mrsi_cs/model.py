@@ -42,6 +42,7 @@ __all__ = [
     "apply_adjoint",
     "normal_matrix",
     "NormalFactor",
+    "FactorTables",
     "stack_factors",
     "FactorizationCache",
 ]
@@ -436,13 +437,36 @@ def base_check(base: BaseSpectraSet, geometry: AcquisitionGeometry) -> None:
         )
 
 
-def _kspace_row(point: SamplePoint, geometry: AcquisitionGeometry) -> np.ndarray:
-    """Row of the unitary spatial DFT matrix at the point's k index, as a length-N vector."""
-    # the k-th row of the forward transform is the conjugate of the
-    # inverse transform applied to a unit impulse at k
-    grid = np.zeros(geometry.spatial_dims, dtype=np.complex128)
-    grid[tuple(c - 1 for c in point.k_index)] = 1.0
-    return np.conj(dft_spatial(grid, "to_image", geometry).reshape(-1))
+class FactorTables(NamedTuple):
+    """Per-axis and per-evolution-index pieces that every point's factor is built from.
+
+    ``dft_rows[a][k]`` is the unitary inverse spatial DFT of a unit
+    impulse at index k along spatial axis ``a`` (the conjugate of the
+    forward transform's row k); a point's N-voxel row is the outer
+    product of one such row per axis.  ``readout_r[d]`` is the triangular
+    QR factor of the base spectra's readout matrix at evolution index d
+    (0-based), shape (min(N_RO, J), J).
+    """
+
+    dft_rows: tuple[np.ndarray, ...]
+    readout_r: np.ndarray
+
+    @classmethod
+    def build(cls, base: BaseSpectraSet, geometry: AcquisitionGeometry) -> FactorTables:
+        inverse = geometry.dft_sign_convention != "inverse"  # the to_image direction
+        rows = tuple(
+            _unitary_dft(np.eye(n, dtype=np.complex128), axes=(-1,), inverse=inverse)
+            for n in geometry.spatial_dims
+        )
+        # one batched QR over the evolution axis: fid[:, d, :].T for every d
+        return cls(rows, np.linalg.qr(base.fid.transpose(1, 2, 0), mode="r"))
+
+    def point_row(self, point: SamplePoint) -> np.ndarray:
+        """Inverse spatial DFT of a unit impulse at the point's k index, as a length-N vector."""
+        row = self.dft_rows[0][point.k_index[0] - 1]
+        for rows, k in zip(self.dft_rows[1:], point.k_index[1:]):
+            row = np.multiply.outer(row, rows[k - 1]).reshape(-1)
+        return row
 
 
 class NormalFactor:
@@ -454,10 +478,10 @@ class NormalFactor:
 
         (shift*I + V V^T)^-1 rhs = (rhs - V K^-1 V^T rhs) / shift.
 
-    Both arrays may carry one leading frame axis (see
-    :func:`stack_factors`); ``solve`` then takes one right-hand side per
-    frame.  The products run fastest with each column of V contiguous in
-    memory, the layout :func:`normal_matrix` and :func:`stack_factors` build.
+    Both arrays may carry leading axes (see :func:`stack_factors`);
+    ``solve`` then takes right-hand sides that broadcast against them.
+    The products run fastest with each column of V contiguous in memory,
+    the layout :func:`normal_matrix` and :func:`stack_factors` build.
     """
 
     def __init__(self, v: np.ndarray, shift: float, k_inv: np.ndarray | None = None):
@@ -476,10 +500,25 @@ class NormalFactor:
         out[..., np.arange(out.shape[-1]), np.arange(out.shape[-1])] += self.shift
         return out
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        coeff = np.einsum("...nr,...n->...r", self.v, rhs)
-        coeff = np.einsum("...rs,...s->...r", self.k_inv, coeff)
-        return (rhs - np.einsum("...nr,...r->...n", self.v, coeff)) / self.shift
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to ``out`` if given.
+
+        Each right-hand side is multiplied as its own one-row matrix, so
+        an axis of ``rhs`` that V broadcasts over (e.g. the weight rows
+        of a stacked solve, against V's unit axis) stays a batch axis:
+        every row goes through the same BLAS kernel, and its result does
+        not depend on how many rows are stacked.  (A plain ``rhs @ V``
+        would put those rows on a matrix dimension, and numpy hands a
+        one-row product to a different kernel than a many-row one.)
+        """
+        rows = rhs[..., None, :]
+        coeff = (rows @ self.v) @ np.swapaxes(self.k_inv, -1, -2)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(rhs.shape, self.v.shape[:-2] + (1,)))
+        np.matmul(coeff, np.swapaxes(self.v, -1, -2), out=out[..., None, :])
+        np.subtract(rhs, out, out=out)
+        out /= self.shift
+        return out
 
 
 def normal_matrix(
@@ -487,6 +526,7 @@ def normal_matrix(
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     shift: float,
+    tables: FactorTables | None = None,
 ) -> NormalFactor:
     """Low-rank factor of Re(A^H A) + shift*I for one frame's sample points.
 
@@ -497,16 +537,19 @@ def normal_matrix(
     2J columns (fewer when the readout is shorter than J).  Points stack
     their columns.  The result depends only on the points (not on frame
     index or data), so it can be shared across frames and iterations.
+    ``tables`` holds the DFT rows and QR factors (see
+    :class:`FactorizationCache`); they are built when it is None.
     """
     if not (shift > 0 and math.isfinite(shift)):
         raise ParameterError(f"shift must be finite and > 0, got {shift}")
     base_check(base, geometry)
+    if tables is None:
+        tables = FactorTables.build(base, geometry)
     blocks = []
     for point in frame_points:
         _check_point(point, geometry)
-        f = _kspace_row(point, geometry)
-        r = np.linalg.qr(base.fid[:, point.spectral_index - 1, :].T, mode="r")
-        c = np.kron(np.conj(f)[:, None], np.conj(r.T))  # (N*J, rank)
+        r = tables.readout_r[point.spectral_index - 1]
+        c = np.kron(tables.point_row(point)[:, None], np.conj(r.T))  # (N*J, rank)
         blocks += [c.real.T, c.imag.T]
     return NormalFactor(np.concatenate(blocks).T, shift)
 
@@ -533,20 +576,25 @@ class FactorizationCache:
     """Store of :class:`NormalFactor` objects of one shift, keyed by a frame's point tuple.
 
     Frames sampling the same points share one factor, also across the
-    solves that are given the same cache.
+    solves that are given the same cache.  The :class:`FactorTables`
+    every factor is built from (one QR per evolution index, one DFT row
+    table per spatial axis) are computed once, when the cache is made.
     """
 
     def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry, shift: float):
         self.base = base
         self.geometry = geometry
         self.shift = shift
+        self.tables = FactorTables.build(base, geometry)
         self._store: dict[tuple[SamplePoint, ...], NormalFactor] = {}
 
     def get(self, frame_points: Iterable[SamplePoint]) -> NormalFactor:
         key = tuple(frame_points)
         found = self._store.get(key)
         if found is None:
-            found = self._store[key] = normal_matrix(key, self.base, self.geometry, self.shift)
+            found = self._store[key] = normal_matrix(
+                key, self.base, self.geometry, self.shift, tables=self.tables
+            )
         return found
 
     def __len__(self) -> int:

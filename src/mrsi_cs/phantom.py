@@ -10,6 +10,7 @@ independent complex Gaussian noise per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ class Peak:
     amplitude: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (*self.center, self.width, self.amplitude)):
+            raise ParameterError(
+                f"peak center, width and amplitude must be finite, got "
+                f"{self.center}, {self.width}, {self.amplitude}"
+            )
         if not self.width > 0:
             raise ParameterError(f"peak width must be > 0, got {self.width}")
 
@@ -58,6 +64,8 @@ class RampProfile:
     start_frame: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.rate) and math.isfinite(self.cap)):
+            raise ParameterError(f"ramp rate and cap must be finite, got {self.rate}, {self.cap}")
         if self.cap < 0:
             raise ParameterError("ramp cap must be >= 0")
 
@@ -69,6 +77,10 @@ class RampProfile:
 @dataclass(frozen=True)
 class ConstantProfile:
     level: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ParameterError(f"constant level must be finite, got {self.level}")
 
     def __call__(self, frames: np.ndarray) -> np.ndarray:
         return np.full(frames.shape, float(self.level))
@@ -101,8 +113,8 @@ class PhantomConfig:
     def __post_init__(self):
         if self.n_frames < 1:
             raise ParameterError("n_frames must be >= 1")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         for sub in self.substances:
             for voxel in sub.region:
                 if len(voxel) != len(self.geometry.spatial_dims):
@@ -170,8 +182,8 @@ def acquire(
     plus complex Gaussian noise whose real and imaginary parts each have
     variance ``noise_sigma**2``.  Deterministic given ``rng_seed``.
     """
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be >= 0")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     geo = truth.geometry
     schedule.validate_geometry(geo)
     if schedule.n_frames != truth.n_frames:

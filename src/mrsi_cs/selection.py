@@ -10,13 +10,14 @@ over both orientations.  The search is an exhaustive sweep of the grid.
 The sweep runs as a regularization path without warm starts: the
 triples form a (C, 3) weight axis, and each orientation solves the stack
 with :func:`~mrsi_cs.solver.solve` in blocks of rows that iterate in
-lockstep.  The solver keeps eight (M, N*J) arrays of state per row, and
-:data:`STACK_BYTES` bounds one block's state: 16 rows at 32 frames and
-NJ = 16, but one row on exp3 (256 frames, NJ = 384, 6.3 MB per row),
-where the rows run one after another.  The blocks of an orientation
-share one factor cache, so the normal-matrix factors are built once per
-fold at any size, and each block is scored before the next is solved.
-A row's score does not depend on the block it ran in.
+lockstep.  The solver holds up to twelve (M, N*J) arrays per row (state,
+work buffers and smaller temporaries), and :data:`STACK_BYTES` bounds one
+block's share: 16 rows at 32 frames and NJ = 16, but one row on exp3
+(256 frames, NJ = 384, 9.4 MB per row), where the rows run one after
+another.  The blocks of an orientation share one factor cache, so the
+normal-matrix factors are built once per fold at any size, and each
+block is scored before the next is solved.  A row's score does not
+depend on the block it ran in.
 """
 
 from __future__ import annotations
@@ -55,9 +56,11 @@ __all__ = [
 PAPER_GRID: tuple[float, ...] = tuple(10.0**k for k in range(-4, 8))
 COARSE_GRID: tuple[float, ...] = tuple(10.0**k for k in (-3, -1, 1, 3, 5))
 
-# Byte budget for the outer-loop state of one solve's block of weight rows
-STACK_BYTES = 512 * 1024
-_ROW_STATE_ARRAYS = 8  # solve keeps x, z, u, alpha, beta, h, s and nu per row
+# (M, N*J) arrays solve holds per row: the state x, z, u, alpha, beta, h, s and nu, the work
+# buffers omega, q and work, and one for the smaller per-row temporaries and residual logs
+_ROW_STATE_ARRAYS = 12
+# Byte budget for the per-row arrays of one solve's block of weight rows
+STACK_BYTES = _ROW_STATE_ARRAYS * 64 * 1024
 
 
 class Fold(NamedTuple):

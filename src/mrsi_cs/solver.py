@@ -12,20 +12,28 @@ iteration then runs four steps: a per-frame inner ADMM for x, a
 closed-form elastic-net shrinkage for h, a banded-Cholesky projection
 onto the constraint set, and the dual ascent.
 
-The x step runs on all frames at once, in two batches.  Frames with data
+The x step runs on all frames at once, in one batch.  Frames with data
 solve their normal equations through one stacked low-rank (Woodbury)
-factor, built once per solve, and then shrink toward sparsity; data-free
-frames take a weighted average and skip the shrinkage.
+factor, built once per solve, and then shrink toward sparsity.  A
+data-free frame joins the batch with a zero Re(A^H y), a factor without
+columns and a zero l1 threshold, which gives the weighted average it
+would take on its own, bit for bit up to the sign of zeros.
+
+The outer loop runs in place: each step writes into arrays allocated
+once per solve, shrinkage is a - clip(a, -t, t), and the projection's
+banded substitution is blocked (:func:`project_constraint`), so an
+iteration takes O(sqrt(M)) Python steps.
 
 The three weights only set thresholds and the h-step scale, so
 :func:`solve` can run a stack of C weight triples in lockstep: the
 iterates are laid out (frame, row, N*J), the weights broadcast as one
-(C, 1) column per row, and the adjoints, factors and banded Cholesky
-factor are built once per call.  Rows never mix, so each row's result
-does not depend on the stack it ran in.  The state holds eight
-(M, N*J) arrays per row, so the caller bounds C to bound the memory
-(the CV sweep solves its grid in blocks that share one factor cache);
-a solve without a stack is the C = 1 case.
+column per row, and the adjoints, factors and banded Cholesky factor
+are built once per call.  Rows never mix, and every product keeps the
+row axis as a batch axis, so each row's result does not depend on the
+stack it ran in.  The loop holds eleven (M, N*J) arrays per row (eight
+of state, three work buffers), so the caller bounds C to bound the
+memory (the CV sweep solves its grid in blocks that share one factor
+cache); a solve without a stack is the C = 1 case.
 """
 
 from __future__ import annotations
@@ -123,6 +131,14 @@ class ResidualLog:
                 writer.writerow([i, repr(float(a)), repr(float(b))])
 
 
+def _shrink(a: np.ndarray, threshold, work: np.ndarray) -> np.ndarray:
+    """Soft-threshold ``a`` in place as a - clip(a, -t, t); ``work`` is scratch shaped like ``a``."""
+    clipped = np.minimum(a, threshold, out=work)
+    np.maximum(clipped, np.negative(threshold), out=clipped)
+    a -= clipped
+    return a
+
+
 def soft_threshold(xi: np.ndarray | float, iota: np.ndarray | float) -> np.ndarray | float:
     """Elementwise shrinkage toward zero: sign(xi) * max(|xi| - iota, 0).
 
@@ -131,15 +147,26 @@ def soft_threshold(xi: np.ndarray | float, iota: np.ndarray | float) -> np.ndarr
     """
     if np.any(np.less(iota, 0)):
         raise ParameterError(f"threshold must be >= 0, got {iota}")
-    return np.sign(xi) * np.maximum(np.abs(xi) - iota, 0.0)
+    shape = np.broadcast_shapes(np.shape(xi), np.shape(iota))
+    out = np.array(np.broadcast_to(xi, shape), dtype=np.float64)
+    return _shrink(out, iota, np.empty_like(out))[()]
 
 
 @dataclass(frozen=True)
 class BandCholesky:
-    """Lower-bidiagonal Cholesky factor of the tridiagonal I + gamma*W^T W."""
+    """Lower-bidiagonal Cholesky factor L of the tridiagonal I + gamma*W^T W.
+
+    ``diag`` and ``subdiag`` are L's two bands.  For the blocked
+    substitution of :func:`project_constraint`, the frames split into
+    ``len(block_inv)`` leading blocks of B = ``block_inv.shape[1]``
+    frames (B = isqrt(M)) and a tail of fewer than B frames;
+    ``block_inv[k]`` is the dense lower-triangular inverse of L's
+    diagonal block k.
+    """
 
     diag: np.ndarray
     subdiag: np.ndarray
+    block_inv: np.ndarray
 
     @property
     def n(self) -> int:
@@ -151,7 +178,7 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
 
     The matrix is tridiagonal with diagonal (1+g, 1+2g, ..., 1+2g, 1+g)
     and off-diagonal -g; its factor is lower-bidiagonal, so only the two
-    bands are stored.
+    bands are stored, plus the inverses of its diagonal blocks.
     """
     if m < 2:
         raise ParameterError(f"need at least 2 frames, got {m}")
@@ -165,17 +192,46 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
     for i in range(1, m):
         subdiag[i - 1] = -gamma / diag[i - 1]
         diag[i] = np.sqrt(d[i] - subdiag[i - 1] ** 2)
-    return BandCholesky(diag=diag, subdiag=subdiag)
+    # invert every diagonal block at once by forward substitution on the identity
+    b = math.isqrt(m)
+    n_blocks = m // b
+    block_diag = diag[: n_blocks * b].reshape(n_blocks, b)
+    block_sub = np.append(subdiag, 0.0)[: n_blocks * b].reshape(n_blocks, b)  # [k, i]: L[kb+i+1, kb+i]
+    eye = np.eye(b)
+    inv = np.empty((n_blocks, b, b))
+    inv[:, 0] = eye[0] / block_diag[:, :1]
+    for i in range(1, b):
+        inv[:, i] = (eye[i] - block_sub[:, i - 1, None] * inv[:, i - 1]) / block_diag[:, i, None]
+    return BandCholesky(diag=diag, subdiag=subdiag, block_inv=inv)
 
 
 def project_constraint(
-    omega: np.ndarray, q: np.ndarray, chol: BandCholesky, gamma: float
+    omega: np.ndarray,
+    q: np.ndarray,
+    chol: BandCholesky,
+    gamma: float,
+    *,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project (omega, q) onto the set {(z, s) : s = Wz}.
 
-    Solves (I + gamma*W^T W) z = omega + gamma*W^T q by forward/back
-    substitution with the banded factor, columnwise over the trailing
-    axes, then rebuilds s from z so the constraint holds exactly.
+    Solves (I + gamma*W^T W) z = omega + gamma*W^T q with the banded
+    factor, columnwise over the trailing axes, then rebuilds s from z so
+    the constraint holds exactly.
+
+    The substitutions are blocked: one batched matmul applies every
+    diagonal block's inverse (``chol.block_inv``) and a pass over the
+    blocks adds the rank-one coupling between neighbours, once forward
+    with L and once backward with L^T; the tail frames are substituted
+    one by one.  That is O(sqrt(M)) Python steps.  Axes between the
+    frame axis and the last one are batch axes of the matmuls, so, as in
+    :meth:`~mrsi_cs.model.NormalFactor.solve`, each row of a weight stack
+    is computed alike whatever the stack.
+
+    ``out`` is an optional (z, s) pair of C-contiguous arrays shaped like
+    ``omega`` and ``q`` to write the result into; it may be (omega, q)
+    itself.  ``work`` is optional C-contiguous scratch shaped like ``omega``.
     """
     omega = np.asarray(omega, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -184,21 +240,59 @@ def project_constraint(
         raise ShapeError(
             f"projection shapes {omega.shape} / {q.shape} do not fit {m} frames"
         )
-    b = omega.copy()
-    b[0] -= gamma * q[0]
-    b[-1] += gamma * q[-1]
+    if out is None:
+        z, s = omega.copy(), np.empty_like(q)
+    else:
+        z, s = out
+        if z is not omega:
+            np.copyto(z, omega)
+    g = np.empty_like(z) if work is None else work
+    if not (z.flags.c_contiguous and g.flags.c_contiguous):
+        raise ShapeError("projection output and work arrays must be C-contiguous")
+    # z holds the right-hand side b = omega + gamma * W^T q
+    z[0] -= gamma * q[0]
+    z[-1] += gamma * q[-1]
     if m > 2:
-        b[1:-1] += gamma * (q[:-1] - q[1:])
-    g = np.empty_like(b)
-    g[0] = b[0] / chol.diag[0]
-    for i in range(1, m):
-        g[i] = (b[i] - chol.subdiag[i - 1] * g[i - 1]) / chol.diag[i]
-    z = np.empty_like(b)
-    z[-1] = g[-1] / chol.diag[-1]
-    for i in range(m - 2, -1, -1):
-        z[i] = (g[i] - chol.subdiag[i] * z[i + 1]) / chol.diag[i]
-    s = z[1:] - z[:-1]
+        np.subtract(q[:-1], q[1:], out=g[1:-1])
+        g[1:-1] *= gamma
+        z[1:-1] += g[1:-1]
+    cols = z.shape[-1] if z.ndim > 1 else 1
+    _blocked_solve(chol, z.reshape(m, -1, cols), g.reshape(m, -1, cols))
+    np.subtract(z[1:], z[:-1], out=s)
     return z, s
+
+
+def _blocked_solve(chol: BandCholesky, z: np.ndarray, g: np.ndarray) -> None:
+    """Overwrite the (M, rows, cols) right-hand side ``z`` with (L L^T)^-1 z; ``g`` is scratch."""
+    d, e, inv = chol.diag, chol.subdiag, chol.block_inv
+    m = chol.n
+    n_blocks, b = inv.shape[:2]
+    head = n_blocks * b
+
+    def blocks(a):  # (n_blocks, rows, b, cols) view of the leading blocks
+        return a[:head].reshape(n_blocks, b, *a.shape[1:]).swapaxes(1, 2)
+
+    # forward, L g = z: each block's inverse, then the coupling to the previous block's last row
+    np.matmul(inv[:, None], blocks(z), out=blocks(g))
+    for k in range(1, n_blocks):
+        g[k * b : (k + 1) * b] -= (e[k * b - 1] * inv[k, :, :1])[..., None] * g[k * b - 1]
+    for i in range(head, m):
+        np.multiply(g[i - 1], e[i - 1], out=g[i])
+        np.subtract(z[i], g[i], out=g[i])
+        g[i] /= d[i]
+    # backward, L^T z = g: the tail from the bottom, then the blocks, coupled to the next block's first row
+    for i in range(m - 1, head - 1, -1):
+        if i == m - 1:
+            np.divide(g[i], d[i], out=z[i])
+        else:
+            np.multiply(z[i + 1], e[i], out=z[i])
+            np.subtract(g[i], z[i], out=z[i])
+            z[i] /= d[i]
+    np.matmul(inv.swapaxes(1, 2)[:, None], blocks(g), out=blocks(z))
+    for k in range(n_blocks - 1, -1, -1):
+        nxt = (k + 1) * b
+        if nxt < m:
+            z[k * b : nxt] -= (e[nxt - 1] * inv[k, -1, :, None])[..., None] * z[nxt]
 
 
 def update_x_frame(
@@ -210,20 +304,28 @@ def update_x_frame(
     beta_m: np.ndarray,
     config: SolverConfig,
     lambda_x: np.ndarray | float | None = None,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
     ``aty_m`` is the precomputed Re(A^H y) for the frame, or None for a
     data-free frame, in which case the solve reduces to a weighted
     average and the l1 shrinkage is skipped (shrinking frames without
-    data would drive them to zero).  ``alpha_m`` and ``beta_m`` are
-    updated in place; the new x_m is returned.
+    data would drive them to zero).  A data-free frame can also be given
+    as a zero ``aty_m`` with a factor without columns and a zero
+    ``lambda_x``, which gives the same result; :func:`solve` does that to
+    run all frames in one call.  ``alpha_m`` and ``beta_m`` are updated
+    in place; the new x_m is returned.
 
     Every array may carry a leading frame axis, with ``factor`` stacked
-    to match (:func:`~mrsi_cs.model.stack_factors`); all frames of one
-    call must then be acquired, or all data-free.  ``lambda_x`` replaces
-    ``config.lambda_x``; as an array it broadcasts against the iterates,
-    e.g. shape (C, 1) for one weight per row of (frame, C, N*J) iterates.
+    to match (:func:`~mrsi_cs.model.stack_factors`).  ``lambda_x``
+    replaces ``config.lambda_x`` and must be >= 0 (:func:`solve` checks
+    its weights once); as an array it broadcasts against the iterates,
+    e.g. shape (M, C, 1) for one weight per frame and row of (frame, C,
+    N*J) iterates.  ``out`` receives x_m and ``work`` is scratch, both
+    shaped like ``alpha_m``; they are allocated when not given.
     """
     rho1, mu = config.rho1, config.mu
     if lambda_x is None:
@@ -231,16 +333,26 @@ def update_x_frame(
     acquired = aty_m is not None
     if acquired and factor is None:
         raise MrsiCsError("acquired frame is missing its normal-matrix factorization")
-    x_m = None
+    x_m = np.empty(alpha_m.shape) if out is None else out
+    rhs = np.empty(alpha_m.shape) if work is None else work
+    threshold = np.divide(lambda_x, mu)
     for _ in range(config.inner_iters):
-        rhs = rho1 * (z_m - u_m) + mu * (alpha_m - beta_m)
+        # rhs = rho1 * (z - u) + mu * (alpha - beta), with x_m as scratch
+        np.subtract(z_m, u_m, out=rhs)
+        rhs *= rho1
+        np.subtract(alpha_m, beta_m, out=x_m)
+        x_m *= mu
+        rhs += x_m
         if acquired:
-            x_m = factor.solve(aty_m + rhs)
-            np.copyto(alpha_m, soft_threshold(x_m + beta_m, lambda_x / mu))
+            rhs += aty_m
+            factor.solve(rhs, out=x_m)
+            np.add(x_m, beta_m, out=alpha_m)
+            _shrink(alpha_m, threshold, rhs)
         else:
-            x_m = rhs / (rho1 + mu)
-            np.copyto(alpha_m, x_m + beta_m)
-        beta_m += x_m - alpha_m
+            np.divide(rhs, rho1 + mu, out=x_m)
+            np.add(x_m, beta_m, out=alpha_m)
+        np.subtract(x_m, alpha_m, out=rhs)
+        beta_m += rhs
     return x_m
 
 
@@ -250,11 +362,16 @@ def update_h(
     config: SolverConfig,
     lambda_w1: np.ndarray | float | None = None,
     lambda_w2: np.ndarray | float | None = None,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form elastic-net proximal step for the difference variables.
 
-    ``lambda_w1`` and ``lambda_w2`` replace the config's weights and may
-    broadcast per row, as in :func:`update_x_frame`.
+    ``lambda_w1`` and ``lambda_w2`` replace the config's weights, must
+    be >= 0 and may broadcast per row, as in :func:`update_x_frame`;
+    ``out`` and ``work`` are optional arrays shaped like ``s`` for the
+    result and for scratch.
     """
     if lambda_w1 is None:
         lambda_w1 = config.lambda_w1
@@ -262,7 +379,10 @@ def update_h(
         lambda_w2 = config.lambda_w2
     scale = 1.0 + lambda_w2 / config.rho2
     threshold = lambda_w1 / (config.rho2 * scale)
-    return soft_threshold((s - nu) / scale, threshold)
+    h = np.empty(np.broadcast_shapes(np.shape(s), np.shape(nu))) if out is None else out
+    np.subtract(s, nu, out=h)
+    h /= scale
+    return _shrink(h, threshold, np.empty_like(h) if work is None else work)
 
 
 def _prepared_inputs(signals, schedule, base, geometry):
@@ -324,25 +444,22 @@ def solve(
         cache = FactorizationCache(base, geometry, shift=shift)
     elif cache.base is not base or cache.geometry is not geometry or cache.shift != shift:
         raise ParameterError("factorization cache was built for another base, geometry or shift")
-    aty = np.zeros((len(acquired), n_unknown))
-    factors = []
-    for i, m in enumerate(acquired):
-        aty[i] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
-        factors.append(cache.get(schedule.frames[m]))
-    free = [m for m in range(m_total) if schedule.frames[m] is None]
-    batches = []  # (frame indices, Re(A^H y), factor): acquired frames, then data-free ones
-    if acquired:
-        stacked = stack_factors(factors)
-        # a unit row axis lets the per-frame arrays broadcast over (frame, row, N*J) iterates
-        factor = NormalFactor(stacked.v[:, None], stacked.shift, stacked.k_inv[:, None])
-        batches.append((np.array(acquired), aty[:, None], factor))
-    if free:
-        batches.append((np.array(free), None, None))
-    x0 = np.zeros((m_total, n_unknown))
-    x0[list(acquired)] = aty
+    # every frame joins one x-update batch: a data-free frame has a zero Re(A^H y) and a factor
+    # without columns, whose solve is rhs / shift, and later a zero l1 threshold
+    aty = np.zeros((m_total, n_unknown))
+    no_data = NormalFactor(np.zeros((n_unknown, 0)), shift)
+    factors = [no_data] * m_total
+    for m in acquired:
+        aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
+        factors[m] = cache.get(schedule.frames[m])
+    stacked = stack_factors(factors)
+    # a unit row axis lets the per-frame arrays broadcast over (frame, row, N*J) iterates
+    factor = NormalFactor(stacked.v[:, None], stacked.shift, stacked.k_inv[:, None])
+    has_data = np.zeros(m_total, dtype=bool)
+    has_data[list(acquired)] = True
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
 
-    x, logs = _iterate(rows, x0, batches, chol, config)
+    x, logs = _iterate(rows, aty, factor, has_data, chol, config)
     values = x.reshape(len(rows), m_total, geometry.n_voxels, base.n_substances)
     if weights is None:
         return SubstanceDistribution(values=values[0], geometry=geometry), logs[0]
@@ -350,56 +467,66 @@ def solve(
 
 
 def _row_norms(a: np.ndarray) -> list[float]:
-    """Euclidean norm of each row of (frame, row, N*J) iterates, as ``np.linalg.norm(a[:, i])``."""
-    rows = np.ascontiguousarray(a.swapaxes(0, 1)).reshape(a.shape[1], 1, -1)
-    return np.sqrt(rows @ rows.swapaxes(1, 2)).ravel().tolist()
+    """Euclidean norm of each row of (frame, row, N*J) iterates.
+
+    One dot product per frame and row, summed over frames, so a row's
+    norm does not depend on the other rows.
+    """
+    per_frame = (a[..., None, :] @ a[..., :, None])[..., 0, 0]  # (frame, row)
+    return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1)).tolist()
 
 
 def _iterate(
     weights: np.ndarray,
-    x0: np.ndarray,
-    batches: list,
+    aty: np.ndarray,
+    factor: NormalFactor,
+    has_data: np.ndarray,
     chol: BandCholesky | None,
     config: SolverConfig,
 ) -> tuple[np.ndarray, list[ResidualLog]]:
-    """Outer iterations of a (C, 3) stack of weight rows, from the start point ``x0``.
+    """Outer iterations of a (C, 3) stack of weight rows, from the start point x = Re(A^H y).
 
-    Returns the rows' (C, M, N*J) estimates and residual logs.  A row
-    that meets ``stop_tol`` is written out and dropped from the stack.
+    Returns the rows' (C, M, N*J) estimates and residual logs.  Every
+    step writes into eleven (M, N*J) arrays per row allocated here.  A
+    row that meets ``stop_tol`` is written out and dropped from the stack.
     """
     n_rows = len(weights)
-    m_total, n_unknown = x0.shape
-    out = np.empty((n_rows, m_total, n_unknown))
-    lambda_x, lambda_w1, lambda_w2 = (weights[:, k, None] for k in range(3))  # (C, 1) columns
+    m_total, n_unknown = aty.shape
+    out = None  # the estimates, allocated when the first row stops or after the loop
+    # l1 thresholds per frame and row, zero on data-free frames; (C, 1) columns for the h step
+    lambda_x = np.where(has_data[:, None, None], weights[None, :, :1], 0.0)
+    lambda_w1, lambda_w2 = weights[:, 1:2], weights[:, 2:3]
+    aty_rows = aty[:, None]
     # primal x, its copy z and dual u per frame; differences h, their copy s and dual nu;
-    # the inner splitting's copy alpha and dual beta; each laid out (frame, row, N*J)
-    x = np.repeat(x0[:, None], n_rows, axis=1)
+    # the inner splitting's copy alpha and dual beta; each laid out (frame, row, N*J).
+    # omega and q hold the projection's input and output, work is scratch for every step.
+    x = np.repeat(aty_rows, n_rows, axis=1)
     z = x.copy()
     u, alpha, beta = (np.zeros_like(x) for _ in range(3))
+    omega, work = np.empty_like(x), np.empty_like(x)
     h, s, nu = (np.zeros((max(m_total - 1, 0), n_rows, n_unknown)) for _ in range(3))
+    q = np.empty_like(s)
     logs = [ResidualLog() for _ in range(n_rows)]
     live = np.arange(n_rows)  # the row of ``out`` each stacked row belongs to
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
-        for frames, aty, factor in batches:
-            alpha_f, beta_f = alpha[frames], beta[frames]
-            x[frames] = update_x_frame(
-                aty, factor, z[frames], u[frames], alpha_f, beta_f, config, lambda_x
-            )
-            alpha[frames], beta[frames] = alpha_f, beta_f
+        update_x_frame(aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work)
+        np.add(x, u, out=omega)
         if m_total >= 2:
-            h = update_h(s, nu, config, lambda_w1, lambda_w2)
-            z_new, s_new = project_constraint(x + u, h + nu, chol, config.gamma)
-        else:
-            z_new, s_new = x + u, s
-        r = x - z_new
-        gap = _row_norms(r)
-        u += r
-        del r  # freed before z_new - z is formed, and not held into the next iteration
-        step = _row_norms(z_new - z)
-        nu += h - s_new
-        z, s = z_new, s_new
+            update_h(s, nu, config, lambda_w1, lambda_w2, out=h, work=work[:-1])
+            np.add(h, nu, out=q)
+            project_constraint(omega, q, chol, config.gamma, out=(omega, q), work=work)
+        # omega and q now hold the new z and s
+        np.subtract(x, omega, out=work)
+        gap = _row_norms(work)
+        u += work
+        np.subtract(omega, z, out=work)
+        step = _row_norms(work)
+        if m_total >= 2:
+            np.subtract(h, q, out=work[:-1])
+            nu += work[:-1]
+        z, omega, s, q = omega, z, q, s
         if not all(math.isfinite(v) for v in gap + step):
             raise DivergenceError(f"non-finite iterates at outer iteration {k}", iteration=k)
         for i, row in enumerate(live):
@@ -410,13 +537,21 @@ def _iterate(
                 [xn > 0 and g / xn < config.stop_tol for g, xn in zip(gap, _row_norms(x))]
             )
             if stopped.any():
+                if out is None:
+                    out = np.empty((n_rows, m_total, n_unknown))
                 out[live[stopped]] = x[:, stopped].swapaxes(0, 1)
                 keep = ~stopped
                 if not keep.any():
                     return out, logs
-                x, z, u, alpha, beta, h, s, nu = (a[:, keep] for a in (x, z, u, alpha, beta, h, s, nu))
-                lambda_x, lambda_w1, lambda_w2 = lambda_x[keep], lambda_w1[keep], lambda_w2[keep]
+                x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x = (
+                    a.compress(keep, axis=1)
+                    for a in (x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x)
+                )
+                lambda_w1, lambda_w2 = lambda_w1[keep], lambda_w2[keep]
                 live = live[keep]
+    del z, u, alpha, beta, omega, work, h, s, nu, q  # freed before the estimates are copied out
+    if out is None:
+        return np.ascontiguousarray(x.swapaxes(0, 1)), logs
     out[live] = x.swapaxes(0, 1)
     return out, logs
 

@@ -280,6 +280,38 @@ class TestInputBoundary:
         )
         assert_clean_exit(runner.invoke(main, args), 2)
 
+    @pytest.mark.parametrize("command", ["phantom", "acquire"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("noise_sigma",), float("nan")),
+            (("substances", 0, "profile", "ramp", "rate"), float("nan")),
+            (("substances", 0, "profile"), {"constant": {"level": float("inf")}}),
+            (("substances", 0, "peaks", 0, "amplitude"), float("inf")),
+            (("substances", 0, "peaks", 0, "center"), [float("nan"), 1.0]),
+        ],
+        ids=["nan-noise", "nan-ramp-rate", "inf-level", "inf-amplitude", "nan-center"],
+    )
+    def test_non_finite_phantom_value_exits_2_before_writing(self, runner, tmp_path, command, path, value):
+        good = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+        doc = json.loads(json.dumps(TINY_PHANTOM))
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        bad = write_config(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        if command == "phantom":
+            args = ["phantom", "--config", bad, "--out", str(out)]
+        else:
+            phantom_out = run_ok(runner, ["phantom", "--config", good, "--out", str(tmp_path / "p")])
+            design = write_config(tmp_path / "design.json", TINY_DESIGN)
+            design_out = run_ok(runner, ["design", "--config", design, "--out", str(tmp_path / "d")])
+            args = ["acquire", "--config", bad, "--schedule", design_out["schedule"],
+                    "--truth", phantom_out["truth"], "--base", phantom_out["base"], "--out", str(out)]
+        assert_clean_exit(runner.invoke(main, args), 2)
+        assert not out.exists()
+
     def test_zero_upsample_exits_2_before_writing(self, runner, tmp_path):
         config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
         phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "p")])

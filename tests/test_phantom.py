@@ -91,6 +91,21 @@ class TestMakePhantom:
         assert np.all(np.diff(profile) >= 0)
         assert profile.max() == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ParameterError):
+            Peak(center=(value, 2.0), width=1.0, amplitude=1.0)
+        with pytest.raises(ParameterError):
+            Peak(center=(1.0, 2.0), width=1.0, amplitude=value)
+        with pytest.raises(ParameterError):
+            RampProfile(rate=value, cap=1.0)
+        with pytest.raises(ParameterError):
+            RampProfile(rate=0.1, cap=value)
+        with pytest.raises(ParameterError):
+            ConstantProfile(level=value)
+        with pytest.raises(ParameterError):
+            single_substance_config(ConstantProfile(level=1.0), noise_sigma=value)
+
     def test_region_outside_grid_rejected(self):
         geometry = AcquisitionGeometry(
             spatial_dims=(2, 2), spectral_evolution_points=2, readout_points=4

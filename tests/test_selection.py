@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from mrsi_cs import (
     split_readouts,
 )
 from mrsi_cs.model import normal_matrix
-from mrsi_cs.selection import PAPER_GRID, _directional_rmse
-from mrsi_cs.solver import SolverConfig
+from mrsi_cs.selection import _ROW_STATE_ARRAYS, PAPER_GRID, STACK_BYTES, _directional_rmse
+from mrsi_cs.solver import SolverConfig, solve
+from conftest import random_schedule
 from test_solver import full_sampling_schedule
 
 
@@ -182,6 +185,40 @@ class TestLockstepSweep:
         ]
         assert len(built) == sum(per_fold)
 
+    def test_budget_holds_16_cv_coarse_rows_and_one_exp3_row(self):
+        per_unknown = _ROW_STATE_ARRAYS * 8  # bytes per frame and unknown of one row
+        assert STACK_BYTES // (per_unknown * 32 * 16) == 16  # cv-coarse: 32 frames, N*J = 16
+        assert STACK_BYTES < per_unknown * 256 * 384  # exp3: one row exceeds it, so blocks hold one
+
+    def test_block_solve_stays_within_budget(self, rng):
+        # each row a solve runs adds at most _ROW_STATE_ARRAYS (M, N*J) arrays to its traced
+        # peak, so a block of STACK_BYTES // row_bytes rows stays within STACK_BYTES plus the
+        # set-up a one-row solve holds besides its row (adjoints, factors, numpy's ufunc buffer;
+        # these arrays exceed that buffer's getbufsize() elements, so it is full size at 1 row)
+        geometry = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=4, readout_points=8)
+        spectra = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
+        base = BaseSpectraSet.from_spectra(spectra)
+        schedule = random_schedule(rng, geometry, 64, acquire_prob=0.75)
+        truth = SubstanceDistribution(values=np.full((64, 64, 2), 0.1), geometry=geometry)
+        signals = acquire(truth, base, schedule, 0.05, rng_seed=3)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3)
+        elements = schedule.n_frames * geometry.n_voxels * base.n_substances
+        assert elements >= np.getbufsize()
+        row_bytes = _ROW_STATE_ARRAYS * 8 * elements
+
+        def traced_peak(n_rows):
+            weights = np.tile([1e-3, 1e-2, 1e-1], (n_rows, 1))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                solve(signals, schedule, base, geometry, config, weights=weights)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        set_up = traced_peak(1) - row_bytes
+        assert set_up > 0
+        assert traced_peak(3) <= set_up + 3 * row_bytes
 
 class TestGridSearch:
     def test_paper_grid_size(self):

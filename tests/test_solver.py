@@ -22,7 +22,7 @@ from mrsi_cs import (
     solve,
     update_h,
 )
-from mrsi_cs.model import FactorizationCache, normal_matrix, stack_factors
+from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix, stack_factors
 from mrsi_cs.solver import ResidualLog, SolverConfig, update_x_frame
 from conftest import random_points, random_schedule
 
@@ -144,6 +144,28 @@ class TestProjectConstraint:
         with pytest.raises(ShapeError):
             project_constraint(np.zeros((4, 2)), np.zeros((2, 2)), chol, 1.0)
 
+    @pytest.mark.parametrize("m", [2, 3, 17, 33, 256])
+    def test_blocked_substitution_matches_dense_solve(self, m, rng):
+        # 17 and 33 leave a tail after the isqrt(M)-frame blocks; 256 has none
+        gamma = 2.5
+        chol = band_cholesky(m, gamma)
+        omega = rng.standard_normal((m, 3, 5))
+        q = rng.standard_normal((m - 1, 3, 5))
+        w = np.zeros((m - 1, m))
+        for i in range(m - 1):
+            w[i, i], w[i, i + 1] = -1.0, 1.0
+        rhs = (omega + gamma * np.tensordot(w.T, q, axes=1)).reshape(m, -1)
+        expected = np.linalg.solve(np.eye(m) + gamma * w.T @ w, rhs).reshape(omega.shape)
+        z, s = project_constraint(omega, q, chol, gamma)
+        np.testing.assert_allclose(z, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+        np.testing.assert_array_equal(s, z[1:] - z[:-1])
+        # written in place over its inputs, with caller scratch: the same bits
+        work = np.empty_like(omega)
+        z2, s2 = project_constraint(omega, q, chol, gamma, out=(omega, q), work=work)
+        assert z2 is omega and s2 is q
+        np.testing.assert_array_equal(z2, z)
+        np.testing.assert_array_equal(s2, s)
+
 
 class TestUpdateXFrame:
     def test_scalar_first_inner_round(self):
@@ -228,6 +250,20 @@ class TestUpdateXFrame:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(beta, expected_beta, rtol=1e-12, atol=1e-14)
+
+    def test_zero_width_factor_reproduces_data_free_branch(self, rng):
+        # a frame without columns, a zero Re(A^H y) and a zero threshold is the data-free update
+        config = SolverConfig(lambda_x=0.3, rho1=0.4, mu=0.7, inner_iters=3)
+        z, u, alpha, beta = (rng.standard_normal((5, 3, 8)) for _ in range(4))
+        expected_alpha, expected_beta = alpha.copy(), beta.copy()
+        expected = update_x_frame(None, None, z, u, expected_alpha, expected_beta, config)
+        empty = NormalFactor(np.zeros((5, 1, 8, 0)), config.rho1 + config.mu)
+        x = update_x_frame(
+            np.zeros((5, 1, 8)), empty, z, u, alpha, beta, config, np.zeros((5, 3, 1))
+        )
+        np.testing.assert_array_equal(x, expected)
+        np.testing.assert_array_equal(alpha, expected_alpha)
+        np.testing.assert_array_equal(beta, expected_beta)
 
     def test_missing_factor_raises(self):
         config = SolverConfig()
@@ -460,6 +496,27 @@ class TestWeightStack:
             np.testing.assert_array_equal(values[0], whole[i])
             assert logs[0] == whole_logs[i]
         assert len(cache) == len({schedule.frames[m] for m in schedule.acquired_index_set})
+
+    @pytest.mark.parametrize("problem", ["small", "one-unknown"])
+    def test_stacked_rows_are_bit_identical_to_solo_rows(self, problem, rng, small_base, small_geometry):
+        # at N*J = 1 a row axis placed on a matrix dimension would send solo rows to gemv;
+        # three repeats of the point give six factor columns, so the sums there have terms to order
+        if problem == "small":
+            schedule, signals = gapped_instance(rng, small_base, small_geometry)
+            base, geometry = small_base, small_geometry
+        else:
+            geometry, base, point = scalar_problem()
+            frames = tuple(None if m in (3, 4) else (point,) * 3 for m in range(9))
+            schedule = SamplingSchedule(frames=frames)
+            signals = SignalSet(
+                per_frame={m: [0.1 * m + 0.05j, 0.1 * m, 0.05j] for m in schedule.acquired_index_set}
+            )
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=25)
+        values, logs = solve(signals, schedule, base, geometry, config, weights=WEIGHT_STACK)
+        for i, row in enumerate(WEIGHT_STACK):
+            solo, solo_logs = solve(signals, schedule, base, geometry, config, weights=row[None])
+            np.testing.assert_array_equal(values[i], solo[0])
+            assert logs[i] == solo_logs[0]
 
     def test_rejects_cache_of_another_shift(self, rng, small_base, small_geometry):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
