@@ -2,10 +2,12 @@
 
 Each command reads JSON configuration and MRST tensors, writes its
 products plus a run manifest into ``--out``, prints a machine-readable
-summary to stdout and diagnostics to stderr.  Exit codes: 2 for
-configuration problems, 3 for shape/schedule mismatches, 4 for solver
-divergence.  Verbosity is controlled by the MRSI_CS_LOG environment
-variable (error, info or debug).
+summary to stdout and diagnostics to stderr.  The manifest's command
+name, arguments and inputs come from the command's click declaration
+(see :func:`_finish`).  Exit codes: 2 for configuration problems, 3 for
+shape/schedule mismatches, 4 for solver divergence.  Verbosity is
+controlled by the MRSI_CS_LOG environment variable (error, info or
+debug).
 """
 
 from __future__ import annotations
@@ -85,10 +87,24 @@ def _handle_errors(func):
     return wrapper
 
 
-def _finish(outdir: Path, command: str, timer: StageTimer, summary: dict, **manifest) -> None:
-    """Close the "write" stage, write the run manifest and print the stdout summary."""
+def _finish(outdir: Path, timer: StageTimer, summary: dict, **manifest) -> None:
+    """Close the "write" stage, write the run manifest and print the stdout summary.
+
+    The running command's click declaration gives the name, the
+    ``arguments`` (every option under its first flag, ``--paper-grid`` as
+    ``paper_grid``, with the value click resolved) and the ``inputs``
+    (every existing-file option given, in declaration order).
+    """
     timer.lap("write")
-    write_manifest(outdir, command, timer.timings_s, **manifest)
+    ctx = click.get_current_context()
+    arguments, inputs = {}, []
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        arguments[param.opts[0].lstrip("-").replace("-", "_")] = value
+        if isinstance(param.type, click.Path) and param.type.exists and value is not None:
+            inputs.append(value)
+    command = ctx.command.name
+    write_manifest(outdir, command, timer.timings_s, arguments=arguments, inputs=inputs, **manifest)
     click.echo(json.dumps({"command": command, **summary}, sort_keys=True))
 
 
@@ -161,7 +177,6 @@ def phantom(config_path, out, seed):
 
     _finish(
         outdir,
-        "phantom",
         timer,
         {
             "truth": str(truth_path),
@@ -170,10 +185,8 @@ def phantom(config_path, out, seed):
             "spatial_dims": list(config.geometry.spatial_dims),
             "substances": list(config.labels),
         },
-        arguments={"config": config_path, "out": out, "seed": seed},
         config=doc,
         seeds={"rng_seed": config.rng_seed},
-        inputs=[config_path],
         outputs=[truth_path, base_path],
     )
 
@@ -196,7 +209,6 @@ def design(config_path, out):
 
     _finish(
         outdir,
-        "design",
         timer,
         {
             "schedule": str(schedule_path),
@@ -204,10 +216,8 @@ def design(config_path, out):
             "n_acquired": schedule.n_acquired,
             "psi": config.psi,
         },
-        arguments={"config": config_path, "out": out},
         config=doc,
         seeds={"sobol_skip": config.skip},
-        inputs=[config_path],
         outputs=[schedule_path],
     )
 
@@ -249,26 +259,31 @@ def acquire(config_path, schedule_path, truth_path, base_path, out, seed):
 
     _finish(
         outdir,
-        "acquire",
         timer,
         {
             "signals": str(signals_path),
             "n_acquired": schedule.n_acquired,
             "noise_sigma": config.noise_sigma,
         },
-        arguments={
-            "config": config_path,
-            "schedule": schedule_path,
-            "truth": truth_path,
-            "base": base_path,
-            "out": out,
-            "seed": seed,
-        },
         config=doc,
         seeds={"rng_seed": config.rng_seed},
-        inputs=[config_path, schedule_path, truth_path, base_path],
         outputs=[signals_path],
     )
+
+
+def _reconstruction_options(func):
+    """Declare the data options that ``reconstruct`` and ``cv`` share, in this order."""
+    file = click.Path(exists=True, dir_okay=False)
+    options = (
+        click.option("--config", "config_path", required=True, type=file),
+        click.option("--signals", "signals_path", required=True, type=file),
+        click.option("--schedule", "schedule_path", required=True, type=file),
+        click.option("--base", "base_path", required=True, type=file),
+        click.option("--out", required=True, type=click.Path(file_okay=False)),
+    )
+    for option in reversed(options):  # as stacked decorators, which apply bottom-up
+        func = option(func)
+    return func
 
 
 def _load_reconstruction_inputs(config_path, schedule_path, signals_path, base_path):
@@ -282,11 +297,7 @@ def _load_reconstruction_inputs(config_path, schedule_path, signals_path, base_p
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--signals", "signals_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--schedule", "schedule_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--base", "base_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
+@_reconstruction_options
 @click.option("--iters", type=int, default=None, help="Outer iteration budget.")
 @click.option("--inner-iters", type=int, default=None, help="Inner iteration budget.")
 @click.option("--lambda-x", type=float, default=None)
@@ -294,16 +305,8 @@ def _load_reconstruction_inputs(config_path, schedule_path, signals_path, base_p
 @click.option("--lambda-w2", type=float, default=None)
 @_handle_errors
 def reconstruct(
-    config_path,
-    signals_path,
-    schedule_path,
-    base_path,
-    out,
-    iters,
-    inner_iters,
-    lambda_x,
-    lambda_w1,
-    lambda_w2,
+    config_path, signals_path, schedule_path, base_path, out, iters, inner_iters,
+    lambda_x, lambda_w1, lambda_w2,
 ):
     """Reconstruct the substance distributions from undersampled signals."""
     timer = StageTimer()
@@ -331,7 +334,6 @@ def reconstruct(
 
     _finish(
         outdir,
-        "reconstruct",
         timer,
         {
             "recon": str(recon_path),
@@ -339,25 +341,13 @@ def reconstruct(
             "iterations": len(residuals),
             "final_rms_x_minus_z": residuals.rms_x_minus_z[-1],
         },
-        arguments={
-            "config": config_path,
-            "signals": signals_path,
-            "schedule": schedule_path,
-            "base": base_path,
-            "out": out,
-        },
         config={"geometry": doc.get("geometry", {}), "solver": dataclasses.asdict(solver_config)},
-        inputs=[config_path, signals_path, schedule_path, base_path],
         outputs=[recon_path, residual_path],
     )
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--signals", "signals_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--schedule", "schedule_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--base", "base_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", required=True, type=click.Path(file_okay=False))
+@_reconstruction_options
 @click.option("--paper-grid", is_flag=True, help="Use the full 12-value grid per axis.")
 @click.option("--threads", type=click.IntRange(min=1), default=1,
               help="Accepted for compatibility; has no effect (the sweep runs on one thread).")
@@ -395,7 +385,6 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
 
     _finish(
         outdir,
-        "cv",
         timer,
         {
             "table": str(table_path),
@@ -405,17 +394,7 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
             "lambda_w2": best[2],
             "combinations": len(table),
         },
-        arguments={
-            "config": config_path,
-            "signals": signals_path,
-            "schedule": schedule_path,
-            "base": base_path,
-            "out": out,
-            "paper_grid": paper_grid,
-            "threads": threads,
-        },
         config={"grid": list(grid), "solver": dataclasses.asdict(solver_config)},
-        inputs=[config_path, signals_path, schedule_path, base_path],
         outputs=[table_path, selected_path],
     )
 
@@ -487,22 +466,12 @@ def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
 
     _finish(
         outdir,
-        "evaluate",
         timer,
         {
             "metrics": str(metrics_path),
             "profiles": str(profiles_path),
             "snapshots": [str(p) for p in snapshot_paths],
         },
-        arguments={
-            "recon": recon_path,
-            "truth": truth_path,
-            "out": out,
-            "config": config_path,
-            "frames": snapshot_frames,
-            "upsample": upsample,
-        },
-        inputs=[recon_path, truth_path, *([config_path] if config_path is not None else [])],
         outputs=[metrics_path, profiles_path, *snapshot_paths],
     )
 

@@ -39,7 +39,7 @@ from .model import (
     SignalSet,
     apply_forward,
 )
-from .solver import SolverConfig, solve
+from .solver import _ROW_STATE_ARRAYS, SolverConfig, solve
 
 logger = logging.getLogger(__name__)
 
@@ -56,9 +56,6 @@ __all__ = [
 PAPER_GRID: tuple[float, ...] = tuple(10.0**k for k in range(-4, 8))
 COARSE_GRID: tuple[float, ...] = tuple(10.0**k for k in (-3, -1, 1, 3, 5))
 
-# (M, N*J) arrays solve holds per row: the state x, z, u, alpha, beta, h, s and nu, the work
-# buffers omega, q and work, and one for the smaller per-row temporaries and residual logs
-_ROW_STATE_ARRAYS = 12
 # Byte budget for the per-row arrays of one solve's block of weight rows
 STACK_BYTES = _ROW_STATE_ARRAYS * 64 * 1024
 
@@ -194,15 +191,12 @@ def grid_search(
     signals: SignalSet,
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
-    threads: int = 1,
 ) -> tuple[tuple[float, float, float], list[GridRow]]:
     """Exhaustive sweep; returns the winning triple and the full score table.
 
-    The whole grid is scored by one :func:`cv_rmse` call.  ``threads``
-    is accepted for compatibility and has no effect: the stacked solve's
-    numpy calls are too small to gain from threads.  Ties are broken
-    toward the lexicographically smallest triple, so the result is
-    independent of enumeration order.
+    The whole grid is scored by one :func:`cv_rmse` call.  Ties are
+    broken toward the lexicographically smallest triple, so the result
+    is independent of enumeration order.
     """
     fold_a, fold_b = split_readouts(schedule, signals)
     combos = plan.combinations()

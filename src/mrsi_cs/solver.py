@@ -31,9 +31,10 @@ column per row, and the adjoints, factors and banded Cholesky factor
 are built once per call.  Rows never mix, and every product keeps the
 row axis as a batch axis, so each row's result does not depend on the
 stack it ran in.  The loop holds eleven (M, N*J) arrays per row (eight
-of state, three work buffers), so the caller bounds C to bound the
-memory (the CV sweep solves its grid in blocks that share one factor
-cache); a solve without a stack is the C = 1 case.
+of state, three work buffers; ``_ROW_STATE_ARRAYS`` counts them with the
+smaller temporaries), so the caller bounds C to bound the memory (the
+CV sweep solves its grid in blocks that share one factor cache); a
+solve without a stack is the C = 1 case.
 """
 
 from __future__ import annotations
@@ -476,6 +477,11 @@ def _row_norms(a: np.ndarray) -> list[float]:
     return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1)).tolist()
 
 
+# (M, N*J) arrays per row that _iterate allocates: the state x, z, u, alpha, beta, h, s and nu,
+# the work buffers omega, q and work, and one for the smaller per-row temporaries and residual logs
+_ROW_STATE_ARRAYS = 12
+
+
 def _iterate(
     weights: np.ndarray,
     aty: np.ndarray,
@@ -488,11 +494,14 @@ def _iterate(
 
     Returns the rows' (C, M, N*J) estimates and residual logs.  Every
     step writes into eleven (M, N*J) arrays per row allocated here.  A
-    row that meets ``stop_tol`` is written out and dropped from the stack.
+    row that meets ``stop_tol`` is copied out and dropped from the stack.
+    The arrays are re-sliced one at a time, and the estimates are only
+    gathered after the loop, so dropping rows costs about one (M, N*J)
+    array per row on top of the loop's own peak.
     """
     n_rows = len(weights)
     m_total, n_unknown = aty.shape
-    out = None  # the estimates, allocated when the first row stops or after the loop
+    stopped_x = {}  # the estimates of rows dropped from the stack, by row
     # l1 thresholds per frame and row, zero on data-free frames; (C, 1) columns for the h step
     lambda_x = np.where(has_data[:, None, None], weights[None, :, :1], 0.0)
     lambda_w1, lambda_w2 = weights[:, 1:2], weights[:, 2:3]
@@ -507,7 +516,7 @@ def _iterate(
     h, s, nu = (np.zeros((max(m_total - 1, 0), n_rows, n_unknown)) for _ in range(3))
     q = np.empty_like(s)
     logs = [ResidualLog() for _ in range(n_rows)]
-    live = np.arange(n_rows)  # the row of ``out`` each stacked row belongs to
+    live = np.arange(n_rows)  # the weight row each stacked row belongs to
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
@@ -536,23 +545,24 @@ def _iterate(
             stopped = np.array(
                 [xn > 0 and g / xn < config.stop_tol for g, xn in zip(gap, _row_norms(x))]
             )
+            if stopped.all():
+                break
             if stopped.any():
-                if out is None:
-                    out = np.empty((n_rows, m_total, n_unknown))
-                out[live[stopped]] = x[:, stopped].swapaxes(0, 1)
+                stopped_x.update((live[i], x[:, i].copy()) for i in np.flatnonzero(stopped))
                 keep = ~stopped
-                if not keep.any():
-                    return out, logs
-                x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x = (
-                    a.compress(keep, axis=1)
-                    for a in (x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x)
-                )
+                state = [x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x]
+                del x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x
+                for i in range(len(state)):  # one at a time: each old array is freed before the next copy
+                    state[i] = state[i].compress(keep, axis=1)
+                x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x = state
+                del state
                 lambda_w1, lambda_w2 = lambda_w1[keep], lambda_w2[keep]
                 live = live[keep]
-    del z, u, alpha, beta, omega, work, h, s, nu, q  # freed before the estimates are copied out
-    if out is None:
-        return np.ascontiguousarray(x.swapaxes(0, 1)), logs
+    del z, u, alpha, beta, omega, work, h, s, nu, q  # freed before the estimates are gathered
+    out = np.empty((n_rows, m_total, n_unknown))
     out[live] = x.swapaxes(0, 1)
+    for row, estimate in stopped_x.items():
+        out[row] = estimate
     return out, logs
 
 

@@ -492,6 +492,18 @@ class TestManifests:
                 [eval_out["metrics"], eval_out["profiles"], *eval_out["snapshots"]],
             ),
         }
+        # every declared option is recorded, under its first flag without dashes
+        arguments = {
+            "phantom": {"config", "out", "seed"},
+            "design": {"config", "out"},
+            "acquire": {"config", "schedule", "truth", "base", "out", "seed"},
+            "reconstruct": {
+                "config", "signals", "schedule", "base", "out",
+                "iters", "inner_iters", "lambda_x", "lambda_w1", "lambda_w2",
+            },
+            "cv": {"config", "signals", "schedule", "base", "out", "paper_grid", "threads", "iters"},
+            "evaluate": {"recon", "truth", "out", "config", "frames", "upsample"},
+        }
         assert len(eval_out["snapshots"]) == 3
         manifests = {}
         for outdir, (command, inputs, outputs) in expected.items():
@@ -502,6 +514,9 @@ class TestManifests:
             assert manifest["tool"] == "mrsi-cs"
             assert manifest["version"] == mrsi_cs.__version__
             assert "write" in manifest["timings_s"]
+            flags = {param.opts[0] for param in main.commands[command].params}
+            assert flags == {"--" + key.replace("_", "-") for key in arguments[command]}
+            assert set(manifest["arguments"]) == arguments[command]
             assert [e["path"] for e in manifest["inputs"]] == inputs
             assert [e["path"] for e in manifest["outputs"]] == outputs
             for entry in manifest["inputs"] + manifest["outputs"]:
@@ -511,3 +526,7 @@ class TestManifests:
         assert manifests["reconstruct"]["config"]["solver"] == dataclasses.asdict(resolved)
         assert manifests["cv"]["config"]["solver"] == dataclasses.asdict(SolverConfig(outer_iters=2))
         assert manifests["cv"]["config"]["grid"] == list(COARSE_GRID)
+        recorded = manifests["reconstruct"]["arguments"]
+        assert (recorded["iters"], recorded["lambda_x"], recorded["inner_iters"]) == (10, 0.001, None)
+        assert manifests["cv"]["arguments"]["iters"] == 2
+        assert manifests["evaluate"]["arguments"]["frames"] is None

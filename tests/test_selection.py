@@ -264,16 +264,3 @@ class TestGridSearch:
         _, table = grid_search(plan, schedule, signals, base, geometry)
         for row in table:
             assert np.isfinite(row.rmse) and row.rmse >= 0
-
-    def test_parallel_matches_serial(self, rng):
-        geometry, base, schedule, signals, _ = make_instance(rng, n_frames=8)
-        plan = CvPlan(
-            grid_x=(1e-2, 1e0),
-            grid_w1=(1e-2,),
-            grid_w2=(1e-2, 1e0),
-            base_config=SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=30),
-        )
-        best_serial, table_serial = grid_search(plan, schedule, signals, base, geometry, threads=1)
-        best_par, table_par = grid_search(plan, schedule, signals, base, geometry, threads=2)
-        assert best_serial == best_par
-        assert table_serial == table_par

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -482,6 +483,32 @@ class TestWeightStack:
             np.testing.assert_allclose(values[i], estimate.values, rtol=1e-12, atol=1e-14)
         assert [len(log) for log in logs] == solo_lengths
         assert len(set(solo_lengths)) > 1  # the rows really stop at different iterations
+
+    def test_stopping_rows_adds_at_most_one_array_per_row(self, rng):
+        # M = 64 frames and N*J = 128 unknowns, so the arrays exceed numpy's ufunc buffer
+        geometry = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=4, readout_points=8)
+        spectra = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
+        base = BaseSpectraSet.from_spectra(spectra)
+        schedule = random_schedule(rng, geometry, 64, acquire_prob=0.75)
+        truth = SubstanceDistribution(values=np.full((64, 64, 2), 0.1), geometry=geometry)
+        signals = acquire(truth, base, schedule, 0.05, rng_seed=3)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=300)
+
+        def traced_peak(config):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                _, logs = solve(signals, schedule, base, geometry, config, weights=WEIGHT_STACK)
+                return tracemalloc.get_traced_memory()[1] - before, logs
+            finally:
+                tracemalloc.stop()
+
+        full_run, _ = traced_peak(config)
+        stopping, logs = traced_peak(replace(config, stop_tol=1e-3))
+        lengths = {len(log) for log in logs}
+        assert min(lengths) < 300 and len(lengths) > 2  # rows leave the stack at several iterations
+        array_bytes = 8 * 64 * 128
+        assert stopping <= full_run + len(WEIGHT_STACK) * array_bytes
 
     def test_blocks_sharing_a_cache_match_one_stack(self, rng, small_base, small_geometry):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
