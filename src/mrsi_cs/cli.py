@@ -133,11 +133,11 @@ def _load_distribution(path: str) -> SubstanceDistribution:
     return SubstanceDistribution(values=tensor.reshape(m, -1, j), geometry=geometry)
 
 
-def _load_base(path: str, convention: str) -> BaseSpectraSet:
+def _load_base(path: str) -> BaseSpectraSet:
     tensor = read_tensor(path)
     if tensor.ndim != 3:
         raise ShapeError(f"{path}: base spectra must be (substances, evolution, readout)")
-    return BaseSpectraSet.from_spectra(tensor, convention=convention)
+    return BaseSpectraSet.from_spectra(tensor)
 
 
 @click.group()
@@ -247,7 +247,7 @@ def acquire(config_path, schedule_path, truth_path, base_path, out, seed):
         values=truth_tensor.reshape(config.n_frames, -1, len(config.substances)),
         geometry=geometry,
     )
-    base = _load_base(base_path, geometry.dft_sign_convention)
+    base = _load_base(base_path)
     timer.lap("load")
 
     signals = simulate_acquisition(truth, base, schedule, config.noise_sigma, config.rng_seed)
@@ -290,7 +290,7 @@ def _load_reconstruction_inputs(config_path, schedule_path, signals_path, base_p
     doc = load_json(config_path)
     geometry = parse_geometry(doc.get("geometry", doc), "geometry")
     schedule = read_schedule(schedule_path)
-    base = _load_base(base_path, geometry.dft_sign_convention)
+    base = _load_base(base_path)
     vector = read_tensor(signals_path)
     signals = SignalSet.from_concatenated(schedule, vector, base.n_readout)
     return doc, geometry, schedule, base, signals

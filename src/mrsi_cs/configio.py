@@ -1,7 +1,7 @@
 """JSON configuration parsing for the command-line front end.
 
-Every parse failure raises :class:`ConfigError` carrying the dotted
-path of the offending field, which the CLI reports verbatim.
+Every parse failure raises :class:`ConfigError` whose message names
+the dotted path of the offending field, which the CLI reports verbatim.
 """
 
 from __future__ import annotations
@@ -40,22 +40,25 @@ def _get(doc: dict, key: str, path: str, default: Any = ...) -> Any:
     if key not in doc:
         if default is ...:
             dotted = f"{path}.{key}" if path else key
-            raise ConfigError(f"missing required field {dotted}", field=dotted)
+            raise ConfigError(f"missing required field {dotted}")
         return default
     return doc[key]
 
 
 def parse_geometry(doc: dict, path: str = "geometry") -> AcquisitionGeometry:
     try:
+        # the transforms are the forward unitary DFT; a document asking for another sign is refused
+        convention = _get(doc, "dft_sign_convention", path, "forward")
+        if convention != "forward":
+            raise ConfigError(f"{path}.dft_sign_convention must be 'forward', got {convention!r}")
         return AcquisitionGeometry(
             spatial_dims=tuple(_get(doc, "spatial_dims", path)),
             spectral_evolution_points=int(_get(doc, "spectral_evolution_points", path)),
             readout_points=int(_get(doc, "readout_points", path)),
-            dft_sign_convention=str(_get(doc, "dft_sign_convention", path, "forward")),
             frame_interval_s=float(_get(doc, "frame_interval_s", path, 4.0)),
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value under {path}: {exc}", field=path) from exc
+        raise ConfigError(f"invalid value under {path}: {exc}") from exc
 
 
 def _parse_profile(doc: dict, path: str) -> RampProfile | ConstantProfile:
@@ -68,13 +71,13 @@ def _parse_profile(doc: dict, path: str) -> RampProfile | ConstantProfile:
         )
     if "constant" in doc:
         return ConstantProfile(level=float(_get(doc["constant"], "level", f"{path}.constant")))
-    raise ConfigError(f"{path} must contain 'ramp' or 'constant'", field=path)
+    raise ConfigError(f"{path} must contain 'ramp' or 'constant'")
 
 
 def _parse_peak(doc: dict, path: str) -> Peak:
     center = _get(doc, "center", path)
     if not isinstance(center, (list, tuple)) or len(center) != 2:
-        raise ConfigError(f"{path}.center must be a [evolution, readout] pair", field=f"{path}.center")
+        raise ConfigError(f"{path}.center must be a [evolution, readout] pair")
     return Peak(
         center=(float(center[0]), float(center[1])),
         width=float(_get(doc, "width", path)),
@@ -86,16 +89,16 @@ def parse_phantom_config(doc: dict) -> PhantomConfig:
     geometry = parse_geometry(_get(doc, "geometry", ""), "geometry")
     raw_substances = _get(doc, "substances", "")
     if not isinstance(raw_substances, list) or not raw_substances:
-        raise ConfigError("substances must be a non-empty list", field="substances")
+        raise ConfigError("substances must be a non-empty list")
     substances = []
     for i, sub in enumerate(raw_substances):
         path = f"substances[{i}]"
         region = _get(sub, "region", path)
         if not isinstance(region, list) or not region:
-            raise ConfigError(f"{path}.region must be a non-empty list", field=f"{path}.region")
+            raise ConfigError(f"{path}.region must be a non-empty list")
         peaks = _get(sub, "peaks", path)
         if not isinstance(peaks, list) or not peaks:
-            raise ConfigError(f"{path}.peaks must be a non-empty list", field=f"{path}.peaks")
+            raise ConfigError(f"{path}.peaks must be a non-empty list")
         try:
             substances.append(
                 SubstanceSpec(
@@ -106,7 +109,7 @@ def parse_phantom_config(doc: dict) -> PhantomConfig:
                 )
             )
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid value under {path}: {exc}", field=path) from exc
+            raise ConfigError(f"invalid value under {path}: {exc}") from exc
     try:
         return PhantomConfig(
             geometry=geometry,
@@ -124,15 +127,13 @@ def parse_phantom_config(doc: dict) -> PhantomConfig:
 def parse_design_config(doc: dict) -> tuple[SamplerConfig, AcquisitionGeometry]:
     dims = _get(doc, "dims", "")
     if not isinstance(dims, list) or len(dims) < 2:
-        raise ConfigError(
-            "dims must list the evolution axis and the spatial axes", field="dims"
-        )
+        raise ConfigError("dims must list the evolution axis and the spatial axes")
     try:
         gaps = tuple(
             (int(start), int(length)) for start, length in _get(doc, "gaps", "", [])
         )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gaps must be [start, length] pairs: {exc}", field="gaps") from exc
+        raise ConfigError(f"gaps must be [start, length] pairs: {exc}") from exc
     try:
         config = SamplerConfig(
             n_points=int(_get(doc, "n_points", "")),
@@ -162,10 +163,10 @@ def parse_solver_config(doc: dict, **overrides) -> SolverConfig:
     known = {field.name for field in dataclasses.fields(SolverConfig)}
     unknown = set(merged) - known
     if unknown:
-        raise ConfigError(f"unknown solver fields: {sorted(unknown)}", field=sorted(unknown)[0])
+        raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
     try:
         return SolverConfig(**merged)
     except MrsiCsError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ConfigError(f"invalid solver configuration: {exc}") from exc

@@ -22,14 +22,7 @@ class ParameterError(MrsiCsError, ValueError):
 
 
 class ConfigError(MrsiCsError):
-    """A configuration document is malformed or self-inconsistent.
-
-    ``field`` carries the dotted path of the offending entry when known.
-    """
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
+    """A configuration document is malformed or self-inconsistent."""
 
 
 class DivergenceError(MrsiCsError):

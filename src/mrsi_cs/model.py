@@ -56,16 +56,12 @@ class AcquisitionGeometry:
     the voxel count N), ``spectral_evolution_points`` is the length of
     the indirect spectral axis sampled point by point, and
     ``readout_points`` the length of the direct spectral axis that is
-    always acquired in full.  ``dft_sign_convention`` selects which
-    complex-exponential sign the "spectrum to signal" direction uses;
-    either choice yields an equivalent estimation problem as long as the
-    simulator and the solver share it.
+    always acquired in full.
     """
 
     spatial_dims: tuple[int, ...]
     spectral_evolution_points: int
     readout_points: int
-    dft_sign_convention: str = "forward"
     frame_interval_s: float = 4.0
 
     def __post_init__(self):
@@ -74,10 +70,6 @@ class AcquisitionGeometry:
             raise ParameterError("spatial_dims must be positive integers")
         if self.spectral_evolution_points < 1 or self.readout_points < 1:
             raise ParameterError("spectral axis lengths must be >= 1")
-        if self.dft_sign_convention not in ("forward", "inverse"):
-            raise ParameterError(
-                f"dft_sign_convention must be 'forward' or 'inverse', got {self.dft_sign_convention!r}"
-            )
         if not (math.isfinite(self.frame_interval_s) and self.frame_interval_s > 0):
             raise ParameterError(
                 f"frame_interval_s must be finite and > 0, got {self.frame_interval_s}"
@@ -98,23 +90,19 @@ def _unitary_dft(a: np.ndarray, axes: tuple[int, ...], inverse: bool) -> np.ndar
     return np.fft.fftn(a, axes=axes, norm="ortho")
 
 
-def dft_spectral(spectra: np.ndarray, direction: str, convention: str = "forward") -> np.ndarray:
+def dft_spectral(spectra: np.ndarray, direction: str) -> np.ndarray:
     """Unitary DFT along the two trailing spectral axes.
 
     ``direction`` is ``"to_time"`` (spectrum to signal evolution/readout
-    domain) or ``"to_freq"``; the two are exact inverses.  ``convention``
-    picks the exponent sign of the to_time direction.
+    domain), the forward transform exp(-2 pi i k n / N) / sqrt(N), or
+    ``"to_freq"``, its inverse.
     """
     a = np.asarray(spectra)
     if a.ndim < 2:
         raise ShapeError(f"need at least 2 axes (evolution, readout); got shape {a.shape}")
-    if direction == "to_time":
-        inverse = convention == "inverse"
-    elif direction == "to_freq":
-        inverse = convention != "inverse"
-    else:
+    if direction not in ("to_time", "to_freq"):
         raise ParameterError(f"direction must be 'to_time' or 'to_freq', got {direction!r}")
-    return _unitary_dft(a, axes=(-2, -1), inverse=inverse)
+    return _unitary_dft(a, axes=(-2, -1), inverse=direction == "to_freq")
 
 
 def dft_spatial(
@@ -124,8 +112,8 @@ def dft_spatial(
 ) -> np.ndarray:
     """Unitary DFT along the trailing spatial axes of ``geometry``.
 
-    ``direction`` is ``"to_kspace"`` or ``"to_image"``; the same sign
-    convention as :func:`dft_spectral` applies to the to_kspace leg.
+    ``direction`` is ``"to_kspace"``, the forward transform (as the
+    to_time leg of :func:`dft_spectral`), or ``"to_image"``, its inverse.
     """
     a = np.asarray(fieldarr)
     nsp = len(geometry.spatial_dims)
@@ -134,13 +122,9 @@ def dft_spatial(
             f"trailing axes {a.shape[-nsp:] if a.ndim >= nsp else a.shape} "
             f"do not match spatial grid {geometry.spatial_dims}"
         )
-    if direction == "to_kspace":
-        inverse = geometry.dft_sign_convention == "inverse"
-    elif direction == "to_image":
-        inverse = geometry.dft_sign_convention != "inverse"
-    else:
+    if direction not in ("to_kspace", "to_image"):
         raise ParameterError(f"direction must be 'to_kspace' or 'to_image', got {direction!r}")
-    return _unitary_dft(a, axes=geometry.spatial_axes, inverse=inverse)
+    return _unitary_dft(a, axes=geometry.spatial_axes, inverse=direction == "to_image")
 
 
 @dataclass(frozen=True)
@@ -161,7 +145,6 @@ class BaseSpectraSet:
         cls,
         spectra: np.ndarray,
         labels: Sequence[str] | None = None,
-        convention: str = "forward",
     ) -> "BaseSpectraSet":
         spectra = np.ascontiguousarray(np.asarray(spectra, dtype=np.complex128))
         if spectra.ndim != 3:
@@ -174,7 +157,7 @@ class BaseSpectraSet:
         labels = tuple(str(s) for s in labels)
         if len(labels) != j:
             raise ShapeError(f"{len(labels)} labels for {j} spectra")
-        fid = dft_spectral(spectra, "to_time", convention=convention)
+        fid = dft_spectral(spectra, "to_time")
         return cls(labels=labels, spectra=spectra, fid=fid)
 
     @property
@@ -223,7 +206,7 @@ class SubstanceDistribution:
         return self.values.reshape(m, -1)
 
     def spatial(self) -> np.ndarray:
-        """Copy reshaped to (M, *spatial_dims, J)."""
+        """The values reshaped to (M, *spatial_dims, J), without a copy when they are contiguous."""
         m, _, j = self.values.shape
         return self.values.reshape((m, *self.geometry.spatial_dims, j))
 
@@ -453,9 +436,8 @@ class FactorTables(NamedTuple):
 
     @classmethod
     def build(cls, base: BaseSpectraSet, geometry: AcquisitionGeometry) -> FactorTables:
-        inverse = geometry.dft_sign_convention != "inverse"  # the to_image direction
         rows = tuple(
-            _unitary_dft(np.eye(n, dtype=np.complex128), axes=(-1,), inverse=inverse)
+            _unitary_dft(np.eye(n, dtype=np.complex128), axes=(-1,), inverse=True)
             for n in geometry.spatial_dims
         )
         # one batched QR over the evolution axis: fid[:, d, :].T for every d
@@ -492,13 +474,6 @@ class NormalFactor:
             k[..., np.arange(v.shape[-1]), np.arange(v.shape[-1])] += shift
             k_inv = np.linalg.inv(k)
         self.k_inv = k_inv
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense V V^T + shift*I, assembled on demand."""
-        out = self.v @ np.swapaxes(self.v, -1, -2)
-        out[..., np.arange(out.shape[-1]), np.arange(out.shape[-1])] += self.shift
-        return out
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to ``out`` if given.

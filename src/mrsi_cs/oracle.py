@@ -15,6 +15,8 @@ not rely on either solver having converged.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +54,16 @@ class OracleConfig:
     window: int = 50
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.window < 1:
-            raise ParameterError("max_iters and window must be >= 1")
-        if self.tol <= 0:
-            raise ParameterError("tol must be > 0")
+        for name in ("max_iters", "window"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
         for name in ("tau", "sigma"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ParameterError(f"{name} must be > 0 when given")
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ParameterError(f"{name} must be finite and > 0 when given, got {v}")
 
 
 class _DenseFrames:

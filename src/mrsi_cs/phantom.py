@@ -119,16 +119,11 @@ class PhantomConfig:
             for voxel in sub.region:
                 if len(voxel) != len(self.geometry.spatial_dims):
                     raise ConfigError(
-                        f"voxel {voxel} has wrong dimensionality for grid "
-                        f"{self.geometry.spatial_dims}",
-                        field="substances.region",
+                        f"voxel {voxel} has wrong dimensionality for grid {self.geometry.spatial_dims}"
                     )
                 for c, dim in zip(voxel, self.geometry.spatial_dims):
                     if not 0 <= c < dim:
-                        raise ConfigError(
-                            f"voxel {voxel} outside grid {self.geometry.spatial_dims}",
-                            field="substances.region",
-                        )
+                        raise ConfigError(f"voxel {voxel} outside grid {self.geometry.spatial_dims}")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -164,9 +159,7 @@ def make_base_spectra(config: PhantomConfig) -> BaseSpectraSet:
             spectra[j] += peak.amplitude / (
                 1.0 + ((i1 - c1) / peak.width) ** 2 + ((i2 - c2) / peak.width) ** 2
             )
-    return BaseSpectraSet.from_spectra(
-        spectra, labels=config.labels, convention=geo.dft_sign_convention
-    )
+    return BaseSpectraSet.from_spectra(spectra, labels=config.labels)
 
 
 def acquire(

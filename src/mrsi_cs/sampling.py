@@ -245,12 +245,12 @@ def schedule_from_json(text: str) -> SamplingSchedule:
         for entry in doc["frames"]:
             m = int(entry["m"])
             if not 0 <= m < m_total:
-                raise ConfigError(f"frame index {m} outside [0, {m_total})", field="frames.m")
+                raise ConfigError(f"frame index {m} outside [0, {m_total})")
             if entry.get("gap"):
                 continue
             point = entry.get("point")
             if point is None:
-                raise ConfigError(f"frame {m} has neither gap nor point", field="frames.point")
+                raise ConfigError(f"frame {m} has neither gap nor point")
             sp = SamplePoint(int(point["spectral"]), tuple(int(c) for c in point["k"]))
             if frames[m] is None:
                 frames[m] = []

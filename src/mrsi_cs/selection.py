@@ -121,22 +121,19 @@ def split_readouts(schedule: SamplingSchedule, signals: SignalSet) -> tuple[Fold
 
 
 def _directional_rmse(
-    lambdas: tuple[float, float, float] | np.ndarray,
+    stack: np.ndarray,
     train: Fold,
     test: Fold,
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> float | np.ndarray:
-    """RMSE of predicting ``test``'s readouts from a fit to ``train``, per weight triple.
+) -> np.ndarray:
+    """RMSE of predicting ``test``'s readouts from a fit to ``train``, one per row of a (C, 3) stack.
 
-    ``lambdas`` is one triple (the result is a float) or a (C, 3) stack
-    (the result has one entry per row).  The stack is solved in blocks
-    whose state fits :data:`STACK_BYTES`, all sharing one factor cache,
-    and each block is scored before the next is solved.
+    The stack is solved in blocks whose state fits :data:`STACK_BYTES`,
+    all sharing one factor cache, and each block is scored before the
+    next is solved.
     """
-    weights = np.asarray(lambdas, dtype=np.float64)
-    stack = np.atleast_2d(weights)
     n_unknown = geometry.n_voxels * base.n_substances
     block = max(1, STACK_BYTES // (_ROW_STATE_ARRAYS * 8 * train.schedule.n_frames * n_unknown))
     cache = FactorizationCache(base, geometry, shift=config.rho1 + config.mu)
@@ -149,7 +146,7 @@ def _directional_rmse(
         )
         rmse[start:stop] = _prediction_rmse(estimates, test, base, geometry)
         logger.info("solved %d/%d combinations on one fold", stop, len(stack))
-    return float(rmse[0]) if weights.ndim == 1 else rmse
+    return rmse
 
 
 def _prediction_rmse(
@@ -168,20 +165,20 @@ def _prediction_rmse(
 
 
 def cv_rmse(
-    lambdas: tuple[float, float, float] | np.ndarray,
+    stack: np.ndarray,
     fold_a: Fold,
     fold_b: Fold,
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> float | np.ndarray:
-    """Prediction RMSE averaged over both orientations, with the weights stacked per solve.
+) -> np.ndarray:
+    """Prediction RMSE averaged over both orientations, one per row of a (C, 3) weight stack.
 
-    ``lambdas`` is one (lambda_x, lambda_w1, lambda_w2) triple, scored
-    as a float, or a (C, 3) stack of them, scored as an array of C.
+    Each row is a (lambda_x, lambda_w1, lambda_w2) triple; the rows are
+    stacked per solve.
     """
-    ab = _directional_rmse(lambdas, fold_a, fold_b, base, geometry, config)
-    ba = _directional_rmse(lambdas, fold_b, fold_a, base, geometry, config)
+    ab = _directional_rmse(stack, fold_a, fold_b, base, geometry, config)
+    ba = _directional_rmse(stack, fold_b, fold_a, base, geometry, config)
     return 0.5 * (ab + ba)
 
 

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, MrsiCsError, ParameterError, ShapeError
+from .errors import DivergenceError, ParameterError, ShapeError
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
@@ -81,9 +82,10 @@ class SolverConfig:
 
     Penalty defaults follow the reference setting (rho1 = mu = 1e-3,
     rho2 = 1e-1); ``gamma`` is the derived ratio rho2/rho1 used by the
-    projection step.  ``stop_tol`` enables an optional relative-residual
-    early exit (``||x - z|| / ||x|| < stop_tol``); it is off by default
-    so runs execute the full budget.
+    projection step.  The iteration budgets are integers >= 1.
+    ``stop_tol`` (> 0) enables an optional relative-residual early exit
+    (``||x - z|| / ||x|| < stop_tol``); it is off by default so runs
+    execute the full budget.
     """
 
     lambda_x: float = 0.0
@@ -100,14 +102,16 @@ class SolverConfig:
         settings = (self.lambda_x, self.lambda_w1, self.lambda_w2, self.rho1, self.rho2, self.mu)
         if not all(math.isfinite(v) for v in settings):
             raise ParameterError("regularization weights and penalty parameters must be finite")
-        if self.stop_tol is not None and not math.isfinite(self.stop_tol):
-            raise ParameterError("stop_tol must be finite")
+        if self.stop_tol is not None and not (math.isfinite(self.stop_tol) and self.stop_tol > 0):
+            raise ParameterError(f"stop_tol must be finite and > 0 when given, got {self.stop_tol}")
         if min(self.lambda_x, self.lambda_w1, self.lambda_w2) < 0:
             raise ParameterError("regularization weights must be >= 0")
         if min(self.rho1, self.rho2, self.mu) <= 0:
             raise ParameterError("penalty parameters must be > 0")
-        if self.outer_iters < 1 or self.inner_iters < 1:
-            raise ParameterError("iteration counts must be >= 1")
+        for name in ("outer_iters", "inner_iters"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
 
     @property
     def gamma(self) -> float:
@@ -297,8 +301,8 @@ def _blocked_solve(chol: BandCholesky, z: np.ndarray, g: np.ndarray) -> None:
 
 
 def update_x_frame(
-    aty_m: np.ndarray | None,
-    factor: NormalFactor | None,
+    aty_m: np.ndarray,
+    factor: NormalFactor,
     z_m: np.ndarray,
     u_m: np.ndarray,
     alpha_m: np.ndarray,
@@ -311,14 +315,12 @@ def update_x_frame(
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
-    ``aty_m`` is the precomputed Re(A^H y) for the frame, or None for a
-    data-free frame, in which case the solve reduces to a weighted
-    average and the l1 shrinkage is skipped (shrinking frames without
-    data would drive them to zero).  A data-free frame can also be given
-    as a zero ``aty_m`` with a factor without columns and a zero
-    ``lambda_x``, which gives the same result; :func:`solve` does that to
-    run all frames in one call.  ``alpha_m`` and ``beta_m`` are updated
-    in place; the new x_m is returned.
+    ``aty_m`` is the precomputed Re(A^H y) for the frame and ``factor``
+    its normal-matrix factor.  A data-free frame is given as a zero
+    ``aty_m`` with a factor without columns and a zero ``lambda_x``: its
+    solve reduces to a weighted average, and it is not shrunk (shrinking
+    frames without data would drive them to zero).  ``alpha_m`` and
+    ``beta_m`` are updated in place; the new x_m is returned.
 
     Every array may carry a leading frame axis, with ``factor`` stacked
     to match (:func:`~mrsi_cs.model.stack_factors`).  ``lambda_x``
@@ -331,9 +333,6 @@ def update_x_frame(
     rho1, mu = config.rho1, config.mu
     if lambda_x is None:
         lambda_x = config.lambda_x
-    acquired = aty_m is not None
-    if acquired and factor is None:
-        raise MrsiCsError("acquired frame is missing its normal-matrix factorization")
     x_m = np.empty(alpha_m.shape) if out is None else out
     rhs = np.empty(alpha_m.shape) if work is None else work
     threshold = np.divide(lambda_x, mu)
@@ -344,14 +343,10 @@ def update_x_frame(
         np.subtract(alpha_m, beta_m, out=x_m)
         x_m *= mu
         rhs += x_m
-        if acquired:
-            rhs += aty_m
-            factor.solve(rhs, out=x_m)
-            np.add(x_m, beta_m, out=alpha_m)
-            _shrink(alpha_m, threshold, rhs)
-        else:
-            np.divide(rhs, rho1 + mu, out=x_m)
-            np.add(x_m, beta_m, out=alpha_m)
+        rhs += aty_m
+        factor.solve(rhs, out=x_m)
+        np.add(x_m, beta_m, out=alpha_m)
+        _shrink(alpha_m, threshold, rhs)
         np.subtract(x_m, alpha_m, out=rhs)
         beta_m += rhs
     return x_m

@@ -61,8 +61,8 @@ def write_config(path, doc):
     return str(path)
 
 
-def build_pipeline(runner, tmp_path, iters=10):
-    config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+def build_pipeline(runner, tmp_path, iters=10, phantom=TINY_PHANTOM):
+    config = write_config(tmp_path / "phantom.json", phantom)
     design = write_config(tmp_path / "design.json", TINY_DESIGN)
     phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "ph")])
     design_out = run_ok(runner, ["design", "--config", design, "--out", str(tmp_path / "de")])
@@ -329,6 +329,67 @@ class TestInputBoundary:
         )
         args[0] = "cv"
         assert_clean_exit(runner.invoke(main, args + ["--threads", "-3"]), 2)
+        assert not out.exists()
+
+
+class TestRetiredSignConvention:
+    @pytest.mark.parametrize("command", ["phantom", "acquire", "reconstruct", "cv"])
+    def test_inverse_convention_exits_2_before_writing(self, runner, tmp_path, command):
+        _, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        doc = json.loads(json.dumps(TINY_PHANTOM))
+        doc["geometry"]["dft_sign_convention"] = "inverse"
+        inverse = write_config(tmp_path / "inverse.json", doc)
+        out = tmp_path / "out"
+        if command == "phantom":
+            args = ["phantom", "--config", inverse, "--out", str(out)]
+        elif command == "acquire":
+            args = ["acquire", "--config", inverse, "--schedule", design_out["schedule"],
+                    "--truth", phantom_out["truth"], "--base", phantom_out["base"], "--out", str(out)]
+        else:
+            args = reconstruct_args(
+                inverse, acquire_out["signals"], design_out["schedule"], phantom_out["base"], str(out)
+            )
+            args[0] = command
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert "dft_sign_convention" in result.output
+        assert not out.exists()
+
+    def test_forward_convention_runs_as_when_absent(self, runner, tmp_path):
+        doc = json.loads(json.dumps(TINY_PHANTOM))
+        doc["geometry"]["dft_sign_convention"] = "forward"
+        (tmp_path / "absent").mkdir()
+        (tmp_path / "forward").mkdir()
+        absent = build_pipeline(runner, tmp_path / "absent", iters=3)
+        forward = build_pipeline(runner, tmp_path / "forward", iters=3, phantom=doc)
+        for a, b in [
+            (absent[1]["truth"], forward[1]["truth"]),
+            (absent[1]["base"], forward[1]["base"]),
+            (absent[3]["signals"], forward[3]["signals"]),
+            (absent[4]["recon"], forward[4]["recon"]),
+        ]:
+            assert sha256_file(a) == sha256_file(b)
+
+
+class TestSolverBudgets:
+    @pytest.mark.parametrize("command", ["reconstruct", "cv"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("outer_iters", "2.5"), ("inner_iters", "1.5"), ("outer_iters", "1e400"),
+         ("outer_iters", "true"), ("stop_tol", "0.0"), ("stop_tol", "-1e-3")],
+    )
+    def test_invalid_budget_exits_2_before_writing(self, runner, tmp_path, command, field, value):
+        _, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        doc = json.loads(json.dumps(TINY_PHANTOM))
+        doc["solver"] = {field: "VALUE"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"VALUE"', value))  # 1e400 has no json.dumps spelling
+        out = tmp_path / "out"
+        args = [command, "--config", str(bad), "--signals", acquire_out["signals"],
+                "--schedule", design_out["schedule"], "--base", phantom_out["base"], "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert field in result.output
         assert not out.exists()
 
 

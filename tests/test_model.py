@@ -65,17 +65,9 @@ class TestDftSpectral:
         out = dft_spectral(a, "to_time")
         assert abs(np.linalg.norm(a) - np.linalg.norm(out)) < 1e-12
 
-    def test_conventions_are_conjugate(self, rng):
+    def test_to_time_is_the_forward_transform(self, rng):
         a = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        fwd = dft_spectral(a, "to_time", convention="forward")
-        inv = dft_spectral(a, "to_time", convention="inverse")
-        assert not np.allclose(fwd, inv)
-        np.testing.assert_allclose(
-            dft_spectral(fwd, "to_freq", convention="forward"), a, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            dft_spectral(inv, "to_freq", convention="inverse"), a, atol=1e-12
-        )
+        np.testing.assert_allclose(dft_spectral(a, "to_time"), np.fft.fft2(a) / np.sqrt(32), atol=1e-12)
 
     def test_rejects_bad_direction(self):
         with pytest.raises(ParameterError):
@@ -98,6 +90,12 @@ class TestDftSpatial:
         field[1, 2] = 1.0
         out = dft_spatial(field, "to_kspace", small_geometry)
         np.testing.assert_allclose(np.abs(out), 0.25, atol=1e-12)
+
+    def test_to_kspace_is_the_forward_transform(self, rng, small_geometry):
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        np.testing.assert_allclose(
+            dft_spatial(a, "to_kspace", small_geometry), np.fft.fft2(a) / 4.0, atol=1e-12
+        )
 
     def test_round_trip(self, rng, small_geometry):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -190,6 +188,11 @@ class TestApplyAdjoint:
             apply_adjoint(np.zeros(7, dtype=complex), [SamplePoint(1, (1, 1))], small_base, small_geometry)
 
 
+def dense_normal(factor):
+    """V V^T + shift*I assembled from a factor's low-rank columns."""
+    return factor.v @ factor.v.T + factor.shift * np.eye(factor.v.shape[0])
+
+
 class TestNormalMatrix:
     def test_scalar_case(self):
         geometry = AcquisitionGeometry(
@@ -197,14 +200,14 @@ class TestNormalMatrix:
         )
         base = BaseSpectraSet.from_spectra(np.ones((1, 1, 1), dtype=complex))
         factor = normal_matrix([SamplePoint(1, (1,))], base, geometry, shift=2.0)
-        np.testing.assert_allclose(factor.matrix, [[3.0]])
+        np.testing.assert_allclose(dense_normal(factor), [[3.0]])
         np.testing.assert_allclose(factor.solve(np.array([3.0])), [1.0])
 
     def test_positive_definite_above_shift(self, rng, small_base, small_geometry):
         for _ in range(5):
             points = random_points(rng, small_geometry, 2)
             factor = normal_matrix(points, small_base, small_geometry, shift=0.3)
-            eigs = np.linalg.eigvalsh(factor.matrix)
+            eigs = np.linalg.eigvalsh(dense_normal(factor))
             assert eigs.min() >= 0.3 - 1e-10
 
     def test_matches_dense_assembly(self, rng, small_base, small_geometry):
@@ -212,7 +215,7 @@ class TestNormalMatrix:
         dense = dense_operator(points, small_base, small_geometry)
         expected = (dense.conj().T @ dense).real + 0.5 * np.eye(32)
         factor = normal_matrix(points, small_base, small_geometry, shift=0.5)
-        np.testing.assert_allclose(factor.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(dense_normal(factor), expected, atol=1e-12)
 
     def test_rejects_nonpositive_shift(self, small_base, small_geometry):
         with pytest.raises(ParameterError):

@@ -130,6 +130,23 @@ class TestOracleSolve:
             assert fm <= 0.5 * (fa + fb) + 1e-12
 
 
+class TestOracleConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", float("nan")), ("tol", float("inf")), ("tol", 0.0),
+            ("tau", float("nan")), ("tau", float("inf")), ("tau", -1.0),
+            ("sigma", float("nan")), ("sigma", float("inf")), ("sigma", 0.0),
+            ("max_iters", 2.5), ("max_iters", True), ("max_iters", 0),
+            ("window", 1.5), ("window", False), ("window", -1),
+        ],
+    )
+    def test_rejects_non_finite_and_non_integer_values(self, field, value):
+        with pytest.raises(ParameterError):
+            OracleConfig(**{field: value})
+        assert OracleConfig(max_iters=np.int64(10), tau=0.5, sigma=0.5).max_iters == 10
+
+
 class TestKktResidual:
     def test_zero_at_scalar_solution(self):
         geometry, base, schedule, signals = scalar_instance(y=2.0)

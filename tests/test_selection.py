@@ -90,7 +90,7 @@ class TestCvRmse:
         geometry, base, schedule, signals, _ = make_instance(rng)
         fold1, fold2 = split_readouts(schedule, signals)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=2000)
-        out = _directional_rmse((1e9, 1e9, 0.0), fold1, fold2, base, geometry, config)
+        out = _directional_rmse(np.array([[1e9, 1e9, 0.0]]), fold1, fold2, base, geometry, config)[0]
         withheld = np.concatenate(
             [fold2.signals.per_frame[m] for m in fold2.schedule.acquired_index_set]
         )
@@ -114,17 +114,17 @@ class TestCvRmse:
         signals = acquire(truth, base, schedule, 0.0, rng_seed=0)
         fold1, _ = split_readouts(schedule, signals)
         config = SolverConfig(rho1=0.5, rho2=1.0, mu=0.5, outer_iters=400)
-        out = _directional_rmse((1e-10, 1e-10, 1e-10), fold1, fold1, base, geometry, config)
+        out = _directional_rmse(np.array([[1e-10, 1e-10, 1e-10]]), fold1, fold1, base, geometry, config)[0]
         assert out < 1e-5
 
     def test_symmetrized_average(self, rng):
         geometry, base, schedule, signals, _ = make_instance(rng)
         fold1, fold2 = split_readouts(schedule, signals)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=100)
-        lambdas = (0.01, 0.01, 0.01)
-        combined = cv_rmse(lambdas, fold1, fold2, base, geometry, config)
-        ab = _directional_rmse(lambdas, fold1, fold2, base, geometry, config)
-        ba = _directional_rmse(lambdas, fold2, fold1, base, geometry, config)
+        lambdas = np.array([[0.01, 0.01, 0.01]])
+        combined = cv_rmse(lambdas, fold1, fold2, base, geometry, config)[0]
+        ab = _directional_rmse(lambdas, fold1, fold2, base, geometry, config)[0]
+        ba = _directional_rmse(lambdas, fold2, fold1, base, geometry, config)[0]
         assert combined == pytest.approx(0.5 * (ab + ba))
 
 
@@ -144,9 +144,9 @@ class TestLockstepSweep:
         combos = CvPlan(grid_x=(1e-3, 1.0), grid_w1=(1e-2, 10.0), grid_w2=(0.1, 5.0)).combinations()
         stacked = cv_rmse(np.array(combos), fold1, fold2, base, geometry, config)
         assert stacked.shape == (len(combos),)
-        single = [cv_rmse(lambdas, fold1, fold2, base, geometry, config) for lambdas in combos]
-        assert all(type(v) is float for v in single)
-        np.testing.assert_allclose(stacked, single, rtol=1e-12)
+        single = [cv_rmse(np.array([lambdas]), fold1, fold2, base, geometry, config) for lambdas in combos]
+        assert all(v.shape == (1,) for v in single)
+        np.testing.assert_allclose(stacked, [v[0] for v in single], rtol=1e-12)
 
     def test_scores_do_not_depend_on_chunk_budget(self, rng, monkeypatch):
         geometry, base, schedule, signals, _ = make_instance(rng, n_frames=10, gaps={3, 4})

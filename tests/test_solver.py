@@ -56,6 +56,20 @@ class TestSolverConfig:
         with pytest.raises(ParameterError):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *((f, v) for f in ("outer_iters", "inner_iters")
+              for v in (2.5, 1.0, float("inf"), True, 0, -3, "2", None)),
+            ("stop_tol", 0.0),
+            ("stop_tol", -1e-3),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_non_positive_tolerance(self, field, value):
+        with pytest.raises(ParameterError):
+            SolverConfig(**{field: value})
+        assert SolverConfig(outer_iters=np.int64(3), inner_iters=1, stop_tol=1e-9).outer_iters == 3
+
 
 class TestSoftThreshold:
     def test_positive(self):
@@ -168,6 +182,27 @@ class TestProjectConstraint:
         np.testing.assert_array_equal(s2, s)
 
 
+def data_free_update(z_m, u_m, alpha_m, beta_m, config):
+    """The x-update of a frame without data: a weighted average, not shrunk.
+
+    The arithmetic of the data-free branch ``update_x_frame`` once had,
+    in the same order; ``alpha_m`` and ``beta_m`` are updated in place.
+    """
+    rho1, mu = config.rho1, config.mu
+    x_m, rhs = np.empty(alpha_m.shape), np.empty(alpha_m.shape)
+    for _ in range(config.inner_iters):
+        np.subtract(z_m, u_m, out=rhs)
+        rhs *= rho1
+        np.subtract(alpha_m, beta_m, out=x_m)
+        x_m *= mu
+        rhs += x_m
+        np.divide(rhs, rho1 + mu, out=x_m)
+        np.add(x_m, beta_m, out=alpha_m)
+        np.subtract(x_m, alpha_m, out=rhs)
+        beta_m += rhs
+    return x_m
+
+
 class TestUpdateXFrame:
     def test_scalar_first_inner_round(self):
         geometry, base, point = scalar_problem()
@@ -184,7 +219,9 @@ class TestUpdateXFrame:
         config = SolverConfig(rho1=0.4, mu=0.7, inner_iters=3)
         alpha = c.copy()
         beta = np.zeros(6)
-        x = update_x_frame(None, None, c.copy(), np.zeros(6), alpha, beta, config)
+        # a data-free frame: zero Re(A^H y), a factor without columns and no shrinkage
+        empty = NormalFactor(np.zeros((6, 0)), config.rho1 + config.mu)
+        x = update_x_frame(np.zeros(6), empty, c.copy(), np.zeros(6), alpha, beta, config, 0.0)
         np.testing.assert_allclose(x, c, atol=1e-14)
         np.testing.assert_allclose(beta, 0.0, atol=1e-14)
 
@@ -232,21 +269,21 @@ class TestUpdateXFrame:
 
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
         expected = np.stack([
-            update_x_frame(
-                aty.get(m), factors.get(m), z[m], u[m], expected_alpha[m], expected_beta[m], config
-            )
-            for m in range(len(counts))
+            data_free_update(z[m], u[m], expected_alpha[m], expected_beta[m], config)
+            if count is None
+            else update_x_frame(aty[m], factors[m], z[m], u[m], expected_alpha[m], expected_beta[m], config)
+            for m, count in enumerate(counts)
         ])
 
         got = np.empty_like(expected)
         acquired = sorted(factors)
         free = [m for m in range(len(counts)) if m not in factors]
-        for rows, aty_rows, factor in (
-            (acquired, np.stack([aty[m] for m in acquired]), stack_factors([factors[m] for m in acquired])),
-            (free, None, None),
+        for rows, aty_rows, factor, lambda_x in (
+            (acquired, np.stack([aty[m] for m in acquired]), stack_factors([factors[m] for m in acquired]), None),
+            (free, np.zeros((len(free), n)), NormalFactor(np.zeros((len(free), n, 0)), shift), 0.0),
         ):
             a, b = alpha[rows], beta[rows]
-            got[rows] = update_x_frame(aty_rows, factor, z[rows], u[rows], a, b, config)
+            got[rows] = update_x_frame(aty_rows, factor, z[rows], u[rows], a, b, config, lambda_x)
             alpha[rows], beta[rows] = a, b
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
@@ -257,7 +294,7 @@ class TestUpdateXFrame:
         config = SolverConfig(lambda_x=0.3, rho1=0.4, mu=0.7, inner_iters=3)
         z, u, alpha, beta = (rng.standard_normal((5, 3, 8)) for _ in range(4))
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
-        expected = update_x_frame(None, None, z, u, expected_alpha, expected_beta, config)
+        expected = data_free_update(z, u, expected_alpha, expected_beta, config)
         empty = NormalFactor(np.zeros((5, 1, 8, 0)), config.rho1 + config.mu)
         x = update_x_frame(
             np.zeros((5, 1, 8)), empty, z, u, alpha, beta, config, np.zeros((5, 3, 1))
@@ -265,15 +302,6 @@ class TestUpdateXFrame:
         np.testing.assert_array_equal(x, expected)
         np.testing.assert_array_equal(alpha, expected_alpha)
         np.testing.assert_array_equal(beta, expected_beta)
-
-    def test_missing_factor_raises(self):
-        config = SolverConfig()
-        from mrsi_cs import MrsiCsError
-
-        with pytest.raises(MrsiCsError):
-            update_x_frame(
-                np.zeros(2), None, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), config
-            )
 
 
 class TestUpdateH:
