@@ -31,6 +31,7 @@ from .configio import (
     parse_geometry,
     parse_phantom_config,
     parse_solver_config,
+    read_schedule,
 )
 from .errors import (
     ConfigError,
@@ -56,7 +57,7 @@ from .model import (
 from .mrst import read_tensor, write_tensor
 from .phantom import acquire as simulate_acquisition
 from .phantom import make_base_spectra, make_phantom
-from .sampling import build_schedule, read_schedule, write_schedule
+from .sampling import build_schedule, write_schedule
 from .selection import COARSE_GRID, PAPER_GRID, CvPlan, grid_search
 from .solver import solve
 
@@ -87,15 +88,22 @@ def _handle_errors(func):
     return wrapper
 
 
-def _finish(outdir: Path, timer: StageTimer, summary: dict, **manifest) -> None:
+def _finish(outdir: Path, timer: StageTimer, outputs: dict, summary: dict, **manifest) -> None:
     """Close the "write" stage, write the run manifest and print the stdout summary.
 
-    The running command's click declaration gives the name, the
-    ``arguments`` (every option under its first flag, ``--paper-grid`` as
-    ``paper_grid``, with the value click resolved) and the ``inputs``
-    (every existing-file option given, in declaration order).
+    ``outputs`` maps each summary key to its output file, or list of
+    files; the summary gives their paths under those keys and the
+    manifest lists the files in that order.  The running command's click
+    declaration gives the name, the ``arguments`` (every option under its
+    first flag, ``--paper-grid`` as ``paper_grid``, with the value click
+    resolved) and the ``inputs`` (every existing-file option given, in
+    declaration order).
     """
     timer.lap("write")
+    files = []
+    for key, value in outputs.items():
+        summary[key] = [str(p) for p in value] if isinstance(value, list) else str(value)
+        files += value if isinstance(value, list) else [value]
     ctx = click.get_current_context()
     arguments, inputs = {}, []
     for param in ctx.command.params:
@@ -104,7 +112,8 @@ def _finish(outdir: Path, timer: StageTimer, summary: dict, **manifest) -> None:
         if isinstance(param.type, click.Path) and param.type.exists and value is not None:
             inputs.append(value)
     command = ctx.command.name
-    write_manifest(outdir, command, timer.timings_s, arguments=arguments, inputs=inputs, **manifest)
+    write_manifest(outdir, command, timer.timings_s, arguments=arguments, inputs=inputs, outputs=files,
+                   **manifest)
     click.echo(json.dumps({"command": command, **summary}, sort_keys=True))
 
 
@@ -176,18 +185,13 @@ def phantom(config_path, out, seed):
     write_tensor(base_path, base.spectra)
 
     _finish(
-        outdir,
-        timer,
+        outdir, timer, {"truth": truth_path, "base": base_path},
         {
-            "truth": str(truth_path),
-            "base": str(base_path),
             "n_frames": config.n_frames,
             "spatial_dims": list(config.geometry.spatial_dims),
             "substances": list(config.labels),
         },
-        config=doc,
-        seeds={"rng_seed": config.rng_seed},
-        outputs=[truth_path, base_path],
+        config=doc, seeds={"rng_seed": config.rng_seed},
     )
 
 
@@ -208,17 +212,9 @@ def design(config_path, out):
     write_schedule(schedule_path, schedule)
 
     _finish(
-        outdir,
-        timer,
-        {
-            "schedule": str(schedule_path),
-            "n_frames": schedule.n_frames,
-            "n_acquired": schedule.n_acquired,
-            "psi": config.psi,
-        },
-        config=doc,
-        seeds={"sobol_skip": config.skip},
-        outputs=[schedule_path],
+        outdir, timer, {"schedule": schedule_path},
+        {"n_frames": schedule.n_frames, "n_acquired": schedule.n_acquired, "psi": config.psi},
+        config=doc, seeds={"sobol_skip": config.skip},
     )
 
 
@@ -258,16 +254,9 @@ def acquire(config_path, schedule_path, truth_path, base_path, out, seed):
     write_tensor(signals_path, signals.concatenated(schedule))
 
     _finish(
-        outdir,
-        timer,
-        {
-            "signals": str(signals_path),
-            "n_acquired": schedule.n_acquired,
-            "noise_sigma": config.noise_sigma,
-        },
-        config=doc,
-        seeds={"rng_seed": config.rng_seed},
-        outputs=[signals_path],
+        outdir, timer, {"signals": signals_path},
+        {"n_acquired": schedule.n_acquired, "noise_sigma": config.noise_sigma},
+        config=doc, seeds={"rng_seed": config.rng_seed},
     )
 
 
@@ -288,7 +277,7 @@ def _reconstruction_options(func):
 
 def _load_reconstruction_inputs(config_path, schedule_path, signals_path, base_path):
     doc = load_json(config_path)
-    geometry = parse_geometry(doc.get("geometry", doc), "geometry")
+    geometry = parse_geometry(doc)
     schedule = read_schedule(schedule_path)
     base = _load_base(base_path)
     vector = read_tensor(signals_path)
@@ -333,16 +322,9 @@ def reconstruct(
     residuals.write_csv(residual_path)
 
     _finish(
-        outdir,
-        timer,
-        {
-            "recon": str(recon_path),
-            "residuals": str(residual_path),
-            "iterations": len(residuals),
-            "final_rms_x_minus_z": residuals.rms_x_minus_z[-1],
-        },
-        config={"geometry": doc.get("geometry", {}), "solver": dataclasses.asdict(solver_config)},
-        outputs=[recon_path, residual_path],
+        outdir, timer, {"recon": recon_path, "residuals": residual_path},
+        {"iterations": len(residuals), "final_rms_x_minus_z": residuals.rms_x_minus_z[-1]},
+        config={"geometry": doc["geometry"], "solver": dataclasses.asdict(solver_config)},
     )
 
 
@@ -359,9 +341,10 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
     doc, geometry, schedule, base, signals = _load_reconstruction_inputs(
         config_path, schedule_path, signals_path, base_path
     )
-    solver_doc = dict(doc.get("solver", {}))
-    solver_doc.setdefault("outer_iters", 200)  # ranking needs less polish than the final fit
+    solver_doc = doc.get("solver", {})
     solver_config = parse_solver_config(solver_doc, outer_iters=iters)
+    if iters is None and "outer_iters" not in solver_doc:  # ranking needs less polish than the final fit
+        solver_config = dataclasses.replace(solver_config, outer_iters=200)
     grid = PAPER_GRID if paper_grid else COARSE_GRID
     plan = CvPlan(grid_x=grid, grid_w1=grid, grid_w2=grid, base_config=solver_config)
     timer.lap("load")
@@ -384,18 +367,9 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
     )
 
     _finish(
-        outdir,
-        timer,
-        {
-            "table": str(table_path),
-            "selected": str(selected_path),
-            "lambda_x": best[0],
-            "lambda_w1": best[1],
-            "lambda_w2": best[2],
-            "combinations": len(table),
-        },
+        outdir, timer, {"table": table_path, "selected": selected_path},
+        {"lambda_x": best[0], "lambda_w1": best[1], "lambda_w2": best[2], "combinations": len(table)},
         config={"grid": list(grid), "solver": dataclasses.asdict(solver_config)},
-        outputs=[table_path, selected_path],
     )
 
 
@@ -465,14 +439,7 @@ def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
             snapshot_paths.append(path)
 
     _finish(
-        outdir,
-        timer,
-        {
-            "metrics": str(metrics_path),
-            "profiles": str(profiles_path),
-            "snapshots": [str(p) for p in snapshot_paths],
-        },
-        outputs=[metrics_path, profiles_path, *snapshot_paths],
+        outdir, timer, {"metrics": metrics_path, "profiles": profiles_path, "snapshots": snapshot_paths}, {}
     )
 
 

@@ -16,7 +16,7 @@ conjugate transpose with no extra scaling.
 The solver's normal matrices Re(A^H A) + shift*I are kept in low-rank
 form (:class:`NormalFactor`): one sampled point contributes a rank-2J
 term, so a frame's solve needs only a small inverse (Woodbury identity),
-and many frames' factors stack into one batch (:func:`stack_factors`).
+and many frames' factors stack into one batch (:meth:`FactorizationCache.stack`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "normal_matrix",
     "NormalFactor",
     "FactorTables",
-    "stack_factors",
     "FactorizationCache",
 ]
 
@@ -62,7 +61,6 @@ class AcquisitionGeometry:
     spatial_dims: tuple[int, ...]
     spectral_evolution_points: int
     readout_points: int
-    frame_interval_s: float = 4.0
 
     def __post_init__(self):
         object.__setattr__(self, "spatial_dims", tuple(int(d) for d in self.spatial_dims))
@@ -70,10 +68,6 @@ class AcquisitionGeometry:
             raise ParameterError("spatial_dims must be positive integers")
         if self.spectral_evolution_points < 1 or self.readout_points < 1:
             raise ParameterError("spectral axis lengths must be >= 1")
-        if not (math.isfinite(self.frame_interval_s) and self.frame_interval_s > 0):
-            raise ParameterError(
-                f"frame_interval_s must be finite and > 0, got {self.frame_interval_s}"
-            )
 
     @property
     def n_voxels(self) -> int:
@@ -460,10 +454,10 @@ class NormalFactor:
 
         (shift*I + V V^T)^-1 rhs = (rhs - V K^-1 V^T rhs) / shift.
 
-    Both arrays may carry leading axes (see :func:`stack_factors`);
+    Both arrays may carry leading axes (see :meth:`FactorizationCache.stack`);
     ``solve`` then takes right-hand sides that broadcast against them.
     The products run fastest with each column of V contiguous in memory,
-    the layout :func:`normal_matrix` and :func:`stack_factors` build.
+    the layout :func:`normal_matrix` and :meth:`FactorizationCache.stack` build.
     """
 
     def __init__(self, v: np.ndarray, shift: float, k_inv: np.ndarray | None = None):
@@ -529,24 +523,6 @@ def normal_matrix(
     return NormalFactor(np.concatenate(blocks).T, shift)
 
 
-def stack_factors(factors: Sequence[NormalFactor]) -> NormalFactor:
-    """One factor with a leading frame axis over per-frame factors of one shift.
-
-    Frames with fewer points get zero columns in V (and the matching
-    1/shift block in K^-1), which leaves their solves unchanged.
-    """
-    shift = factors[0].shift
-    width = max(f.v.shape[-1] for f in factors)
-    vt = np.zeros((len(factors), width, factors[0].v.shape[0]))
-    k_inv = np.zeros((len(factors), width, width))
-    k_inv[:, np.arange(width), np.arange(width)] = 1.0 / shift
-    for i, f in enumerate(factors):
-        r = f.v.shape[-1]
-        vt[i, :r] = f.v.T
-        k_inv[i, :r, :r] = f.k_inv
-    return NormalFactor(vt.swapaxes(1, 2), shift, k_inv)
-
-
 class FactorizationCache:
     """Store of :class:`NormalFactor` objects of one shift, keyed by a frame's point tuple.
 
@@ -574,3 +550,24 @@ class FactorizationCache:
 
     def __len__(self) -> int:
         return len(self._store)
+
+    def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None]) -> NormalFactor:
+        """One factor over a schedule's frames, laid out (frame, 1, N*J, width).
+
+        The unit axis broadcasts over the rows of (frame, row, N*J)
+        iterates.  Each frame's factor comes from :meth:`get`.  Frames
+        with fewer columns get zero columns in V and the matching 1/shift
+        block in K^-1, which leaves their solves unchanged; a data-free
+        (``None``) frame has no columns, so its solve is rhs / shift.
+        """
+        factors = {m: self.get(points) for m, points in enumerate(frames) if points is not None}
+        width = max((f.v.shape[-1] for f in factors.values()), default=0)
+        n_unknown = self.geometry.n_voxels * self.base.n_substances
+        vt = np.zeros((len(frames), 1, width, n_unknown))
+        k_inv = np.zeros((len(frames), 1, width, width))
+        k_inv[..., np.arange(width), np.arange(width)] = 1.0 / self.shift
+        for m, f in factors.items():
+            r = f.v.shape[-1]
+            vt[m, 0, :r] = f.v.T
+            k_inv[m, 0, :r, :r] = f.k_inv
+        return NormalFactor(vt.swapaxes(-1, -2), self.shift, k_inv)

@@ -115,6 +115,8 @@ class PhantomConfig:
             raise ParameterError("n_frames must be >= 1")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.rng_seed < 0:  # numpy's generators take no negative seed
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for sub in self.substances:
             for voxel in sub.region:
                 if len(voxel) != len(self.geometry.spatial_dims):

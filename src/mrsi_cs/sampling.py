@@ -52,9 +52,7 @@ __all__ = [
     "spectral_index_transform",
     "build_schedule",
     "schedule_to_json",
-    "schedule_from_json",
     "write_schedule",
-    "read_schedule",
 ]
 
 
@@ -70,6 +68,7 @@ class SamplerConfig:
     ``dims`` lists the undersampled axis sizes, spectral evolution axis
     first, then the spatial axes.  ``gap_spec`` inserts acquisition-free
     frame runs as (start_frame, length) pairs in final frame numbering.
+    ``frame_interval_s`` passes to the schedule, which checks it.
     """
 
     n_points: int
@@ -77,6 +76,7 @@ class SamplerConfig:
     psi: float | None = None
     skip: int = 0
     gap_spec: tuple[tuple[int, int], ...] = ()
+    frame_interval_s: float = 4.0
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -215,7 +215,7 @@ def build_schedule(config: SamplerConfig, geometry: AcquisitionGeometry) -> Samp
         else:
             frames.append((SamplePoint(spectral[cursor], spatial[cursor]),))
             cursor += 1
-    return SamplingSchedule(frames=tuple(frames), frame_interval_s=geometry.frame_interval_s)
+    return SamplingSchedule(frames=tuple(frames), frame_interval_s=config.frame_interval_s)
 
 
 def schedule_to_json(schedule: SamplingSchedule) -> str:
@@ -236,36 +236,5 @@ def schedule_to_json(schedule: SamplingSchedule) -> str:
     return json.dumps(doc, indent=1, sort_keys=True)
 
 
-def schedule_from_json(text: str) -> SamplingSchedule:
-    try:
-        doc = json.loads(text)
-        m_total = int(doc["M"])
-        interval = float(doc["frame_interval_s"])
-        frames: list[list[SamplePoint] | None] = [None] * m_total
-        for entry in doc["frames"]:
-            m = int(entry["m"])
-            if not 0 <= m < m_total:
-                raise ConfigError(f"frame index {m} outside [0, {m_total})")
-            if entry.get("gap"):
-                continue
-            point = entry.get("point")
-            if point is None:
-                raise ConfigError(f"frame {m} has neither gap nor point")
-            sp = SamplePoint(int(point["spectral"]), tuple(int(c) for c in point["k"]))
-            if frames[m] is None:
-                frames[m] = []
-            frames[m].append(sp)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed schedule document: {exc!r}") from exc
-    return SamplingSchedule(
-        frames=tuple(None if f is None else tuple(f) for f in frames),
-        frame_interval_s=interval,
-    )
-
-
 def write_schedule(path: str | Path, schedule: SamplingSchedule) -> None:
     Path(path).write_text(schedule_to_json(schedule) + "\n")
-
-
-def read_schedule(path: str | Path) -> SamplingSchedule:
-    return schedule_from_json(Path(path).read_text())

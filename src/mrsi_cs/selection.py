@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -114,9 +114,8 @@ def split_readouts(schedule: SamplingSchedule, signals: SignalSet) -> tuple[Fold
         frames = tuple(
             f if (f is None or m in keep) else None for m, f in enumerate(schedule.frames)
         )
-        sub_schedule = SamplingSchedule(frames=frames, frame_interval_s=schedule.frame_interval_s)
         sub_signals = SignalSet(per_frame={m: signals.per_frame[m] for m in sorted(keep)})
-        folds.append(Fold(sub_schedule, sub_signals))
+        folds.append(Fold(replace(schedule, frames=frames), sub_signals))
     return folds[0], folds[1]
 
 

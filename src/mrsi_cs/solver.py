@@ -59,7 +59,6 @@ from .model import (
     apply_adjoint,
     apply_forward,
     base_check,
-    stack_factors,
 )
 
 __all__ = [
@@ -323,7 +322,7 @@ def update_x_frame(
     ``beta_m`` are updated in place; the new x_m is returned.
 
     Every array may carry a leading frame axis, with ``factor`` stacked
-    to match (:func:`~mrsi_cs.model.stack_factors`).  ``lambda_x``
+    to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  ``lambda_x``
     replaces ``config.lambda_x`` and must be >= 0 (:func:`solve` checks
     its weights once); as an array it broadcasts against the iterates,
     e.g. shape (M, C, 1) for one weight per frame and row of (frame, C,
@@ -443,14 +442,9 @@ def solve(
     # every frame joins one x-update batch: a data-free frame has a zero Re(A^H y) and a factor
     # without columns, whose solve is rhs / shift, and later a zero l1 threshold
     aty = np.zeros((m_total, n_unknown))
-    no_data = NormalFactor(np.zeros((n_unknown, 0)), shift)
-    factors = [no_data] * m_total
     for m in acquired:
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
-        factors[m] = cache.get(schedule.frames[m])
-    stacked = stack_factors(factors)
-    # a unit row axis lets the per-frame arrays broadcast over (frame, row, N*J) iterates
-    factor = NormalFactor(stacked.v[:, None], stacked.shift, stacked.k_inv[:, None])
+    factor = cache.stack(schedule.frames)
     has_data = np.zeros(m_total, dtype=bool)
     has_data[list(acquired)] = True
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None

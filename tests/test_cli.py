@@ -332,6 +332,103 @@ class TestInputBoundary:
         assert not out.exists()
 
 
+def replaced(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and list indices) set to ``value``.
+
+    An empty path replaces the whole document.
+    """
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return doc
+
+
+class TestTypedFields:
+    """Every config and schedule field is read with its JSON type: a malformed one exits 2, naming it."""
+
+    @staticmethod
+    def invoke(runner, tmp_path, command, document, path, value):
+        """Run ``command`` on the tiny pipeline's inputs with one field of one document replaced."""
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        docs = {
+            "phantom": TINY_PHANTOM,
+            "design": TINY_DESIGN,
+            "schedule": json.loads(Path(design_out["schedule"]).read_text()),
+        }
+        bad = write_config(tmp_path / "bad.json", replaced(docs[document], path, value))
+        out = tmp_path / "out"
+        if command in ("phantom", "design"):
+            args = [command, "--config", bad, "--out", str(out)]
+        elif command == "acquire":
+            args = ["acquire", "--config", bad, "--schedule", design_out["schedule"],
+                    "--truth", phantom_out["truth"], "--base", phantom_out["base"], "--out", str(out)]
+        else:
+            args = reconstruct_args(
+                bad if document == "phantom" else config, acquire_out["signals"],
+                bad if document == "schedule" else design_out["schedule"], phantom_out["base"], str(out),
+            )
+            args[0] = command
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert not out.exists()
+        return result.output
+
+    @pytest.mark.parametrize(
+        "command, document, path, value, field",
+        [
+            ("phantom", "phantom", ("substances",), [5], "substances[0]"),
+            ("reconstruct", "phantom", ("solver",), [1], "solver"),
+            ("cv", "phantom", ("solver",), "ab", "solver"),
+            ("reconstruct", "schedule", ("M",), 10**10, "schedule.M"),
+            ("acquire", "phantom", ("rng_seed",), -1, "rng_seed"),
+        ],
+        ids=[
+            "substance-not-object", "solver-list", "solver-string", "schedule-count-beyond-entries",
+            "negative-seed",
+        ],
+    )
+    def test_value_that_raised_a_traceback_exits_2(self, runner, tmp_path, command, document, path, value, field):
+        assert field in self.invoke(runner, tmp_path, command, document, path, value)
+
+    @pytest.mark.parametrize(
+        "command, document, path, value, field",
+        [
+            ("phantom", "phantom", ("n_frames",), 12.9, "n_frames"),
+            ("phantom", "phantom", ("geometry", "spatial_dims"), "22", "geometry.spatial_dims"),
+            ("phantom", "phantom", ("geometry", "spectral_evolution_points"), True,
+             "geometry.spectral_evolution_points"),
+            ("phantom", "phantom", ("substances", 0, "region", 1), [1.5, 0], "substances[0].region[1][0]"),
+            ("phantom", "phantom", ("substances", 0, "label"), None, "substances[0].label"),
+            ("design", "design", ("psi",), "0.5", "psi"),
+            ("design", "design", ("n_points",), 10.6, "n_points"),
+            ("design", "design", ("dims",), [2.2, 2, 2], "dims[0]"),
+            ("design", "design", ("skip",), 1.5, "skip"),
+            ("reconstruct", "phantom", ("solver",), {"lambda_x": True}, "solver.lambda_x"),
+            ("reconstruct", "schedule", ("M",), 12.5, "schedule.M"),
+            ("reconstruct", "schedule", ("frames", 0, "point", "spectral"), 1.9,
+             "schedule.frames[0].point.spectral"),
+            ("reconstruct", "schedule", ("frames", 4), {"m": 5, "gap": True}, "frames [4]"),
+        ],
+        ids=[
+            "fractional-frames", "digit-string-dims", "boolean-count", "fractional-voxel", "null-label",
+            "string-psi", "fractional-points", "fractional-dims", "fractional-skip", "boolean-weight",
+            "fractional-schedule-count", "fractional-spectral-index", "unlisted-frame",
+        ],
+    )
+    def test_value_that_was_misread_exits_2(self, runner, tmp_path, command, document, path, value, field):
+        assert field in self.invoke(runner, tmp_path, command, document, path, value)
+
+    @pytest.mark.parametrize("command", ["reconstruct", "cv"])
+    def test_config_without_geometry_section_exits_2(self, runner, tmp_path, command):
+        # a bare geometry document once ran as if it were the geometry section
+        output = self.invoke(runner, tmp_path, command, "phantom", (), TINY_PHANTOM["geometry"])
+        assert "missing required field geometry" in output
+
+
 class TestRetiredSignConvention:
     @pytest.mark.parametrize("command", ["phantom", "acquire", "reconstruct", "cv"])
     def test_inverse_convention_exits_2_before_writing(self, runner, tmp_path, command):

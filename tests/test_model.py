@@ -15,7 +15,7 @@ from mrsi_cs import (
     dft_spatial,
     dft_spectral,
 )
-from mrsi_cs.model import FactorizationCache, normal_matrix, stack_factors
+from mrsi_cs.model import FactorizationCache, normal_matrix
 from conftest import random_points
 
 
@@ -223,16 +223,18 @@ class TestNormalMatrix:
 
     def test_stacked_mixed_point_counts_match_dense_solves(self, rng, small_base, small_geometry):
         shift = 0.2
-        frames = [random_points(rng, small_geometry, count) for count in (1, 2, 3, 1)]
-        stacked = stack_factors(
-            [normal_matrix(p, small_base, small_geometry, shift) for p in frames]
-        )
-        assert stacked.v.shape == (4, 32, 12)  # 2J columns per point, padded to 3 points
-        rhs = rng.standard_normal((4, 32))
-        got = stacked.solve(rhs)
-        for points, b, x in zip(frames, rhs, got):
-            dense = dense_operator(points, small_base, small_geometry)
-            expected = np.linalg.solve((dense.conj().T @ dense).real + shift * np.eye(32), b)
+        frames = [tuple(random_points(rng, small_geometry, count)) for count in (1, 2, 3, 1)]
+        frames.insert(2, None)  # a data-free frame
+        stacked = FactorizationCache(small_base, small_geometry, shift).stack(frames)
+        assert stacked.v.shape == (5, 1, 32, 12)  # 2J columns per point, padded to 3 points
+        rhs = rng.standard_normal((5, 1, 32))
+        got = stacked.solve(rhs)[:, 0]
+        for points, b, x in zip(frames, rhs[:, 0], got):
+            gram = 0.0
+            if points is not None:
+                dense = dense_operator(points, small_base, small_geometry)
+                gram = (dense.conj().T @ dense).real
+            expected = np.linalg.solve(gram + shift * np.eye(32), b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -268,17 +270,9 @@ class TestTypes:
         with pytest.raises(ParameterError):
             AcquisitionGeometry(spatial_dims=(0,), spectral_evolution_points=1, readout_points=1)
         with pytest.raises(ParameterError):
-            AcquisitionGeometry(
-                spatial_dims=(4,), spectral_evolution_points=1, readout_points=1,
-                frame_interval_s=0.0,
-            )
+            SamplingSchedule(frames=(None,), frame_interval_s=0.0)
 
     @pytest.mark.parametrize("interval", [float("inf"), float("-inf"), float("nan")])
     def test_frame_interval_must_be_finite(self, interval):
-        with pytest.raises(ParameterError, match="finite"):
-            AcquisitionGeometry(
-                spatial_dims=(4,), spectral_evolution_points=1, readout_points=1,
-                frame_interval_s=interval,
-            )
         with pytest.raises(ParameterError, match="finite"):
             SamplingSchedule(frames=(None,), frame_interval_s=interval)

@@ -17,11 +17,11 @@ from mrsi_cs import (
     sobol_sequence,
     spectral_index_transform,
 )
+from mrsi_cs.configio import schedule_from_json
 from mrsi_cs.sampling import (
     SOBOL_MAX_DIM,
     SOBOL_MAX_POINTS,
     _JOE_KUO,
-    schedule_from_json,
     schedule_to_json,
 )
 

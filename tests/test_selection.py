@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,8 +76,10 @@ class TestSplitReadouts:
 
     def test_frame_axis_is_preserved(self, rng):
         geometry, base, schedule, signals, _ = make_instance(rng)
-        fold1, _ = split_readouts(schedule, signals)
-        assert fold1.schedule.n_frames == schedule.n_frames
+        schedule = replace(schedule, frame_interval_s=2.5)  # not the default
+        for fold in split_readouts(schedule, signals):
+            assert fold.schedule.n_frames == schedule.n_frames
+            assert fold.schedule.frame_interval_s == 2.5
 
     def test_single_readout_rejected(self, rng):
         geometry, base, schedule, signals, _ = make_instance(rng, n_frames=1)

@@ -23,7 +23,7 @@ from mrsi_cs import (
     solve,
     update_h,
 )
-from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix, stack_factors
+from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix
 from mrsi_cs.solver import ResidualLog, SolverConfig, update_x_frame
 from conftest import random_points, random_schedule
 
@@ -260,31 +260,24 @@ class TestUpdateXFrame:
         counts = (1, None, 3, 2, None, 1)  # points per frame; None marks a data-free frame
         n = 32
         z, u, alpha, beta = (rng.standard_normal((len(counts), n)) for _ in range(4))
-        aty, factors = {}, {}
-        for m, count in enumerate(counts):
-            if count is not None:
-                points = random_points(rng, small_geometry, count)
-                factors[m] = normal_matrix(points, small_base, small_geometry, shift)
-                aty[m] = rng.standard_normal(n)
+        frames = [None if c is None else tuple(random_points(rng, small_geometry, c)) for c in counts]
+        aty = np.array([np.zeros(n) if f is None else rng.standard_normal(n) for f in frames])
+        cache = FactorizationCache(small_base, small_geometry, shift)
 
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
         expected = np.stack([
             data_free_update(z[m], u[m], expected_alpha[m], expected_beta[m], config)
-            if count is None
-            else update_x_frame(aty[m], factors[m], z[m], u[m], expected_alpha[m], expected_beta[m], config)
-            for m, count in enumerate(counts)
+            if points is None
+            else update_x_frame(aty[m], cache.get(points), z[m], u[m], expected_alpha[m], expected_beta[m], config)
+            for m, points in enumerate(frames)
         ])
 
-        got = np.empty_like(expected)
-        acquired = sorted(factors)
-        free = [m for m in range(len(counts)) if m not in factors]
-        for rows, aty_rows, factor, lambda_x in (
-            (acquired, np.stack([aty[m] for m in acquired]), stack_factors([factors[m] for m in acquired]), None),
-            (free, np.zeros((len(free), n)), NormalFactor(np.zeros((len(free), n, 0)), shift), 0.0),
-        ):
-            a, b = alpha[rows], beta[rows]
-            got[rows] = update_x_frame(aty_rows, factor, z[rows], u[rows], a, b, config, lambda_x)
-            alpha[rows], beta[rows] = a, b
+        # one batch over every frame, as solve runs it: a zero l1 threshold on data-free frames
+        lambda_x = np.array([0.0 if f is None else config.lambda_x for f in frames])[:, None, None]
+        got = update_x_frame(
+            aty[:, None], cache.stack(frames), z[:, None], u[:, None], alpha[:, None], beta[:, None],
+            config, lambda_x,
+        )[:, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(beta, expected_beta, rtol=1e-12, atol=1e-14)
