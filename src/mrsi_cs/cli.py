@@ -4,17 +4,16 @@ Each command reads JSON configuration and MRST tensors, writes its
 products plus a run manifest into ``--out``, prints a machine-readable
 summary to stdout and diagnostics to stderr.  The manifest's command
 name, arguments and inputs come from the command's click declaration
-(see :func:`_finish`).  Exit codes: 2 for configuration problems, 3 for
-shape/schedule mismatches, 4 for solver divergence.  Verbosity is
-controlled by the MRSI_CS_LOG environment variable (error, info or
-debug).
+(see :func:`_finish`).  A package error exits with its class's
+``exit_code`` (see :mod:`mrsi_cs.errors`), and sizes that do not fit in
+memory exit 2.  Verbosity is controlled by the MRSI_CS_LOG environment
+variable (error, info or debug).
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import logging
 import os
@@ -33,14 +32,7 @@ from .configio import (
     parse_solver_config,
     read_schedule,
 )
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    MrsiCsError,
-    ParameterError,
-    ScheduleError,
-    ShapeError,
-)
+from .errors import ConfigError, MrsiCsError, ShapeError
 from .evaluate import (
     max_normalize,
     substance_metrics,
@@ -62,30 +54,6 @@ from .selection import COARSE_GRID, PAPER_GRID, CvPlan, grid_search
 from .solver import solve
 
 logger = logging.getLogger(__name__)
-
-_EXIT_CODES = (
-    (DivergenceError, 4),
-    (ShapeError, 3),
-    (ScheduleError, 3),
-    (ConfigError, 2),
-    (ParameterError, 2),
-    (MrsiCsError, 1),
-)
-
-
-def _handle_errors(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except MrsiCsError as exc:
-            for cls, code in _EXIT_CODES:
-                if isinstance(exc, cls):
-                    logger.error("%s: %s", type(exc).__name__, exc)
-                    sys.exit(code)
-            raise
-
-    return wrapper
 
 
 def _finish(outdir: Path, timer: StageTimer, outputs: dict, summary: dict, **manifest) -> None:
@@ -149,7 +117,21 @@ def _load_base(path: str) -> BaseSpectraSet:
     return BaseSpectraSet.from_spectra(tensor)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: a package error ends any command with its class's exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MrsiCsError as exc:
+            logger.error("%s: %s", type(exc).__name__, exc)
+            sys.exit(exc.exit_code)
+        except MemoryError as exc:
+            logger.error("the configured sizes do not fit in memory (%s)", exc)
+            sys.exit(2)
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="mrsi-cs")
 def main():
     level = os.environ.get("MRSI_CS_LOG", "info").lower()
@@ -166,7 +148,6 @@ def main():
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the configured rng seed.")
-@_handle_errors
 def phantom(config_path, out, seed):
     """Generate ground truth and base spectra from a phantom configuration."""
     timer = StageTimer()
@@ -198,7 +179,6 @@ def phantom(config_path, out, seed):
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-@_handle_errors
 def design(config_path, out):
     """Build the undersampling schedule from a sampler configuration."""
     timer = StageTimer()
@@ -225,7 +205,6 @@ def design(config_path, out):
 @click.option("--base", "base_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the configured rng seed.")
-@_handle_errors
 def acquire(config_path, schedule_path, truth_path, base_path, out, seed):
     """Simulate the noisy undersampled acquisition of a ground-truth phantom."""
     timer = StageTimer()
@@ -292,7 +271,6 @@ def _load_reconstruction_inputs(config_path, schedule_path, signals_path, base_p
 @click.option("--lambda-x", type=float, default=None)
 @click.option("--lambda-w1", type=float, default=None)
 @click.option("--lambda-w2", type=float, default=None)
-@_handle_errors
 def reconstruct(
     config_path, signals_path, schedule_path, base_path, out, iters, inner_iters,
     lambda_x, lambda_w1, lambda_w2,
@@ -334,7 +312,6 @@ def reconstruct(
 @click.option("--threads", type=click.IntRange(min=1), default=1,
               help="Accepted for compatibility; has no effect (the sweep runs on one thread).")
 @click.option("--iters", type=int, default=None, help="Outer iterations per CV solve.")
-@_handle_errors
 def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, threads, iters):
     """Select regularization weights by 2-fold cross validation."""
     timer = StageTimer()
@@ -381,7 +358,6 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
               help="Phantom configuration supplying substance labels.")
 @click.option("--frames", default=None, help="Comma-separated snapshot frame indices.")
 @click.option("--upsample", type=click.IntRange(min=1), default=1, help="Integer nearest-neighbor upscaling.")
-@_handle_errors
 def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
     """Compare a reconstruction against ground truth and export summaries."""
     timer = StageTimer()

@@ -1,10 +1,14 @@
 """JSON configuration and schedule parsing for the command-line front end.
 
-Every field is read through one typed check: an integer must be a JSON
-integer, a number a finite JSON number (neither may be a boolean or a
-string), and a list or an object must be one.  Every parse failure
-raises :class:`ConfigError` whose message names the dotted path of the
-offending field, which the CLI reports verbatim.
+A config dataclass is read from a JSON object by its field annotations
+alone: ``int`` takes a JSON integer and ``float`` a finite number
+(neither a boolean nor a string), ``str`` a string, ``tuple[X, ...]`` a
+list of X and ``tuple[X, Y]`` a list of exactly two, ``X | None`` also
+null, and a nested dataclass an object read the same way.  An absent
+field takes the dataclass default.  The parsers below add only what no
+annotation says.  Every parse failure raises :class:`ConfigError` whose
+message names the dotted path of the offending field, which the CLI
+reports verbatim.
 """
 
 from __future__ import annotations
@@ -13,12 +17,14 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
 from .model import AcquisitionGeometry, SamplePoint, SamplingSchedule
-from .phantom import ConstantProfile, Peak, PhantomConfig, RampProfile, SubstanceSpec
+from .phantom import ConstantProfile, PhantomConfig, RampProfile
 from .sampling import SamplerConfig
 from .solver import SolverConfig
 
@@ -38,23 +44,18 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", st
 
 
 def load_json(path: str | Path) -> dict:
+    """The top-level object of the UTF-8 JSON file at ``path``."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
+        raise ConfigError(f"{path}: cannot be read as UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return doc
 
 
-def _typed(value: Any, kind: type | list, field: str) -> Any:
-    """``value`` checked as a JSON value of ``kind``; a number comes back as a float.
-
-    ``kind`` is one of the types in ``_KINDS``, or a one-item list
-    ``[kind]`` for a list whose items all have that kind.
-    """
-    if isinstance(kind, list):
-        return [_typed(v, kind[0], f"{field}[{i}]") for i, v in enumerate(_typed(value, list, field))]
+def _typed(value: Any, kind: type, field: str) -> Any:
+    """``value`` checked as a JSON value of ``kind``, one of ``_KINDS``; a number comes back as a float."""
     accepted = (int, float) if kind is float else kind
     ok = isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
     if ok and kind is float:
@@ -65,14 +66,69 @@ def _typed(value: Any, kind: type | list, field: str) -> Any:
     return value
 
 
-def _get(doc: dict, key: str, path: str, kind: type | list, default: Any = ...) -> Any:
-    """``doc[key]`` checked as ``kind``; ``default`` when the key is absent and a default is given."""
+def _read(value: Any, hint: Any, field: str) -> Any:
+    """``value`` read as a field annotated ``hint``; errors name ``field``."""
+    if hint in _READERS:
+        return _READERS[hint](value, field)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _read(value, args[0], field)
+    if origin is tuple:
+        items = _typed(value, list, field)
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(items)
+        elif len(items) != len(args):
+            raise ConfigError(f"{field} must be a list of {len(args)} items, got {value!r}")
+        return tuple(_read(item, arg, f"{field}[{i}]") for i, (item, arg) in enumerate(zip(items, args)))
+    if dataclasses.is_dataclass(hint):
+        return hint(**_fields(hint, value, field))
+    return _typed(value, hint, field)
+
+
+def _get(doc: dict, key: str, path: str, hint: Any) -> Any:
+    """The required ``doc[key]``, read as ``hint``."""
     field = f"{path}.{key}" if path else key
     if key not in doc:
-        if default is ...:
-            raise ConfigError(f"missing required field {field}")
-        return default
-    return _typed(doc[key], kind, field)
+        raise ConfigError(f"missing required field {field}")
+    return _read(doc[key], hint, field)
+
+
+def _fields(cls: type, doc: Any, path: str, keys: dict[str, str] = {}) -> dict[str, Any]:
+    """The fields of dataclass ``cls`` that the JSON object ``doc`` holds, each read by its annotation.
+
+    ``keys`` maps a field to the document key that holds it, where the
+    two differ.  An absent field is left out, so it takes its default;
+    a field without one is required.
+    """
+    doc = _typed(doc, dict, path)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        key = keys.get(f.name, f.name)
+        if key in doc or f.default is dataclasses.MISSING:
+            values[f.name] = _get(doc, key, path, hints[f.name])
+    return values
+
+
+def _parse_geometry_section(section: Any, path: str) -> AcquisitionGeometry:
+    values = _fields(AcquisitionGeometry, section, path)
+    # the transforms are the forward unitary DFT; a document asking for another sign is refused
+    convention = section.get("dft_sign_convention", "forward")
+    if convention != "forward":
+        raise ConfigError(f"{path}.dft_sign_convention must be 'forward', got {convention!r}")
+    return AcquisitionGeometry(**values)
+
+
+def _parse_profile(doc: Any, path: str) -> RampProfile | ConstantProfile:
+    doc = _typed(doc, dict, path)
+    for tag, cls in (("ramp", RampProfile), ("constant", ConstantProfile)):
+        if tag in doc:
+            return _read(doc[tag], cls, f"{path}.{tag}")
+    raise ConfigError(f"{path} must contain 'ramp' or 'constant'")
+
+
+# the readers of the annotations whose JSON form the annotation does not say
+_READERS = {AcquisitionGeometry: _parse_geometry_section, RampProfile | ConstantProfile: _parse_profile}
 
 
 def parse_geometry(doc: dict) -> AcquisitionGeometry:
@@ -81,89 +137,18 @@ def parse_geometry(doc: dict) -> AcquisitionGeometry:
     The section's ``frame_interval_s``, if any, is not read: frame
     timing belongs to the schedule.
     """
-    section = _get(doc, "geometry", "", dict)
-    # the transforms are the forward unitary DFT; a document asking for another sign is refused
-    convention = _get(section, "dft_sign_convention", "geometry", str, "forward")
-    if convention != "forward":
-        raise ConfigError(f"geometry.dft_sign_convention must be 'forward', got {convention!r}")
-    return AcquisitionGeometry(
-        spatial_dims=tuple(_get(section, "spatial_dims", "geometry", [int])),
-        spectral_evolution_points=_get(section, "spectral_evolution_points", "geometry", int),
-        readout_points=_get(section, "readout_points", "geometry", int),
-    )
-
-
-def _parse_profile(doc: dict, path: str) -> RampProfile | ConstantProfile:
-    if "ramp" in doc:
-        ramp = _get(doc, "ramp", path, dict)
-        path = f"{path}.ramp"
-        return RampProfile(
-            rate=_get(ramp, "rate", path, float),
-            cap=_get(ramp, "cap", path, float),
-            start_frame=_get(ramp, "start_frame", path, int, 0),
-        )
-    if "constant" in doc:
-        constant = _get(doc, "constant", path, dict)
-        return ConstantProfile(level=_get(constant, "level", f"{path}.constant", float))
-    raise ConfigError(f"{path} must contain 'ramp' or 'constant'")
-
-
-def _parse_peak(doc: dict, path: str) -> Peak:
-    center = _get(doc, "center", path, [float])
-    if len(center) != 2:
-        raise ConfigError(f"{path}.center must be a [evolution, readout] pair")
-    return Peak(
-        center=tuple(center),
-        width=_get(doc, "width", path, float),
-        amplitude=_get(doc, "amplitude", path, float),
-    )
+    return _get(doc, "geometry", "", AcquisitionGeometry)
 
 
 def parse_phantom_config(doc: dict) -> PhantomConfig:
-    geometry = parse_geometry(doc)
-    raw_substances = _get(doc, "substances", "", [dict])
-    if not raw_substances:
-        raise ConfigError("substances must be a non-empty list")
-    substances = []
-    for i, sub in enumerate(raw_substances):
-        path = f"substances[{i}]"
-        peaks = _get(sub, "peaks", path, [dict])
-        substances.append(  # SubstanceSpec refuses an empty region or peak list
-            SubstanceSpec(
-                label=_get(sub, "label", path, str),
-                region=tuple(tuple(voxel) for voxel in _get(sub, "region", path, [[int]])),
-                profile=_parse_profile(_get(sub, "profile", path, dict), f"{path}.profile"),
-                peaks=tuple(_parse_peak(p, f"{path}.peaks[{k}]") for k, p in enumerate(peaks)),
-            )
-        )
-    return PhantomConfig(
-        geometry=geometry,
-        substances=tuple(substances),
-        n_frames=_get(doc, "n_frames", "", int),
-        noise_sigma=_get(doc, "noise_sigma", "", float, 0.0),
-        rng_seed=_get(doc, "rng_seed", "", int, 0),
-    )
+    return _read(doc, PhantomConfig, "")
 
 
 def parse_design_config(doc: dict) -> tuple[SamplerConfig, AcquisitionGeometry]:
-    dims = _get(doc, "dims", "", [int])
-    if len(dims) < 2:
-        raise ConfigError("dims must list the evolution axis and the spatial axes")
-    gaps = _get(doc, "gaps", "", [[int]], [])
-    if any(len(gap) != 2 for gap in gaps):
-        raise ConfigError("gaps must be [start, length] pairs")
-    config = SamplerConfig(
-        n_points=_get(doc, "n_points", "", int),
-        dims=tuple(dims),
-        psi=None if doc.get("psi") is None else _get(doc, "psi", "", float),
-        skip=_get(doc, "skip", "", int, 0),
-        gap_spec=tuple(tuple(gap) for gap in gaps),
-        frame_interval_s=_get(doc, "frame_interval_s", "", float, 4.0),
-    )
+    """The sampler of a design document, whose ``gaps`` hold its ``gap_spec``, and the geometry of its ``dims``."""
+    config = SamplerConfig(**_fields(SamplerConfig, doc, "", keys={"gap_spec": "gaps"}))
     geometry = AcquisitionGeometry(
-        spatial_dims=tuple(dims[1:]),
-        spectral_evolution_points=dims[0],
-        readout_points=_get(doc, "readout_points", "", int, 1),
+        spatial_dims=config.dims[1:], spectral_evolution_points=config.dims[0], readout_points=1
     )
     return config, geometry
 
@@ -171,35 +156,27 @@ def parse_design_config(doc: dict) -> tuple[SamplerConfig, AcquisitionGeometry]:
 def parse_solver_config(doc: dict, **overrides) -> SolverConfig:
     """The ``solver`` section ``doc`` with the non-None ``overrides`` applied over it.
 
-    Counts must be JSON integers and the other fields finite numbers;
-    ``stop_tol`` may also be null.
+    Every field is type-checked before the overrides apply, and the
+    ranges are checked once, on the merged values.
     """
-    fields = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
-    merged = dict(_typed(doc, dict, "solver"))
-    unknown = set(merged) - set(fields)
+    unknown = set(_typed(doc, dict, "solver")) - {f.name for f in dataclasses.fields(SolverConfig)}
     if unknown:
         raise ConfigError(f"unknown solver fields: {sorted(unknown)}")
-    for name, value in merged.items():
-        if not (value is None and fields[name] is None):
-            kind = int if isinstance(fields[name], int) else float
-            merged[name] = _typed(value, kind, f"solver.{name}")
-    merged.update((key, value) for key, value in overrides.items() if value is not None)
-    return SolverConfig(**merged)
+    values = _fields(SolverConfig, doc, "solver")
+    values.update((key, value) for key, value in overrides.items() if value is not None)
+    return SolverConfig(**values)
 
 
-def schedule_from_json(text: str) -> SamplingSchedule:
-    """Parse a schedule document, in which every frame index in [0, M) is listed, as ``design`` writes it.
+def _parse_schedule(doc: Any) -> SamplingSchedule:
+    """A schedule document, in which every frame index in [0, M) is listed, as ``design`` writes it.
 
     A gap entry lists a data-free frame; a frame with one or more point
     entries is acquired at those points.
     """
-    try:
-        doc = _typed(json.loads(text), dict, "schedule")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"schedule: invalid JSON ({exc})") from exc
+    doc = _typed(doc, dict, "schedule")
     m_total = _get(doc, "M", "schedule", int)
     interval = _get(doc, "frame_interval_s", "schedule", float)
-    entries = _get(doc, "frames", "schedule", [dict])
+    entries = _get(doc, "frames", "schedule", tuple[dict, ...])
     # every frame needs an entry, so a count beyond the entries is refused before any per-frame storage
     if not 1 <= m_total <= len(entries):
         raise ConfigError(f"schedule.M must lie in [1, {len(entries)}], the number of entries, got {m_total}")
@@ -211,16 +188,25 @@ def schedule_from_json(text: str) -> SamplingSchedule:
         if not 0 <= m < m_total:
             raise ConfigError(f"{path}.m: frame index {m} outside [0, {m_total})")
         unlisted.discard(m)
-        if _get(entry, "gap", path, bool, False):
+        if _typed(entry.get("gap", False), bool, f"{path}.gap"):
             continue
         point = _get(entry, "point", path, dict)  # an entry that is not a gap holds a point
         spectral = _get(point, "spectral", f"{path}.point", int)
-        points[m].append(SamplePoint(spectral, tuple(_get(point, "k", f"{path}.point", [int]))))
+        points[m].append(SamplePoint(spectral, _get(point, "k", f"{path}.point", tuple[int, ...])))
     if unlisted:
         raise ConfigError(f"schedule lists no entry for frames {sorted(unlisted)[:5]}")
     # a frame without points is a gap
     return SamplingSchedule(frames=tuple(tuple(p) or None for p in points), frame_interval_s=interval)
 
 
+def schedule_from_json(text: str) -> SamplingSchedule:
+    """The schedule of a JSON text, read as :func:`read_schedule` reads a file."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"schedule: invalid JSON ({exc})") from exc
+    return _parse_schedule(doc)
+
+
 def read_schedule(path: str | Path) -> SamplingSchedule:
-    return schedule_from_json(Path(path).read_text())
+    return _parse_schedule(load_json(path))

@@ -1,28 +1,39 @@
 """Exception taxonomy shared across the package.
 
-Every error raised by library code derives from :class:`MrsiCsError` so
-callers (in particular the CLI) can map failure classes to exit codes.
+Every error raised by library code derives from :class:`MrsiCsError`,
+and each class declares the exit code that ends a CLI command it
+escapes from.
 """
 
 
 class MrsiCsError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class ShapeError(MrsiCsError):
     """Array dimensions are inconsistent with the acquisition geometry."""
+
+    exit_code = 3
 
 
 class ScheduleError(MrsiCsError):
     """A sampling schedule refers to indices outside the grid."""
 
+    exit_code = 3
+
 
 class ParameterError(MrsiCsError, ValueError):
     """A scalar parameter is outside its admissible range."""
 
+    exit_code = 2
+
 
 class ConfigError(MrsiCsError):
     """A configuration document is malformed or self-inconsistent."""
+
+    exit_code = 2
 
 
 class DivergenceError(MrsiCsError):
@@ -31,6 +42,8 @@ class DivergenceError(MrsiCsError):
     ``iteration`` records the outer iteration at which the breakdown was
     detected.
     """
+
+    exit_code = 4
 
     def __init__(self, message, iteration):
         super().__init__(message)

@@ -111,6 +111,8 @@ class PhantomConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not self.substances:
+            raise ConfigError("substances must be a non-empty list")
         if self.n_frames < 1:
             raise ParameterError("n_frames must be >= 1")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import mrsi_cs
+from mrsi_cs import ConfigError, DivergenceError, MrsiCsError, ParameterError, ScheduleError, ShapeError
 from mrsi_cs.cli import main
 from mrsi_cs.manifest import sha256_file
 from mrsi_cs.mrst import read_tensor, write_tensor
@@ -41,7 +42,6 @@ TINY_DESIGN = {
     "skip": 0,
     "gaps": [[4, 2]],
     "frame_interval_s": 4.0,
-    "readout_points": 4,
 }
 
 
@@ -331,6 +331,68 @@ class TestInputBoundary:
         assert_clean_exit(runner.invoke(main, args + ["--threads", "-3"]), 2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["phantom", "reconstruct"])
+    def test_file_that_is_not_utf8_exits_2_before_writing(self, runner, tmp_path, command):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        # UTF-16 with its byte-order mark: the file starts with the bytes ff fe
+        source = config if command == "phantom" else design_out["schedule"]
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + Path(source).read_text().encode("utf-16-le"))
+        out = tmp_path / "out"
+        if command == "phantom":
+            args = ["phantom", "--config", str(bad), "--out", str(out)]
+        else:
+            args = reconstruct_args(config, acquire_out["signals"], str(bad), phantom_out["base"], str(out))
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert "utf16.json" in result.output
+        assert not out.exists()
+
+    def test_integer_past_the_digit_limit_exits_2_before_writing(self, runner, tmp_path):
+        # Python refuses to convert an integer literal of more than 4 300 digits
+        config = tmp_path / "digits.json"
+        config.write_text(json.dumps(TINY_PHANTOM).replace('"n_frames": 12', '"n_frames": ' + "9" * 5000))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["phantom", "--config", str(config), "--out", str(out)])
+        assert_clean_exit(result, 2)
+        assert "digits.json" in result.output
+        assert not out.exists()
+
+    def test_sizes_beyond_memory_exit_2_before_writing(self, runner, tmp_path):
+        # 10**15 frames ask numpy for 7 PiB, more than any address space holds, so it refuses at once
+        config = write_config(tmp_path / "phantom.json", {**TINY_PHANTOM, "n_frames": 10**15})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["phantom", "--config", config, "--out", str(out)])
+        assert_clean_exit(result, 2)
+        assert "do not fit in memory" in result.output
+        assert not out.exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (MrsiCsError("injected"), 1),
+            (ConfigError("injected"), 2),
+            (ParameterError("injected"), 2),
+            (ShapeError("injected"), 3),
+            (ScheduleError("injected"), 3),
+            (DivergenceError("injected", iteration=1), 4),
+        ],
+        ids=["package", "config", "parameter", "shape", "schedule", "divergence"],
+    )
+    def test_package_error_exits_with_its_documented_code(self, runner, tmp_path, monkeypatch, error, code):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr("mrsi_cs.cli.make_phantom", fail)
+        config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["phantom", "--config", config, "--out", str(out)])
+        assert_clean_exit(result, code)
+        assert f"{type(error).__name__}: injected" in result.output
+        assert not out.exists()
+
 
 def replaced(doc, path, value):
     """A copy of ``doc`` with the field at ``path`` (keys and list indices) set to ``value``.
@@ -488,6 +550,15 @@ class TestSolverBudgets:
         assert_clean_exit(result, 2)
         assert field in result.output
         assert not out.exists()
+
+    def test_iters_option_replaces_an_out_of_range_section_value(self, runner, tmp_path):
+        # the section is type-checked, the options applied over it, and the ranges checked last
+        _, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        config = write_config(tmp_path / "zero.json", {**TINY_PHANTOM, "solver": {"outer_iters": 0}})
+        args = reconstruct_args(
+            config, acquire_out["signals"], design_out["schedule"], phantom_out["base"], str(tmp_path / "r")
+        )
+        assert run_ok(runner, args)["iterations"] == 3  # reconstruct_args passes --iters 3
 
 
 class TestStartup:

@@ -24,7 +24,7 @@ from mrsi_cs import (
     update_h,
 )
 from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix
-from mrsi_cs.solver import ResidualLog, SolverConfig, update_x_frame
+from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, update_x_frame
 from conftest import random_points, random_schedule
 
 
@@ -530,6 +530,30 @@ class TestWeightStack:
         assert min(lengths) < 300 and len(lengths) > 2  # rows leave the stack at several iterations
         array_bytes = 8 * 64 * 128
         assert stopping <= full_run + len(WEIGHT_STACK) * array_bytes
+
+    def test_own_factor_cache_is_not_kept_through_the_loop(self, rng):
+        # one point per frame keeps the stacked factor narrow, so the loop's arrays set the peak;
+        # a cache kept through the loop would add a second copy of every frame's factor
+        geometry = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=4, readout_points=8)
+        spectra = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
+        base = BaseSpectraSet.from_spectra(spectra)
+        schedule = random_schedule(rng, geometry, 64, acquire_prob=1.0)
+        truth = SubstanceDistribution(values=np.full((64, 64, 2), 0.1), geometry=geometry)
+        signals = acquire(truth, base, schedule, 0.05, rng_seed=3)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3)
+        stacked = FactorizationCache(base, geometry, config.rho1 + config.mu).stack(schedule.frames)
+        stack_bytes = stacked.v.nbytes + stacked.k_inv.nbytes
+        del stacked
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve(signals, schedule, base, geometry, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        array_bytes = 8 * 64 * 128
+        # the loop's arrays and per-row temporaries, Re(A^H y), the stacked factor and one array of slack
+        assert peak <= (_ROW_STATE_ARRAYS + 2) * array_bytes + stack_bytes
 
     def test_blocks_sharing_a_cache_match_one_stack(self, rng, small_base, small_geometry):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
