@@ -43,12 +43,27 @@ _KINDS = {bool: "true or false", int: "an integer", float: "a finite number", st
           list: "a list", dict: "an object"}
 
 
+# configs and schedules nest seven levels at most; a deeper document is refused before any code recurses into it
+_MAX_DEPTH = 32
+
+
+def _decode(text: str | bytes, source: str | Path) -> Any:
+    """The value of the UTF-8 JSON ``text``, nested at most ``_MAX_DEPTH`` levels; errors name ``source``."""
+    try:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep to decode, or an over-long integer
+        raise ConfigError(f"{source}: cannot be read as UTF-8 JSON ({exc})") from exc
+    level = [doc]
+    for _ in range(_MAX_DEPTH):  # level by level, without recursion
+        level = [v for x in level if type(x) in (dict, list) for v in (x.values() if type(x) is dict else x)]
+        if not level:
+            return doc
+    raise ConfigError(f"{source}: nested deeper than {_MAX_DEPTH} levels")
+
+
 def load_json(path: str | Path) -> dict:
     """The top-level object of the UTF-8 JSON file at ``path``."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
-        raise ConfigError(f"{path}: cannot be read as UTF-8 JSON ({exc})") from exc
+    doc = _decode(Path(path).read_bytes(), path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return doc
@@ -201,11 +216,7 @@ def _parse_schedule(doc: Any) -> SamplingSchedule:
 
 def schedule_from_json(text: str) -> SamplingSchedule:
     """The schedule of a JSON text, read as :func:`read_schedule` reads a file."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: invalid JSON ({exc})") from exc
-    return _parse_schedule(doc)
+    return _parse_schedule(_decode(text, "schedule"))
 
 
 def read_schedule(path: str | Path) -> SamplingSchedule:

@@ -14,9 +14,9 @@ All DFTs are unitary, so the adjoint of the sampling operator is its
 conjugate transpose with no extra scaling.
 
 The solver's normal matrices Re(A^H A) + shift*I are kept in low-rank
-form (:class:`NormalFactor`): one sampled point contributes a rank-2J
-term, so a frame's solve needs only a small inverse (Woodbury identity),
-and many frames' factors stack into one batch (:meth:`FactorizationCache.stack`).
+form: one sampled point adds 2J columns to V, V V^T = Re(A^H A)
+(:func:`normal_matrix`), and only a stack of many frames' V's meets the
+shift, in one :class:`NormalFactor` solved by small inverses (Woodbury).
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ class BaseSpectraSet:
         spectra = np.ascontiguousarray(np.asarray(spectra, dtype=np.complex128))
         if spectra.ndim != 3:
             raise ShapeError(f"spectra must be (J, N_C, N_RO); got shape {spectra.shape}")
+        if not np.all(np.isfinite(spectra)):
+            raise ShapeError("base spectra contain non-finite entries")
         j = spectra.shape[0]
         if j < 1:
             raise ShapeError("need at least one substance")
@@ -446,28 +448,28 @@ class FactorTables(NamedTuple):
 
 
 class NormalFactor:
-    """Re(A^H A) + shift*I of a frame, held as a low-rank product plus a scaled identity.
+    """shift*I + V V^T, with V V^T = Re(A^H A) of a frame, solved by the Woodbury identity.
 
-    ``v`` (N*J x r) satisfies V V^T = Re(A^H A), and ``k_inv`` is the
-    inverse of the small r x r matrix K = shift*I + V^T V, so that by the
-    Woodbury identity
+    ``v`` holds the N*J x r columns and ``k_inv`` the inverse of the
+    small r x r matrix K = shift*I + V^T V, so that
 
         (shift*I + V V^T)^-1 rhs = (rhs - V K^-1 V^T rhs) / shift.
 
-    Both arrays may carry leading axes (see :meth:`FactorizationCache.stack`);
-    ``solve`` then takes right-hand sides that broadcast against them.
-    The products run fastest with each column of V contiguous in memory,
-    the layout :func:`normal_matrix` and :meth:`FactorizationCache.stack` build.
+    ``v`` may carry leading axes (see :meth:`FactorizationCache.stack`):
+    every K of the stack is inverted in one batched call, and ``solve``
+    takes right-hand sides that broadcast against them.  The products
+    run fastest with each column of V contiguous in memory, the layout
+    :func:`normal_matrix` and :meth:`FactorizationCache.stack` build.
     """
 
-    def __init__(self, v: np.ndarray, shift: float, k_inv: np.ndarray | None = None):
+    def __init__(self, v: np.ndarray, shift: float):
+        if not (shift > 0 and math.isfinite(shift)):
+            raise ParameterError(f"shift must be finite and > 0, got {shift}")
         self.v = v
         self.shift = shift
-        if k_inv is None:
-            k = np.swapaxes(v, -1, -2) @ v
-            k[..., np.arange(v.shape[-1]), np.arange(v.shape[-1])] += shift
-            k_inv = np.linalg.inv(k)
-        self.k_inv = k_inv
+        k = np.swapaxes(v, -1, -2) @ v
+        k[..., np.arange(v.shape[-1]), np.arange(v.shape[-1])] += shift
+        self.k_inv = np.linalg.inv(k)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to ``out`` if given.
@@ -494,80 +496,65 @@ def normal_matrix(
     frame_points: Sequence[SamplePoint],
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
-    shift: float,
-    tables: FactorTables | None = None,
-) -> NormalFactor:
-    """Low-rank factor of Re(A^H A) + shift*I for one frame's sample points.
+    tables: FactorTables,
+) -> np.ndarray:
+    """The N*J x r columns V with V V^T = Re(A^H A) for one frame's sample points.
 
     Per point the complex Gram is kron(conj(f) f^T, R^H R), with f the
     sampled spatial DFT row and R the triangular QR factor of the base
     spectra's readout matrix at the point's evolution index; so with
     C = kron(conj(f), R^H) its real part is V V^T for V = [Re C, Im C],
     2J columns (fewer when the readout is shorter than J).  Points stack
-    their columns.  The result depends only on the points (not on frame
-    index or data), so it can be shared across frames and iterations.
-    ``tables`` holds the DFT rows and QR factors (see
-    :class:`FactorizationCache`); they are built when it is None.
+    their columns, each contiguous in memory.  V depends only on the
+    points (not on frame index, data or the solver's shift), so it can
+    be shared across frames, iterations and penalties.  ``tables``
+    holds the DFT rows and QR factors (see :class:`FactorizationCache`).
     """
-    if not (shift > 0 and math.isfinite(shift)):
-        raise ParameterError(f"shift must be finite and > 0, got {shift}")
     base_check(base, geometry)
-    if tables is None:
-        tables = FactorTables.build(base, geometry)
     blocks = []
     for point in frame_points:
         _check_point(point, geometry)
         r = tables.readout_r[point.spectral_index - 1]
         c = np.kron(tables.point_row(point)[:, None], np.conj(r.T))  # (N*J, rank)
         blocks += [c.real.T, c.imag.T]
-    return NormalFactor(np.concatenate(blocks).T, shift)
+    return np.concatenate(blocks).T
 
 
 class FactorizationCache:
-    """Store of :class:`NormalFactor` objects of one shift, keyed by a frame's point tuple.
+    """Store of each point set's V (:func:`normal_matrix`), keyed by a frame's point tuple.
 
-    Frames sampling the same points share one factor, also across the
-    solves that are given the same cache.  The :class:`FactorTables`
-    every factor is built from (one QR per evolution index, one DFT row
-    table per spatial axis) are computed once, when the cache is made.
+    Frames sampling the same points share one V, also across the solves
+    that are given the same cache, whatever their shift.  The
+    :class:`FactorTables` every V is built from (one QR per evolution
+    index, one DFT row table per spatial axis) are computed once, when
+    the cache is made.
     """
 
-    def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry, shift: float):
+    def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry):
         self.base = base
         self.geometry = geometry
-        self.shift = shift
         self.tables = FactorTables.build(base, geometry)
-        self._store: dict[tuple[SamplePoint, ...], NormalFactor] = {}
+        self._store: dict[tuple[SamplePoint, ...], np.ndarray] = {}
 
-    def get(self, frame_points: Iterable[SamplePoint]) -> NormalFactor:
+    def get(self, frame_points: Iterable[SamplePoint]) -> np.ndarray:
         key = tuple(frame_points)
         found = self._store.get(key)
         if found is None:
-            found = self._store[key] = normal_matrix(
-                key, self.base, self.geometry, self.shift, tables=self.tables
-            )
+            found = self._store[key] = normal_matrix(key, self.base, self.geometry, self.tables)
         return found
 
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None]) -> NormalFactor:
-        """One factor over a schedule's frames, laid out (frame, 1, N*J, width).
+    def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None], shift: float) -> NormalFactor:
+        """One factor of ``shift`` over a schedule's frames, V laid out (frame, 1, N*J, width).
 
         The unit axis broadcasts over the rows of (frame, row, N*J)
-        iterates.  Each frame's factor comes from :meth:`get`.  Frames
-        with fewer columns get zero columns in V and the matching 1/shift
-        block in K^-1, which leaves their solves unchanged; a data-free
-        (``None``) frame has no columns, so its solve is rhs / shift.
+        iterates.  Each frame's V comes from :meth:`get`; frames with
+        fewer columns get zero columns, which leave their solves
+        unchanged, and a data-free (``None``) frame has only zero
+        columns, so its solve is rhs / shift.
         """
-        factors = {m: self.get(points) for m, points in enumerate(frames) if points is not None}
-        width = max((f.v.shape[-1] for f in factors.values()), default=0)
-        n_unknown = self.geometry.n_voxels * self.base.n_substances
-        vt = np.zeros((len(frames), 1, width, n_unknown))
-        k_inv = np.zeros((len(frames), 1, width, width))
-        k_inv[..., np.arange(width), np.arange(width)] = 1.0 / self.shift
-        for m, f in factors.items():
-            r = f.v.shape[-1]
-            vt[m, 0, :r] = f.v.T
-            k_inv[m, 0, :r, :r] = f.k_inv
-        return NormalFactor(vt.swapaxes(-1, -2), self.shift, k_inv)
+        vs = {m: self.get(points) for m, points in enumerate(frames) if points is not None}
+        width = max((v.shape[-1] for v in vs.values()), default=0)
+        vt = np.zeros((len(frames), 1, width, self.geometry.n_voxels * self.base.n_substances))
+        for m, v in vs.items():
+            vt[m, 0, : v.shape[-1]] = v.T
+        return NormalFactor(vt.swapaxes(-1, -2), shift)

@@ -33,7 +33,6 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     else:
         a = a.astype("<f8", copy=False)
         code = _DTYPE_REAL64
-    a = np.ascontiguousarray(a)
     header = MAGIC + struct.pack("<III", VERSION, code, a.ndim)
     header += struct.pack(f"<{a.ndim}Q", *a.shape)
     with open(path, "wb") as fh:
@@ -55,15 +54,16 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if len(raw) < offset:
         raise ShapeError(f"{path}: {len(raw)} bytes is shorter than the {offset}-byte header")
     dims = struct.unpack_from(f"<{ndim}Q", raw, 16)
-    if code == _DTYPE_REAL64:
-        dtype = np.dtype("<f8")
-    elif code == _DTYPE_COMPLEX128:
-        dtype = np.dtype("<c16")
-    else:
+    dtype = {_DTYPE_REAL64: np.dtype("<f8"), _DTYPE_COMPLEX128: np.dtype("<c16")}.get(code)
+    if dtype is None:
         raise ShapeError(f"{path}: unknown dtype code {code}")
     count = math.prod(dims)
     expected = offset + count * dtype.itemsize
+    # checked before anything is allocated, so a header claiming a huge count costs nothing
     if len(raw) != expected:
         raise ShapeError(f"{path}: payload is {len(raw) - offset} bytes, expected {expected - offset}")
-    a = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return a.reshape(dims).astype(dtype.newbyteorder("="))
+    try:
+        a = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(dims)
+    except ValueError as exc:  # more axes than numpy supports, or an axis longer than it can address
+        raise ShapeError(f"{path}: shape {dims} is not supported ({exc})") from exc
+    return a.astype(dtype.newbyteorder("="))

@@ -135,7 +135,7 @@ def _directional_rmse(
     """
     n_unknown = geometry.n_voxels * base.n_substances
     block = max(1, STACK_BYTES // (_ROW_STATE_ARRAYS * 8 * train.schedule.n_frames * n_unknown))
-    cache = FactorizationCache(base, geometry, shift=config.rho1 + config.mu)
+    cache = FactorizationCache(base, geometry)
     rmse = np.empty(len(stack))
     for start in range(0, len(stack), block):
         stop = min(start + block, len(stack))

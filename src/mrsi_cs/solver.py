@@ -424,10 +424,10 @@ def solve(
     solo solve would.
 
     ``cache`` lets several solves of frames from one point set share
-    their normal-matrix factors, e.g. the blocks of a CV sweep; it must
-    have been built for ``base``, ``geometry`` and the shift
-    rho1 + mu.  When it is None, a cache made for this call serves the
-    stack and is dropped before the iterations start.
+    their normal-matrix columns, e.g. the blocks of a CV sweep; it must
+    have been built for ``base`` and ``geometry``.  When it is None, a
+    cache made for this call serves the stack and is dropped before the
+    iterations start.
     """
     _prepared_inputs(signals, schedule, base, geometry)
     rows = _weight_rows(weights, config)
@@ -435,16 +435,15 @@ def solve(
     n_unknown = geometry.n_voxels * base.n_substances
     acquired = schedule.acquired_index_set
 
-    shift = config.rho1 + config.mu
-    if cache is not None and (cache.base is not base or cache.geometry is not geometry or cache.shift != shift):
-        raise ParameterError("factorization cache was built for another base, geometry or shift")
+    if cache is not None and (cache.base is not base or cache.geometry is not geometry):
+        raise ParameterError("factorization cache was built for another base or geometry")
     # every frame joins one x-update batch: a data-free frame has a zero Re(A^H y) and a factor
-    # without columns, whose solve is rhs / shift, and later a zero l1 threshold
+    # without columns, whose solve is rhs / (rho1 + mu), and later a zero l1 threshold
     aty = np.zeros((m_total, n_unknown))
     for m in acquired:
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
-    # a cache made for this call is not kept, so its per-frame factors do not live through the loop
-    factor = (cache if cache is not None else FactorizationCache(base, geometry, shift)).stack(schedule.frames)
+    # a cache made for this call is not kept, so its per-point-set columns do not live through the loop
+    factor = (cache or FactorizationCache(base, geometry)).stack(schedule.frames, config.rho1 + config.mu)
     has_data = np.zeros(m_total, dtype=bool)
     has_data[list(acquired)] = True
     chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None

@@ -7,6 +7,21 @@ from mrsi_cs import (
     SamplePoint,
     SamplingSchedule,
 )
+from mrsi_cs import model
+
+
+@pytest.fixture
+def built_point_sets(monkeypatch):
+    """The point sets :func:`mrsi_cs.model.normal_matrix` builds during the test, in call order."""
+    built = []
+    normal_matrix = model.normal_matrix
+
+    def counting_normal_matrix(points, *args):
+        built.append(points)
+        return normal_matrix(points, *args)
+
+    monkeypatch.setattr(model, "normal_matrix", counting_normal_matrix)
+    return built
 
 
 @pytest.fixture

@@ -209,8 +209,8 @@ class TestReconstructCommand:
 
     def test_divergence_exits_4(self, runner, tmp_path):
         config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path)
-        poisoned = read_tensor(phantom_out["base"]).astype(complex)
-        poisoned[0, 0, 0] = np.nan
+        # finite, so it is read, but its normal matrix overflows
+        poisoned = read_tensor(phantom_out["base"]) * 1e200
         bad_base = tmp_path / "bad_base.mrst"
         write_tensor(bad_base, poisoned)
         result = runner.invoke(
@@ -365,6 +365,44 @@ class TestInputBoundary:
         result = runner.invoke(main, ["phantom", "--config", config, "--out", str(out)])
         assert_clean_exit(result, 2)
         assert "do not fit in memory" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["acquire", "reconstruct", "cv"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_base_spectra_exit_3_before_writing(self, runner, tmp_path, command, value):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        spectra = read_tensor(phantom_out["base"])
+        spectra[0, 1, 2] = value
+        bad = tmp_path / "bad_base.mrst"
+        write_tensor(bad, spectra)
+        out = tmp_path / "out"
+        if command == "acquire":
+            args = ["acquire", "--config", config, "--schedule", design_out["schedule"],
+                    "--truth", phantom_out["truth"], "--base", str(bad), "--out", str(out)]
+        else:
+            args = reconstruct_args(config, acquire_out["signals"], design_out["schedule"], str(bad), str(out))
+            args[0] = command
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 3)
+        assert "base spectra contain non-finite entries" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["phantom", "reconstruct"])
+    @pytest.mark.parametrize("depth", [40, 200_000], ids=["past-the-bound", "past-the-decoder"])
+    def test_over_deep_json_exits_2_before_writing(self, runner, tmp_path, command, depth):
+        # 200 000 levels overflow the decoder's recursion; 40 parse, and are refused by the depth bound
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        source = config if command == "phantom" else design_out["schedule"]
+        bad = tmp_path / "deep.json"
+        bad.write_text(Path(source).read_text().rstrip()[:-1] + ', "a": ' + "[" * depth + "]" * depth + "}")
+        out = tmp_path / "out"
+        if command == "phantom":
+            args = ["phantom", "--config", str(bad), "--out", str(out)]
+        else:
+            args = reconstruct_args(config, acquire_out["signals"], str(bad), phantom_out["base"], str(out))
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert "deep.json" in result.output
         assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from mrsi_cs import (
     dft_spatial,
     dft_spectral,
 )
-from mrsi_cs.model import FactorizationCache, normal_matrix
+from mrsi_cs.model import FactorizationCache, FactorTables, NormalFactor, normal_matrix
 from conftest import random_points
 
 
@@ -188,9 +188,22 @@ class TestApplyAdjoint:
             apply_adjoint(np.zeros(7, dtype=complex), [SamplePoint(1, (1, 1))], small_base, small_geometry)
 
 
+def columns(points, base, geometry):
+    """A point set's V, built from the tables a factor cache builds."""
+    return normal_matrix(points, base, geometry, FactorTables.build(base, geometry))
+
+
 def dense_normal(factor):
     """V V^T + shift*I assembled from a factor's low-rank columns."""
     return factor.v @ factor.v.T + factor.shift * np.eye(factor.v.shape[0])
+
+
+def dense_gram(points, base, geometry):
+    """Re(A^H A) of a frame's points from the dense operator; zero for a data-free frame."""
+    if points is None:
+        return np.zeros((geometry.n_voxels * base.n_substances,) * 2)
+    dense = dense_operator(points, base, geometry)
+    return (dense.conj().T @ dense).real
 
 
 class TestNormalMatrix:
@@ -199,55 +212,67 @@ class TestNormalMatrix:
             spatial_dims=(1,), spectral_evolution_points=1, readout_points=1
         )
         base = BaseSpectraSet.from_spectra(np.ones((1, 1, 1), dtype=complex))
-        factor = normal_matrix([SamplePoint(1, (1,))], base, geometry, shift=2.0)
+        factor = NormalFactor(columns([SamplePoint(1, (1,))], base, geometry), 2.0)
         np.testing.assert_allclose(dense_normal(factor), [[3.0]])
         np.testing.assert_allclose(factor.solve(np.array([3.0])), [1.0])
 
     def test_positive_definite_above_shift(self, rng, small_base, small_geometry):
         for _ in range(5):
             points = random_points(rng, small_geometry, 2)
-            factor = normal_matrix(points, small_base, small_geometry, shift=0.3)
+            factor = NormalFactor(columns(points, small_base, small_geometry), 0.3)
             eigs = np.linalg.eigvalsh(dense_normal(factor))
             assert eigs.min() >= 0.3 - 1e-10
 
     def test_matches_dense_assembly(self, rng, small_base, small_geometry):
         points = random_points(rng, small_geometry, 2)
-        dense = dense_operator(points, small_base, small_geometry)
-        expected = (dense.conj().T @ dense).real + 0.5 * np.eye(32)
-        factor = normal_matrix(points, small_base, small_geometry, shift=0.5)
-        np.testing.assert_allclose(dense_normal(factor), expected, atol=1e-12)
-
-    def test_rejects_nonpositive_shift(self, small_base, small_geometry):
-        with pytest.raises(ParameterError):
-            normal_matrix([SamplePoint(1, (1, 1))], small_base, small_geometry, shift=0.0)
+        v = columns(points, small_base, small_geometry)
+        assert v.shape == (32, 8)  # 2J columns per point
+        np.testing.assert_allclose(v @ v.T, dense_gram(points, small_base, small_geometry), atol=1e-12)
 
     def test_stacked_mixed_point_counts_match_dense_solves(self, rng, small_base, small_geometry):
         shift = 0.2
         frames = [tuple(random_points(rng, small_geometry, count)) for count in (1, 2, 3, 1)]
         frames.insert(2, None)  # a data-free frame
-        stacked = FactorizationCache(small_base, small_geometry, shift).stack(frames)
+        stacked = FactorizationCache(small_base, small_geometry).stack(frames, shift)
         assert stacked.v.shape == (5, 1, 32, 12)  # 2J columns per point, padded to 3 points
         rhs = rng.standard_normal((5, 1, 32))
         got = stacked.solve(rhs)[:, 0]
         for points, b, x in zip(frames, rhs[:, 0], got):
-            gram = 0.0
-            if points is not None:
-                dense = dense_operator(points, small_base, small_geometry)
-                gram = (dense.conj().T @ dense).real
+            gram = dense_gram(points, small_base, small_geometry)
             expected = np.linalg.solve(gram + shift * np.eye(32), b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+class TestNormalFactor:
+    @pytest.mark.parametrize("shift", [0.0, -0.5, float("nan"), float("inf")])
+    def test_rejects_shift_that_is_not_finite_and_positive(self, shift):
+        with pytest.raises(ParameterError):
+            NormalFactor(np.ones((3, 1)), shift)
+
+
 class TestFactorizationCache:
     def test_shares_by_points(self, small_base, small_geometry):
-        cache = FactorizationCache(small_base, small_geometry, shift=0.4)
+        cache = FactorizationCache(small_base, small_geometry)
         p = (SamplePoint(1, (2, 2)),)
         first = cache.get(p)
-        second = cache.get((SamplePoint(1, (2, 2)),))
-        assert first is second
-        assert len(cache) == 1
-        cache.get((SamplePoint(2, (2, 2)),))
-        assert len(cache) == 2
+        assert cache.get((SamplePoint(1, (2, 2)),)) is first
+        other = cache.get((SamplePoint(2, (2, 2)),))
+        assert other is not first
+        assert cache.get([SamplePoint(2, (2, 2))]) is other
+
+    def test_one_cache_serves_every_shift(self, rng, small_base, small_geometry, built_point_sets):
+        cache = FactorizationCache(small_base, small_geometry)
+        frames = [tuple(random_points(rng, small_geometry, count)) for count in (2, 1, 2)]
+        frames.insert(1, None)
+        rhs = rng.standard_normal((4, 1, 32))
+        for shift in (0.2, 3.0):
+            stacked = cache.stack(frames, shift)
+            for points, b, x in zip(frames, rhs[:, 0], stacked.solve(rhs)[:, 0]):
+                expected = np.linalg.solve(dense_gram(points, small_base, small_geometry) + shift * np.eye(32), b)
+                assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert len(built_point_sets) == 3  # each point set's V once, for both shifts
+        # a new shift on a built stack needs no cache: one batched inverse of the stacked K's
+        np.testing.assert_array_equal(NormalFactor(stacked.v, 0.2).solve(rhs), cache.stack(frames, 0.2).solve(rhs))
 
 
 class TestTypes:

@@ -19,7 +19,6 @@ from mrsi_cs import (
     grid_search,
     split_readouts,
 )
-from mrsi_cs.model import normal_matrix
 from mrsi_cs.selection import _ROW_STATE_ARRAYS, PAPER_GRID, STACK_BYTES, _directional_rmse
 from mrsi_cs.solver import SolverConfig, solve
 from conftest import random_schedule
@@ -165,15 +164,8 @@ class TestLockstepSweep:
             tables.append(grid_search(plan, schedule, signals, base, geometry)[1])
         assert tables[0] == tables[1]
 
-    def test_blocks_build_each_factor_once_per_fold(self, rng, monkeypatch):
+    def test_blocks_build_each_factor_once_per_fold(self, rng, monkeypatch, built_point_sets):
         geometry, base, schedule, signals, _ = make_instance(rng, n_frames=10, gaps={3, 4})
-        built = []
-
-        def counting_normal_matrix(points, *args, **kwargs):
-            built.append(points)
-            return normal_matrix(points, *args, **kwargs)
-
-        monkeypatch.setattr("mrsi_cs.model.normal_matrix", counting_normal_matrix)
         monkeypatch.setattr("mrsi_cs.selection.STACK_BYTES", 1)  # one row per block
         plan = CvPlan(
             grid_x=(1e-3, 1.0),
@@ -186,7 +178,7 @@ class TestLockstepSweep:
             len({fold.schedule.frames[m] for m in fold.schedule.acquired_index_set})
             for fold in split_readouts(schedule, signals)
         ]
-        assert len(built) == sum(per_fold)
+        assert len(built_point_sets) == sum(per_fold)
 
     def test_budget_holds_16_cv_coarse_rows_and_one_exp3_row(self):
         per_unknown = _ROW_STATE_ARRAYS * 8  # bytes per frame and unknown of one row

@@ -23,7 +23,7 @@ from mrsi_cs import (
     solve,
     update_h,
 )
-from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix
+from mrsi_cs.model import FactorizationCache, NormalFactor
 from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, update_x_frame
 from conftest import random_points, random_schedule
 
@@ -206,7 +206,7 @@ def data_free_update(z_m, u_m, alpha_m, beta_m, config):
 class TestUpdateXFrame:
     def test_scalar_first_inner_round(self):
         geometry, base, point = scalar_problem()
-        factor = normal_matrix([point], base, geometry, shift=2.0)
+        factor = NormalFactor(FactorizationCache(base, geometry).get([point]), 2.0)
         aty = np.array([2.0])  # Re(A^H y) with y = 2
         config = SolverConfig(rho1=1.0, mu=1.0, inner_iters=1)
         x = update_x_frame(
@@ -236,7 +236,7 @@ class TestUpdateXFrame:
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         lam, rho = 0.05, 0.5
         config = SolverConfig(lambda_x=lam, rho1=rho, mu=0.5, inner_iters=4000)
-        factor = normal_matrix(points, base, geometry, shift=config.rho1 + config.mu)
+        factor = NormalFactor(FactorizationCache(base, geometry).get(points), config.rho1 + config.mu)
         from mrsi_cs import apply_adjoint
 
         aty = apply_adjoint(y, points, base, geometry)
@@ -262,20 +262,23 @@ class TestUpdateXFrame:
         z, u, alpha, beta = (rng.standard_normal((len(counts), n)) for _ in range(4))
         frames = [None if c is None else tuple(random_points(rng, small_geometry, c)) for c in counts]
         aty = np.array([np.zeros(n) if f is None else rng.standard_normal(n) for f in frames])
-        cache = FactorizationCache(small_base, small_geometry, shift)
+        cache = FactorizationCache(small_base, small_geometry)
 
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
         expected = np.stack([
             data_free_update(z[m], u[m], expected_alpha[m], expected_beta[m], config)
             if points is None
-            else update_x_frame(aty[m], cache.get(points), z[m], u[m], expected_alpha[m], expected_beta[m], config)
+            else update_x_frame(
+                aty[m], NormalFactor(cache.get(points), shift), z[m], u[m], expected_alpha[m], expected_beta[m],
+                config,
+            )
             for m, points in enumerate(frames)
         ])
 
         # one batch over every frame, as solve runs it: a zero l1 threshold on data-free frames
         lambda_x = np.array([0.0 if f is None else config.lambda_x for f in frames])[:, None, None]
         got = update_x_frame(
-            aty[:, None], cache.stack(frames), z[:, None], u[:, None], alpha[:, None], beta[:, None],
+            aty[:, None], cache.stack(frames, shift), z[:, None], u[:, None], alpha[:, None], beta[:, None],
             config, lambda_x,
         )[:, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
@@ -415,9 +418,8 @@ class TestSolve:
             assert np.abs(x[m]).max() > 0.1
 
     def test_divergence_detection(self, small_geometry):
-        # a non-finite base spectrum poisons the first iteration
-        spectra = np.ones((1, 4, 8), dtype=complex)
-        spectra[0, 0, 0] = np.nan
+        # a finite base spectrum whose normal matrix overflows poisons the first iteration
+        spectra = np.full((1, 4, 8), 1e200, dtype=complex)
         base = BaseSpectraSet.from_spectra(spectra)
         schedule = SamplingSchedule(frames=((SamplePoint(1, (1, 1)),), None))
         signals = SignalSet(per_frame={0: np.ones(8, dtype=complex)})
@@ -541,7 +543,7 @@ class TestWeightStack:
         truth = SubstanceDistribution(values=np.full((64, 64, 2), 0.1), geometry=geometry)
         signals = acquire(truth, base, schedule, 0.05, rng_seed=3)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3)
-        stacked = FactorizationCache(base, geometry, config.rho1 + config.mu).stack(schedule.frames)
+        stacked = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
         stack_bytes = stacked.v.nbytes + stacked.k_inv.nbytes
         del stacked
         tracemalloc.start()
@@ -555,11 +557,12 @@ class TestWeightStack:
         # the loop's arrays and per-row temporaries, Re(A^H y), the stacked factor and one array of slack
         assert peak <= (_ROW_STATE_ARRAYS + 2) * array_bytes + stack_bytes
 
-    def test_blocks_sharing_a_cache_match_one_stack(self, rng, small_base, small_geometry):
+    def test_blocks_sharing_a_cache_match_one_stack(self, rng, small_base, small_geometry, built_point_sets):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=30)
         whole, whole_logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)
-        cache = FactorizationCache(small_base, small_geometry, shift=config.rho1 + config.mu)
+        del built_point_sets[:]  # count the shared cache's builds only
+        cache = FactorizationCache(small_base, small_geometry)
         for i in range(len(WEIGHT_STACK)):
             values, logs = solve(
                 signals, schedule, small_base, small_geometry, config,
@@ -567,7 +570,7 @@ class TestWeightStack:
             )
             np.testing.assert_array_equal(values[0], whole[i])
             assert logs[0] == whole_logs[i]
-        assert len(cache) == len({schedule.frames[m] for m in schedule.acquired_index_set})
+        assert sorted(built_point_sets) == sorted({schedule.frames[m] for m in schedule.acquired_index_set})
 
     @pytest.mark.parametrize("problem", ["small", "one-unknown"])
     def test_stacked_rows_are_bit_identical_to_solo_rows(self, problem, rng, small_base, small_geometry):
@@ -590,11 +593,15 @@ class TestWeightStack:
             np.testing.assert_array_equal(values[i], solo[0])
             assert logs[i] == solo_logs[0]
 
-    def test_rejects_cache_of_another_shift(self, rng, small_base, small_geometry):
+    @pytest.mark.parametrize("other", ["base", "geometry"])
+    def test_rejects_cache_of_another_base_or_geometry(self, other, rng, small_base, small_geometry):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
         config = SolverConfig(rho1=0.1, mu=0.1, outer_iters=2)
-        cache = FactorizationCache(small_base, small_geometry, shift=0.3)
-        with pytest.raises(ParameterError):
+        if other == "base":
+            cache = FactorizationCache(BaseSpectraSet.from_spectra(2 * small_base.spectra), small_geometry)
+        else:  # as many voxels on another grid
+            cache = FactorizationCache(small_base, replace(small_geometry, spatial_dims=(2, 8)))
+        with pytest.raises(ParameterError, match="another base or geometry"):
             solve(signals, schedule, small_base, small_geometry, config, cache=cache)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
