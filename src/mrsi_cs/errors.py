@@ -40,7 +40,8 @@ class DivergenceError(MrsiCsError):
     """The iterative solver produced non-finite values.
 
     ``iteration`` records the outer iteration at which the breakdown was
-    detected.
+    detected, 0 when the normal-matrix factor breaks down before the
+    first.
     """
 
     exit_code = 4

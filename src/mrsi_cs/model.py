@@ -13,10 +13,13 @@ base spectra; no full-grid tensor is ever materialised.
 All DFTs are unitary, so the adjoint of the sampling operator is its
 conjugate transpose with no extra scaling.
 
-The solver's normal matrices Re(A^H A) + shift*I are kept in low-rank
-form: one sampled point adds 2J columns to V, V V^T = Re(A^H A)
-(:func:`normal_matrix`), and only a stack of many frames' V's meets the
-shift, in one :class:`NormalFactor` solved by small inverses (Woodbury).
+The solver's normal matrices Re(A^H A) + shift*I are kept in low-rank,
+separable form: Re(A^H A) = V V^T with V = (Phi^T kron I_J) T, where
+Phi holds the real and imaginary parts of each sampled point's spatial
+DFT row and T is a small core built from the base spectra
+(:func:`normal_matrix`).  V itself is never formed.  Only a stack of
+many frames' pieces meets the shift, in one :class:`NormalFactor`
+solved by small inverses (Woodbury).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ScheduleError, ShapeError
+from .errors import DivergenceError, ParameterError, ScheduleError, ShapeError
 
 __all__ = [
     "AcquisitionGeometry",
@@ -450,44 +453,59 @@ class FactorTables(NamedTuple):
 class NormalFactor:
     """shift*I + V V^T, with V V^T = Re(A^H A) of a frame, solved by the Woodbury identity.
 
-    ``v`` holds the N*J x r columns and ``k_inv`` the inverse of the
-    small r x r matrix K = shift*I + V^T V, so that
+    V = (Phi^T kron I_J) T is given by its separable pieces (see
+    :func:`normal_matrix`): ``phi``, the 2P x N real DFT rows of the
+    frame's P points, and ``core``, the 2P*J x w matrix T.  With the
+    small w x w matrix K = shift*I + T^T (Phi Phi^T kron I_J) T and
+    S = T K^-1 T^T (2P*J x 2P*J), kept as ``s``,
 
-        (shift*I + V V^T)^-1 rhs = (rhs - V K^-1 V^T rhs) / shift.
+        (shift*I + V V^T)^-1 rhs = (rhs - (Phi^T kron I_J) S (Phi kron I_J) rhs) / shift.
 
-    ``v`` may carry leading axes (see :meth:`FactorizationCache.stack`):
+    The pieces may carry leading axes (see :meth:`FactorizationCache.stack`):
     every K of the stack is inverted in one batched call, and ``solve``
-    takes right-hand sides that broadcast against them.  The products
-    run fastest with each column of V contiguous in memory, the layout
-    :func:`normal_matrix` and :meth:`FactorizationCache.stack` build.
+    takes right-hand sides that broadcast against them.  A singular K
+    raises :class:`DivergenceError`.
     """
 
-    def __init__(self, v: np.ndarray, shift: float):
+    def __init__(self, phi: np.ndarray, core: np.ndarray, shift: float):
         if not (shift > 0 and math.isfinite(shift)):
             raise ParameterError(f"shift must be finite and > 0, got {shift}")
-        self.v = v
+        self.phi = phi
+        self.core = core
         self.shift = shift
-        k = np.swapaxes(v, -1, -2) @ v
-        k[..., np.arange(v.shape[-1]), np.arange(v.shape[-1])] += shift
-        self.k_inv = np.linalg.inv(k)
+        *lead, height, width = core.shape
+        n_rows = phi.shape[-2]
+        j = height // n_rows if n_rows else 0  # a factor without point rows has an empty core
+        # (Phi Phi^T kron I_J) T: the 2P x 2P point Gram mixes T's J-row blocks
+        mixed = (phi @ phi.swapaxes(-1, -2)) @ core.reshape(*lead, n_rows, j * width)
+        k = core.swapaxes(-1, -2) @ mixed.reshape(core.shape)
+        k[..., np.arange(width), np.arange(width)] += shift
+        try:
+            k_inv = np.linalg.inv(k)
+        except np.linalg.LinAlgError as err:
+            # finite but huge base spectra with a repeated point round K to a singular matrix
+            raise DivergenceError("normal matrix factor is singular in floating point", iteration=0) from err
+        self.s = core @ k_inv @ core.swapaxes(-1, -2)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to ``out`` if given.
 
-        Each right-hand side is multiplied as its own one-row matrix, so
-        an axis of ``rhs`` that V broadcasts over (e.g. the weight rows
-        of a stacked solve, against V's unit axis) stays a batch axis:
-        every row goes through the same BLAS kernel, and its result does
-        not depend on how many rows are stacked.  (A plain ``rhs @ V``
-        would put those rows on a matrix dimension, and numpy hands a
-        one-row product to a different kernel than a many-row one.)
+        ``rhs`` is read as (..., N, J), voxel rows and substance
+        columns, so every product is a matrix product per leading index:
+        an axis of ``rhs`` that the pieces broadcast over (e.g. the
+        weight rows of a stacked solve, against their unit axis) stays a
+        batch axis.  Every row goes through the same BLAS kernel, and its
+        result does not depend on how many rows are stacked.  Only
+        (..., 2P, J) temporaries are allocated besides ``out``.
         """
-        rows = rhs[..., None, :]
-        coeff = (rows @ self.v) @ np.swapaxes(self.k_inv, -1, -2)
+        r = rhs.reshape(*rhs.shape[:-1], self.phi.shape[-1], -1)
+        g = self.phi @ r  # (Phi kron I_J) rhs as (..., 2P, J)
+        h = self.s @ g.reshape(*g.shape[:-2], -1, 1)
         if out is None:
-            out = np.empty(np.broadcast_shapes(rhs.shape, self.v.shape[:-2] + (1,)))
-        np.matmul(coeff, np.swapaxes(self.v, -1, -2), out=out[..., None, :])
-        np.subtract(rhs, out, out=out)
+            out = np.empty(np.broadcast_shapes(rhs.shape, self.phi.shape[:-2] + (1,)))
+        out_r = out.reshape(*out.shape[:-1], *r.shape[-2:])  # a view of a contiguous ``out``
+        np.matmul(self.phi.swapaxes(-1, -2), h.reshape(g.shape), out=out_r)
+        np.subtract(rhs, out_r.reshape(out.shape), out=out)
         out /= self.shift
         return out
 
@@ -497,35 +515,44 @@ def normal_matrix(
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     tables: FactorTables,
-) -> np.ndarray:
-    """The N*J x r columns V with V V^T = Re(A^H A) for one frame's sample points.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The separable pieces (Phi, T) of one frame's V, V V^T = Re(A^H A), V = (Phi^T kron I_J) T.
 
     Per point the complex Gram is kron(conj(f) f^T, R^H R), with f the
-    sampled spatial DFT row and R the triangular QR factor of the base
-    spectra's readout matrix at the point's evolution index; so with
-    C = kron(conj(f), R^H) its real part is V V^T for V = [Re C, Im C],
-    2J columns (fewer when the readout is shorter than J).  Points stack
-    their columns, each contiguous in memory.  V depends only on the
-    points (not on frame index, data or the solver's shift), so it can
-    be shared across frames, iterations and penalties.  ``tables``
-    holds the DFT rows and QR factors (see :class:`FactorizationCache`).
+    sampled spatial DFT row (:meth:`FactorTables.point_row`) and R the
+    triangular QR factor of the base spectra's readout matrix at the
+    point's evolution index; its real part is C_r C_r^T + C_i C_i^T for
+    C = kron(f, conj(R^T)).  Writing f = a + ib and R^T = X + iY,
+    [C_r, C_i] = (Phi_p^T kron I_J) T_p with Phi_p = [a; b] (2 x N) and
+    the real 2J x 2r core T_p = [[X, -Y], [Y, X]] (r = min(N_RO, J)).
+    Points stack their rows of Phi (2P x N) and their cores block by
+    block on the diagonal of T (2P*J x 2P*r).  The pieces depend only
+    on the points (not on frame index, data or the solver's shift), so
+    they can be shared across frames, iterations and penalties.
+    ``tables`` holds the DFT rows and QR factors (see
+    :class:`FactorizationCache`).
     """
     base_check(base, geometry)
-    blocks = []
-    for point in frame_points:
+    n_points, (_, rank, j) = len(frame_points), tables.readout_r.shape
+    phi = np.empty((n_points, 2, geometry.n_voxels))
+    core = np.zeros((n_points, 2, j, n_points, 2, rank))
+    for p, point in enumerate(frame_points):
         _check_point(point, geometry)
-        r = tables.readout_r[point.spectral_index - 1]
-        c = np.kron(tables.point_row(point)[:, None], np.conj(r.T))  # (N*J, rank)
-        blocks += [c.real.T, c.imag.T]
-    return np.concatenate(blocks).T
+        row = tables.point_row(point)
+        phi[p, 0], phi[p, 1] = row.real, row.imag
+        r_t = tables.readout_r[point.spectral_index - 1].T  # X + iY
+        core[p, 0, :, p, 0] = core[p, 1, :, p, 1] = r_t.real
+        core[p, 0, :, p, 1] = -r_t.imag
+        core[p, 1, :, p, 0] = r_t.imag
+    return phi.reshape(2 * n_points, -1), core.reshape(2 * n_points * j, 2 * n_points * rank)
 
 
 class FactorizationCache:
-    """Store of each point set's V (:func:`normal_matrix`), keyed by a frame's point tuple.
+    """Store of each point set's pieces (:func:`normal_matrix`), keyed by a frame's point tuple.
 
-    Frames sampling the same points share one V, also across the solves
-    that are given the same cache, whatever their shift.  The
-    :class:`FactorTables` every V is built from (one QR per evolution
+    Frames sampling the same points share one pair, also across the
+    solves that are given the same cache, whatever their shift.  The
+    :class:`FactorTables` every pair is built from (one QR per evolution
     index, one DFT row table per spatial axis) are computed once, when
     the cache is made.
     """
@@ -534,9 +561,9 @@ class FactorizationCache:
         self.base = base
         self.geometry = geometry
         self.tables = FactorTables.build(base, geometry)
-        self._store: dict[tuple[SamplePoint, ...], np.ndarray] = {}
+        self._store: dict[tuple[SamplePoint, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    def get(self, frame_points: Iterable[SamplePoint]) -> np.ndarray:
+    def get(self, frame_points: Iterable[SamplePoint]) -> tuple[np.ndarray, np.ndarray]:
         key = tuple(frame_points)
         found = self._store.get(key)
         if found is None:
@@ -544,17 +571,21 @@ class FactorizationCache:
         return found
 
     def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None], shift: float) -> NormalFactor:
-        """One factor of ``shift`` over a schedule's frames, V laid out (frame, 1, N*J, width).
+        """One factor of ``shift`` over a schedule's frames, its pieces stacked on a leading frame axis.
 
-        The unit axis broadcasts over the rows of (frame, row, N*J)
-        iterates.  Each frame's V comes from :meth:`get`; frames with
-        fewer columns get zero columns, which leave their solves
-        unchanged, and a data-free (``None``) frame has only zero
-        columns, so its solve is rhs / shift.
+        Phi is laid out (frame, 1, 2P, N) and T (frame, 1, 2P*J, width),
+        P the most points of any frame.  The unit axis broadcasts over
+        the rows of (frame, row, N*J) iterates.  Each frame's pieces come from :meth:`get`; frames
+        with fewer points get zero rows of Phi and zero rows and columns
+        of T, which leave their solves unchanged, and a data-free
+        (``None``) frame has only zeros, so its solve is rhs / shift.
         """
-        vs = {m: self.get(points) for m, points in enumerate(frames) if points is not None}
-        width = max((v.shape[-1] for v in vs.values()), default=0)
-        vt = np.zeros((len(frames), 1, width, self.geometry.n_voxels * self.base.n_substances))
-        for m, v in vs.items():
-            vt[m, 0, : v.shape[-1]] = v.T
-        return NormalFactor(vt.swapaxes(-1, -2), shift)
+        pieces = {m: self.get(points) for m, points in enumerate(frames) if points is not None}
+        n_rows = max((len(phi) for phi, _ in pieces.values()), default=0)
+        width = max((core.shape[1] for _, core in pieces.values()), default=0)
+        phi_stack = np.zeros((len(frames), 1, n_rows, self.geometry.n_voxels))
+        core_stack = np.zeros((len(frames), 1, n_rows * self.base.n_substances, width))
+        for m, (phi, core) in pieces.items():
+            phi_stack[m, 0, : len(phi)] = phi
+            core_stack[m, 0, : len(core), : core.shape[1]] = core
+        return NormalFactor(phi_stack, core_stack, shift)

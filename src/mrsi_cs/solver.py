@@ -14,10 +14,13 @@ onto the constraint set, and the dual ascent.
 
 The x step runs on all frames at once, in one batch.  Frames with data
 solve their normal equations through one stacked low-rank (Woodbury)
-factor, built once per solve, and then shrink toward sparsity.  A
-data-free frame joins the batch with a zero Re(A^H y), a factor without
-columns and a zero l1 threshold, which gives the weighted average it
-would take on its own, bit for bit up to the sign of zeros.
+factor, built once per solve, and then shrink toward sparsity.  The
+factor is separable: it holds each frame's sampled DFT rows and a small
+core, never the N*J-row column block, so a solve is three small matrix
+products per frame.  A data-free frame joins the batch with a zero
+Re(A^H y), a factor without columns and a zero l1 threshold, which
+gives the weighted average it would take on its own, bit for bit up to
+the sign of zeros.
 
 The outer loop runs in place: each step writes into arrays allocated
 once per solve, shrinkage is a - clip(a, -t, t), and the projection's
@@ -424,7 +427,7 @@ def solve(
     solo solve would.
 
     ``cache`` lets several solves of frames from one point set share
-    their normal-matrix columns, e.g. the blocks of a CV sweep; it must
+    their normal-matrix pieces, e.g. the blocks of a CV sweep; it must
     have been built for ``base`` and ``geometry``.  When it is None, a
     cache made for this call serves the stack and is dropped before the
     iterations start.
@@ -442,7 +445,7 @@ def solve(
     aty = np.zeros((m_total, n_unknown))
     for m in acquired:
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
-    # a cache made for this call is not kept, so its per-point-set columns do not live through the loop
+    # a cache made for this call is not kept, so its per-point-set pieces do not live through the loop
     factor = (cache or FactorizationCache(base, geometry)).stack(schedule.frames, config.rho1 + config.mu)
     has_data = np.zeros(m_total, dtype=bool)
     has_data[list(acquired)] = True

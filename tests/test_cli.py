@@ -12,7 +12,9 @@ import mrsi_cs
 from mrsi_cs import ConfigError, DivergenceError, MrsiCsError, ParameterError, ScheduleError, ShapeError
 from mrsi_cs.cli import main
 from mrsi_cs.manifest import sha256_file
+from mrsi_cs.model import SamplePoint, SamplingSchedule
 from mrsi_cs.mrst import read_tensor, write_tensor
+from mrsi_cs.sampling import write_schedule
 from mrsi_cs.selection import COARSE_GRID
 from mrsi_cs.solver import SolverConfig
 
@@ -226,6 +228,24 @@ class TestReconstructCommand:
             ],
         )
         assert result.exit_code == 4
+
+
+    def test_singular_normal_factor_exits_4(self, runner, tmp_path):
+        # finite base spectra, huge enough that a point sampled twice rounds the factor's K to a singular matrix
+        config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+        rng = np.random.default_rng(5)
+        base = tmp_path / "base.mrst"
+        write_tensor(base, (rng.standard_normal((1, 2, 4)) + 1j * rng.standard_normal((1, 2, 4))) * 1e120)
+        point = SamplePoint(2, (1, 2))
+        schedule = tmp_path / "schedule.json"
+        write_schedule(schedule, SamplingSchedule(frames=((point, point), None)))
+        signals = tmp_path / "signals.mrst"
+        write_tensor(signals, np.ones(8, dtype=complex))
+        result = runner.invoke(
+            main, reconstruct_args(config, str(signals), str(schedule), str(base), str(tmp_path / "r"))
+        )
+        assert_clean_exit(result, 4)
+        assert "singular" in result.output
 
 
 def reconstruct_args(config, signals, schedule, base, out):

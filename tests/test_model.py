@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,14 +190,21 @@ class TestApplyAdjoint:
             apply_adjoint(np.zeros(7, dtype=complex), [SamplePoint(1, (1, 1))], small_base, small_geometry)
 
 
-def columns(points, base, geometry):
-    """A point set's V, built from the tables a factor cache builds."""
+def pieces(points, base, geometry):
+    """A point set's separable pieces (Phi, T), built from the tables a factor cache builds."""
     return normal_matrix(points, base, geometry, FactorTables.build(base, geometry))
 
 
+def dense_columns(phi, core):
+    """V = (Phi^T kron I_J) T, formed densely from a point set's pieces."""
+    j = core.shape[-2] // phi.shape[-2]
+    return np.kron(phi.T, np.eye(j)) @ core
+
+
 def dense_normal(factor):
-    """V V^T + shift*I assembled from a factor's low-rank columns."""
-    return factor.v @ factor.v.T + factor.shift * np.eye(factor.v.shape[0])
+    """V V^T + shift*I assembled from a factor's separable pieces."""
+    v = dense_columns(factor.phi, factor.core)
+    return v @ v.T + factor.shift * np.eye(v.shape[0])
 
 
 def dense_gram(points, base, geometry):
@@ -206,48 +215,125 @@ def dense_gram(points, base, geometry):
     return (dense.conj().T @ dense).real
 
 
+# (spatial dims, evolution points, readout points, substances J); "short-readout" has J > N_RO,
+# so each point's QR factor has fewer rows than J
+FACTOR_CASES = {
+    "2-D": ((4, 4), 4, 8, 2),
+    "short-readout": ((3, 3), 2, 2, 3),
+    "1-D": ((6,), 3, 4, 2),
+    "3-D": ((2, 3, 2), 2, 3, 2),
+}
+
+
+def factor_problem(case, rng):
+    dims, n_evolution, n_readout, j = FACTOR_CASES[case]
+    geometry = AcquisitionGeometry(
+        spatial_dims=dims, spectral_evolution_points=n_evolution, readout_points=n_readout
+    )
+    shape = (j, n_evolution, n_readout)
+    base = BaseSpectraSet.from_spectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return base, geometry
+
+
+def assert_relative_close(got, expected, rtol=1e-12):
+    assert np.linalg.norm(got - expected) <= rtol * np.linalg.norm(expected)
+
+
 class TestNormalMatrix:
     def test_scalar_case(self):
         geometry = AcquisitionGeometry(
             spatial_dims=(1,), spectral_evolution_points=1, readout_points=1
         )
         base = BaseSpectraSet.from_spectra(np.ones((1, 1, 1), dtype=complex))
-        factor = NormalFactor(columns([SamplePoint(1, (1,))], base, geometry), 2.0)
+        factor = NormalFactor(*pieces([SamplePoint(1, (1,))], base, geometry), 2.0)
         np.testing.assert_allclose(dense_normal(factor), [[3.0]])
         np.testing.assert_allclose(factor.solve(np.array([3.0])), [1.0])
 
     def test_positive_definite_above_shift(self, rng, small_base, small_geometry):
         for _ in range(5):
             points = random_points(rng, small_geometry, 2)
-            factor = NormalFactor(columns(points, small_base, small_geometry), 0.3)
+            factor = NormalFactor(*pieces(points, small_base, small_geometry), 0.3)
             eigs = np.linalg.eigvalsh(dense_normal(factor))
             assert eigs.min() >= 0.3 - 1e-10
 
-    def test_matches_dense_assembly(self, rng, small_base, small_geometry):
-        points = random_points(rng, small_geometry, 2)
-        v = columns(points, small_base, small_geometry)
-        assert v.shape == (32, 8)  # 2J columns per point
-        np.testing.assert_allclose(v @ v.T, dense_gram(points, small_base, small_geometry), atol=1e-12)
-
-    def test_stacked_mixed_point_counts_match_dense_solves(self, rng, small_base, small_geometry):
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated-point"])
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_matches_dense_assembly(self, case, repeated, rng):
+        base, geometry = factor_problem(case, rng)
+        points = random_points(rng, geometry, 2)
+        if repeated:
+            points.insert(1, points[0])
+        phi, core = pieces(points, base, geometry)
+        n_points, j = len(points), base.n_substances
+        rank = min(base.n_readout, j)
+        assert phi.shape == (2 * n_points, geometry.n_voxels)  # real and imaginary DFT row per point
+        assert core.shape == (2 * n_points * j, 2 * n_points * rank)
+        v = dense_columns(phi, core)
+        assert_relative_close(v @ v.T, dense_gram(points, base, geometry))
         shift = 0.2
-        frames = [tuple(random_points(rng, small_geometry, count)) for count in (1, 2, 3, 1)]
+        b = rng.standard_normal(geometry.n_voxels * j)
+        expected = np.linalg.solve(dense_gram(points, base, geometry) + shift * np.eye(len(b)), b)
+        assert_relative_close(NormalFactor(phi, core, shift).solve(b), expected)
+
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_stacked_mixed_point_counts_match_dense_solves(self, case, rng):
+        base, geometry = factor_problem(case, rng)
+        shift, n = 0.2, geometry.n_voxels * base.n_substances
+        frames = [tuple(random_points(rng, geometry, count)) for count in (1, 2, 3, 1)]
         frames.insert(2, None)  # a data-free frame
-        stacked = FactorizationCache(small_base, small_geometry).stack(frames, shift)
-        assert stacked.v.shape == (5, 1, 32, 12)  # 2J columns per point, padded to 3 points
-        rhs = rng.standard_normal((5, 1, 32))
+        frames.append(frames[1][:1] * 2)  # a point sampled twice
+        stacked = FactorizationCache(base, geometry).stack(frames, shift)
+        # Phi and T padded to 3 points: 2 rows of Phi, 2J rows and 2*min(N_RO, J) columns of T per point
+        assert stacked.phi.shape == (6, 1, 6, geometry.n_voxels)
+        assert stacked.core.shape == (6, 1, 6 * base.n_substances, 6 * min(base.n_readout, base.n_substances))
+        rhs = rng.standard_normal((6, 1, n))
         got = stacked.solve(rhs)[:, 0]
-        for points, b, x in zip(frames, rhs[:, 0], got):
-            gram = dense_gram(points, small_base, small_geometry)
-            expected = np.linalg.solve(gram + shift * np.eye(32), b)
-            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        for m, (points, b, x) in enumerate(zip(frames, rhs[:, 0], got)):
+            gram = dense_gram(points, base, geometry)
+            v = dense_columns(stacked.phi[m, 0], stacked.core[m, 0])
+            if points is None:
+                np.testing.assert_array_equal(v, 0.0)
+            else:
+                assert_relative_close(v @ v.T, gram)
+            assert_relative_close(x, np.linalg.solve(gram + shift * np.eye(n), b))
 
 
 class TestNormalFactor:
     @pytest.mark.parametrize("shift", [0.0, -0.5, float("nan"), float("inf")])
     def test_rejects_shift_that_is_not_finite_and_positive(self, shift):
         with pytest.raises(ParameterError):
-            NormalFactor(np.ones((3, 1)), shift)
+            NormalFactor(np.ones((2, 3)), np.ones((2, 1)), shift)
+
+    def test_stack_holds_only_the_separable_pieces(self, rng, small_base):
+        # 64 frames of 1 or 2 points on 64 voxels: a dense V would be N*J x 2P*J per frame
+        geometry = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=4, readout_points=8)
+        frames = [tuple(random_points(rng, geometry, 1 + m % 2)) for m in range(64)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stacked = FactorizationCache(small_base, geometry).stack(frames, 0.2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows, j = 2 * 2, small_base.n_substances  # 2P rows of Phi, padded to 2 points
+        bound = 64 * (rows * geometry.n_voxels + 2 * (rows * j) ** 2) * 8
+        assert stacked.phi.nbytes + stacked.core.nbytes + stacked.s.nbytes <= bound
+        assert kept <= bound + 4096  # a few small Python objects beside the arrays
+
+    def test_solve_allocates_less_than_one_iterate(self, rng, small_base, small_geometry):
+        frames = [tuple(random_points(rng, small_geometry, 2)) for _ in range(32)]
+        stacked = FactorizationCache(small_base, small_geometry).stack(frames, 0.2)
+        rhs = rng.standard_normal((32, 3, 32))  # (frame, weight row, N*J)
+        out = np.empty_like(rhs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stacked.solve(rhs, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < rhs.nbytes
+        np.testing.assert_array_equal(out, stacked.solve(rhs))
 
 
 class TestFactorizationCache:
@@ -270,9 +356,11 @@ class TestFactorizationCache:
             for points, b, x in zip(frames, rhs[:, 0], stacked.solve(rhs)[:, 0]):
                 expected = np.linalg.solve(dense_gram(points, small_base, small_geometry) + shift * np.eye(32), b)
                 assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert len(built_point_sets) == 3  # each point set's V once, for both shifts
+        assert len(built_point_sets) == 3  # each point set's pieces once, for both shifts
         # a new shift on a built stack needs no cache: one batched inverse of the stacked K's
-        np.testing.assert_array_equal(NormalFactor(stacked.v, 0.2).solve(rhs), cache.stack(frames, 0.2).solve(rhs))
+        np.testing.assert_array_equal(
+            NormalFactor(stacked.phi, stacked.core, 0.2).solve(rhs), cache.stack(frames, 0.2).solve(rhs)
+        )
 
 
 class TestTypes:

@@ -206,7 +206,7 @@ def data_free_update(z_m, u_m, alpha_m, beta_m, config):
 class TestUpdateXFrame:
     def test_scalar_first_inner_round(self):
         geometry, base, point = scalar_problem()
-        factor = NormalFactor(FactorizationCache(base, geometry).get([point]), 2.0)
+        factor = NormalFactor(*FactorizationCache(base, geometry).get([point]), 2.0)
         aty = np.array([2.0])  # Re(A^H y) with y = 2
         config = SolverConfig(rho1=1.0, mu=1.0, inner_iters=1)
         x = update_x_frame(
@@ -220,7 +220,7 @@ class TestUpdateXFrame:
         alpha = c.copy()
         beta = np.zeros(6)
         # a data-free frame: zero Re(A^H y), a factor without columns and no shrinkage
-        empty = NormalFactor(np.zeros((6, 0)), config.rho1 + config.mu)
+        empty = NormalFactor(np.zeros((0, 6)), np.zeros((0, 0)), config.rho1 + config.mu)
         x = update_x_frame(np.zeros(6), empty, c.copy(), np.zeros(6), alpha, beta, config, 0.0)
         np.testing.assert_allclose(x, c, atol=1e-14)
         np.testing.assert_allclose(beta, 0.0, atol=1e-14)
@@ -236,7 +236,7 @@ class TestUpdateXFrame:
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         lam, rho = 0.05, 0.5
         config = SolverConfig(lambda_x=lam, rho1=rho, mu=0.5, inner_iters=4000)
-        factor = NormalFactor(FactorizationCache(base, geometry).get(points), config.rho1 + config.mu)
+        factor = NormalFactor(*FactorizationCache(base, geometry).get(points), config.rho1 + config.mu)
         from mrsi_cs import apply_adjoint
 
         aty = apply_adjoint(y, points, base, geometry)
@@ -269,7 +269,7 @@ class TestUpdateXFrame:
             data_free_update(z[m], u[m], expected_alpha[m], expected_beta[m], config)
             if points is None
             else update_x_frame(
-                aty[m], NormalFactor(cache.get(points), shift), z[m], u[m], expected_alpha[m], expected_beta[m],
+                aty[m], NormalFactor(*cache.get(points), shift), z[m], u[m], expected_alpha[m], expected_beta[m],
                 config,
             )
             for m, points in enumerate(frames)
@@ -291,7 +291,7 @@ class TestUpdateXFrame:
         z, u, alpha, beta = (rng.standard_normal((5, 3, 8)) for _ in range(4))
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
         expected = data_free_update(z, u, expected_alpha, expected_beta, config)
-        empty = NormalFactor(np.zeros((5, 1, 8, 0)), config.rho1 + config.mu)
+        empty = NormalFactor(np.zeros((5, 1, 0, 8)), np.zeros((5, 1, 0, 0)), config.rho1 + config.mu)
         x = update_x_frame(
             np.zeros((5, 1, 8)), empty, z, u, alpha, beta, config, np.zeros((5, 3, 1))
         )
@@ -427,6 +427,38 @@ class TestSolve:
             solve(signals, schedule, base, small_geometry, SolverConfig(outer_iters=5))
         assert err.value.iteration == 1
 
+    def test_singular_normal_factor_raises_divergence(self, rng, small_geometry):
+        # finite base spectra, huge enough that a point sampled twice rounds K to a singular matrix
+        spectra = (rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))) * 1e120
+        base = BaseSpectraSet.from_spectra(spectra)
+        point = SamplePoint(2, (1, 3))
+        schedule = SamplingSchedule(frames=((point, point), None))
+        signals = SignalSet(per_frame={0: np.ones(16, dtype=complex)})
+        with pytest.raises(DivergenceError, match="singular") as err:
+            solve(signals, schedule, base, small_geometry, SolverConfig(outer_iters=5))
+        assert err.value.iteration == 0
+
+    def test_factor_hooks_build_each_point_set_once_and_serve_each_frame(
+        self, rng, small_base, small_geometry, built_point_sets, monkeypatch
+    ):
+        # the benchmark's model.factor_builds and factor_requests count these two calls
+        requested = []
+        get = FactorizationCache.get
+
+        def counting_get(cache, points):
+            requested.append(tuple(points))
+            return get(cache, points)
+
+        monkeypatch.setattr(FactorizationCache, "get", counting_get)
+        points = [(p,) for p in random_points(rng, small_geometry, 3)]
+        frames = (points[0], None, points[1], points[0], points[2], None, points[1], points[0])
+        schedule = SamplingSchedule(frames=frames)
+        truth = SubstanceDistribution(values=np.full((8, 16, 2), 0.1), geometry=small_geometry)
+        signals = acquire(truth, small_base, schedule, 0.05, rng_seed=3)
+        solve(signals, schedule, small_base, small_geometry, SolverConfig(outer_iters=2))
+        assert sorted(built_point_sets) == sorted(set(points))
+        assert requested == [f for f in frames if f is not None]
+
     def test_residual_log_lengths(self, rng, small_base, small_geometry):
         schedule = random_schedule(rng, small_geometry, 5)
         truth = SubstanceDistribution(
@@ -544,7 +576,7 @@ class TestWeightStack:
         signals = acquire(truth, base, schedule, 0.05, rng_seed=3)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3)
         stacked = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
-        stack_bytes = stacked.v.nbytes + stacked.k_inv.nbytes
+        stack_bytes = stacked.phi.nbytes + stacked.core.nbytes + stacked.s.nbytes
         del stacked
         tracemalloc.start()
         try:
