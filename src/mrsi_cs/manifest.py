@@ -4,11 +4,14 @@ The manifest lists the resolved configuration, the seeds used, every
 input and output file with its SHA-256 content hash, and wall-clock
 timings per stage.  Re-running a command with the configuration and
 seeds recorded here must reproduce the listed output hashes exactly.
+
+``hashlib`` is imported on the first hash, not with the module: it
+loads OpenSSL, a few MB that a command needs only once its work is
+done, so they stay out of the peak memory of the stage itself.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -22,6 +25,8 @@ TOOL = "mrsi-cs"
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

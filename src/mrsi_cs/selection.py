@@ -10,10 +10,10 @@ over both orientations.  The search is an exhaustive sweep of the grid.
 The sweep runs as a regularization path without warm starts: the
 triples form a (C, 3) weight axis, and each orientation solves the stack
 with :func:`~mrsi_cs.solver.solve` in blocks of rows that iterate in
-lockstep.  The solver holds up to twelve (M, N*J) arrays per row (state,
+lockstep.  The solver holds up to ten (M, N*J) arrays per row (state,
 work buffers and smaller temporaries), and :data:`STACK_BYTES` bounds one
 block's share: 16 rows at 32 frames and NJ = 16, but one row on exp3
-(256 frames, NJ = 384, 9.4 MB per row), where the rows run one after
+(256 frames, NJ = 384, 7.9 MB per row), where the rows run one after
 another.  The blocks of an orientation share one factor cache, so the
 normal-matrix factors are built once per fold at any size, and each
 block is scored before the next is solved.  A row's score does not

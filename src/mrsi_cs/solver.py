@@ -33,8 +33,8 @@ iterates are laid out (frame, row, N*J), the weights broadcast as one
 column per row, and the adjoints, factors and banded Cholesky factor
 are built once per call.  Rows never mix, and every product keeps the
 row axis as a batch axis, so each row's result does not depend on the
-stack it ran in.  The loop holds eleven (M, N*J) arrays per row (eight
-of state, three work buffers; ``_ROW_STATE_ARRAYS`` counts them with the
+stack it ran in.  The loop holds nine (M, N*J) arrays per row (seven
+of state, two work buffers; ``_ROW_STATE_ARRAYS`` counts them with the
 smaller temporaries), so the caller bounds C to bound the memory (the
 CV sweep solves its grid in blocks that share one factor cache); a
 solve without a stack is the C = 1 case.
@@ -152,7 +152,7 @@ def soft_threshold(xi: np.ndarray | float, iota: np.ndarray | float) -> np.ndarr
     ``iota`` may be an array that broadcasts against ``xi``, e.g. one
     threshold per row of a weight stack.
     """
-    if np.any(np.less(iota, 0)):
+    if not np.all(np.greater_equal(iota, 0)):  # also rejects NaN
         raise ParameterError(f"threshold must be >= 0, got {iota}")
     shape = np.broadcast_shapes(np.shape(xi), np.shape(iota))
     out = np.array(np.broadcast_to(xi, shape), dtype=np.float64)
@@ -189,8 +189,8 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
     """
     if m < 2:
         raise ParameterError(f"need at least 2 frames, got {m}")
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ParameterError(f"gamma must be finite and > 0, got {gamma}")
     d = np.full(m, 1.0 + 2.0 * gamma)
     d[0] = d[-1] = 1.0 + gamma
     diag = np.empty(m)
@@ -314,6 +314,7 @@ def update_x_frame(
     *,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
+    fixed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
@@ -329,23 +330,26 @@ def update_x_frame(
     replaces ``config.lambda_x`` and must be >= 0 (:func:`solve` checks
     its weights once); as an array it broadcasts against the iterates,
     e.g. shape (M, C, 1) for one weight per frame and row of (frame, C,
-    N*J) iterates.  ``out`` receives x_m and ``work`` is scratch, both
-    shaped like ``alpha_m``; they are allocated when not given.
+    N*J) iterates.  ``out`` receives x_m; ``work`` and ``fixed`` are
+    scratch, the latter for the part rho1*(z - u) + Re(A^H y) of the
+    right-hand side that the inner rounds share.  All three are shaped
+    like ``alpha_m`` and allocated when not given.
     """
     rho1, mu = config.rho1, config.mu
     if lambda_x is None:
         lambda_x = config.lambda_x
     x_m = np.empty(alpha_m.shape) if out is None else out
     rhs = np.empty(alpha_m.shape) if work is None else work
+    fixed = np.empty(alpha_m.shape) if fixed is None else fixed
     threshold = np.divide(lambda_x, mu)
+    np.subtract(z_m, u_m, out=fixed)
+    fixed *= rho1
+    fixed += aty_m
     for _ in range(config.inner_iters):
-        # rhs = rho1 * (z - u) + mu * (alpha - beta), with x_m as scratch
-        np.subtract(z_m, u_m, out=rhs)
-        rhs *= rho1
-        np.subtract(alpha_m, beta_m, out=x_m)
-        x_m *= mu
-        rhs += x_m
-        rhs += aty_m
+        # rhs = mu * (alpha - beta) + rho1 * (z - u) + Re(A^H y)
+        np.subtract(alpha_m, beta_m, out=rhs)
+        rhs *= mu
+        rhs += fixed
         factor.solve(rhs, out=x_m)
         np.add(x_m, beta_m, out=alpha_m)
         _shrink(alpha_m, threshold, rhs)
@@ -468,9 +472,9 @@ def _row_norms(a: np.ndarray) -> list[float]:
     return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1)).tolist()
 
 
-# (M, N*J) arrays per row that _iterate allocates: the state x, z, u, alpha, beta, h, s and nu,
-# the work buffers omega, q and work, and one for the smaller per-row temporaries and residual logs
-_ROW_STATE_ARRAYS = 12
+# (M, N*J) arrays per row that _iterate allocates: the state x, z, u, alpha, beta, s and nu,
+# the work buffers omega and work, and one for the smaller per-row temporaries and residual logs
+_ROW_STATE_ARRAYS = 10
 
 
 def _iterate(
@@ -484,7 +488,7 @@ def _iterate(
     """Outer iterations of a (C, 3) stack of weight rows, from the start point x = Re(A^H y).
 
     Returns the rows' (C, M, N*J) estimates and residual logs.  Every
-    step writes into eleven (M, N*J) arrays per row allocated here.  A
+    step writes into nine (M, N*J) arrays per row allocated here.  A
     row that meets ``stop_tol`` is copied out and dropped from the stack.
     The arrays are re-sliced one at a time, and the estimates are only
     gathered after the loop, so dropping rows costs about one (M, N*J)
@@ -497,36 +501,36 @@ def _iterate(
     lambda_x = np.where(has_data[:, None, None], weights[None, :, :1], 0.0)
     lambda_w1, lambda_w2 = weights[:, 1:2], weights[:, 2:3]
     aty_rows = aty[:, None]
-    # primal x, its copy z and dual u per frame; differences h, their copy s and dual nu;
-    # the inner splitting's copy alpha and dual beta; each laid out (frame, row, N*J).
-    # omega and q hold the projection's input and output, work is scratch for every step.
+    # primal x, its copy z and dual u per frame; the differences' copy s and dual nu; the inner
+    # splitting's copy alpha and dual beta; each laid out (frame, row, N*J).  omega is the
+    # x-update's fixed right-hand side, then the differences h, then the projection's input and
+    # output; work is scratch for every step.
     x = np.repeat(aty_rows, n_rows, axis=1)
     z = x.copy()
     u, alpha, beta = (np.zeros_like(x) for _ in range(3))
     omega, work = np.empty_like(x), np.empty_like(x)
-    h, s, nu = (np.zeros((max(m_total - 1, 0), n_rows, n_unknown)) for _ in range(3))
-    q = np.empty_like(s)
+    s, nu = (np.zeros((max(m_total - 1, 0), n_rows, n_unknown)) for _ in range(2))
     logs = [ResidualLog() for _ in range(n_rows)]
     live = np.arange(n_rows)  # the weight row each stacked row belongs to
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
-        update_x_frame(aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work)
+        update_x_frame(aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega)
+        if m_total >= 2:
+            # nu holds q = h + nu until the dual step: nu_new = q - s_new
+            nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=work[:-1])
         np.add(x, u, out=omega)
         if m_total >= 2:
-            update_h(s, nu, config, lambda_w1, lambda_w2, out=h, work=work[:-1])
-            np.add(h, nu, out=q)
-            project_constraint(omega, q, chol, config.gamma, out=(omega, q), work=work)
-        # omega and q now hold the new z and s
+            project_constraint(omega, nu, chol, config.gamma, out=(omega, s), work=work)
+        # omega and s now hold the new z and s
         np.subtract(x, omega, out=work)
         gap = _row_norms(work)
         u += work
         np.subtract(omega, z, out=work)
         step = _row_norms(work)
         if m_total >= 2:
-            np.subtract(h, q, out=work[:-1])
-            nu += work[:-1]
-        z, omega, s, q = omega, z, q, s
+            nu -= s
+        z, omega = omega, z
         if not all(math.isfinite(v) for v in gap + step):
             raise DivergenceError(f"non-finite iterates at outer iteration {k}", iteration=k)
         for i, row in enumerate(live):
@@ -541,15 +545,15 @@ def _iterate(
             if stopped.any():
                 stopped_x.update((live[i], x[:, i].copy()) for i in np.flatnonzero(stopped))
                 keep = ~stopped
-                state = [x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x]
-                del x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x
+                state = [x, z, u, alpha, beta, omega, work, s, nu, lambda_x]
+                del x, z, u, alpha, beta, omega, work, s, nu, lambda_x
                 for i in range(len(state)):  # one at a time: each old array is freed before the next copy
                     state[i] = state[i].compress(keep, axis=1)
-                x, z, u, alpha, beta, omega, work, h, s, nu, q, lambda_x = state
+                x, z, u, alpha, beta, omega, work, s, nu, lambda_x = state
                 del state
                 lambda_w1, lambda_w2 = lambda_w1[keep], lambda_w2[keep]
                 live = live[keep]
-    del z, u, alpha, beta, omega, work, h, s, nu, q  # freed before the estimates are gathered
+    del z, u, alpha, beta, omega, work, s, nu  # freed before the estimates are gathered
     out = np.empty((n_rows, m_total, n_unknown))
     out[live] = x.swapaxes(0, 1)
     for row, estimate in stopped_x.items():

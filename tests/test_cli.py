@@ -621,12 +621,12 @@ class TestSolverBudgets:
 
 class TestStartup:
     @staticmethod
-    def scipy_modules_after(code):
-        """The scipy modules loaded by a fresh interpreter after ``code`` runs."""
+    def modules_after(code, *roots):
+        """The modules under ``roots`` that a fresh interpreter has loaded after ``code`` runs."""
         src = str(Path(mrsi_cs.__file__).resolve().parents[1])
         code = (
-            f"import sys; {code}; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            f"import sys; {code}; roots = {roots!r}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in roots))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
@@ -634,7 +634,11 @@ class TestStartup:
         return out.stdout.strip()
 
     def test_cli_import_loads_no_scipy(self):
-        assert self.scipy_modules_after("import mrsi_cs.cli") == "[]"
+        assert self.modules_after("import mrsi_cs.cli", "scipy") == "[]"
+
+    def test_cli_import_loads_no_openssl(self):
+        # the manifest imports hashlib on its first hash, after a command's work is done
+        assert self.modules_after("import mrsi_cs.cli", "hashlib", "_hashlib") == "[]"
 
     def test_design_loads_no_scipy(self):
         code = (
@@ -644,7 +648,7 @@ class TestStartup:
             "s = mc.build_schedule(mc.SamplerConfig(n_points=64, dims=(16, 8, 8)), g); "
             "assert s.n_acquired == 64"
         )
-        assert self.scipy_modules_after(code) == "[]"
+        assert self.modules_after(code, "scipy") == "[]"
 
 
 class TestCvCommand:
@@ -817,3 +821,11 @@ class TestManifests:
         assert (recorded["iters"], recorded["lambda_x"], recorded["inner_iters"]) == (10, 0.001, None)
         assert manifests["cv"]["arguments"]["iters"] == 2
         assert manifests["evaluate"]["arguments"]["frames"] is None
+
+    def test_sha256_file_reads_large_files_in_chunks(self, tmp_path):
+        import hashlib
+
+        data = np.random.default_rng(0).bytes((1 << 20) * 2 + 12345)  # two full chunks and a partial one
+        path = tmp_path / "large.bin"
+        path.write_bytes(data)
+        assert sha256_file(path) == hashlib.sha256(data).hexdigest()

@@ -89,6 +89,11 @@ class TestSoftThreshold:
         with pytest.raises(ParameterError):
             soft_threshold(1.0, -0.1)
 
+    @pytest.mark.parametrize("iota", [float("nan"), np.array([[0.1], [float("nan")]])])
+    def test_rejects_nan_threshold(self, iota):
+        with pytest.raises(ParameterError):
+            soft_threshold(np.ones((4, 2, 3)), iota)
+
     def test_per_row_thresholds_broadcast(self, rng):
         xi = rng.standard_normal((5, 3, 4))
         iota = np.array([[0.0], [0.3], [2.0]])
@@ -126,6 +131,11 @@ class TestBandCholesky:
             band_cholesky(1, 1.0)
         with pytest.raises(ParameterError):
             band_cholesky(4, 0.0)
+
+    @pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ParameterError):
+            band_cholesky(5, gamma)
 
 
 class TestProjectConstraint:
@@ -285,6 +295,25 @@ class TestUpdateXFrame:
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(beta, expected_beta, rtol=1e-12, atol=1e-14)
 
+    def test_buffers_do_not_change_the_result(self, rng, small_base, small_geometry):
+        # the loop passes its own out, work and fixed buffers; a call without them allocates its own
+        config = SolverConfig(rho1=0.3, mu=0.2, inner_iters=3)
+        frames = [None, *(tuple(random_points(rng, small_geometry, c)) for c in (1, 3, 2))]
+        factor = FactorizationCache(small_base, small_geometry).stack(frames, config.rho1 + config.mu)
+        aty = rng.standard_normal((4, 1, 32))
+        aty[0] = 0.0
+        z, u, alpha, beta = (rng.standard_normal((4, 3, 32)) for _ in range(4))
+        lambda_x = np.zeros((4, 3, 1))
+        lambda_x[1:] = np.array([0.0, 0.05, 0.5])[:, None]  # none on the data-free frame
+        plain_alpha, plain_beta = alpha.copy(), beta.copy()
+        plain = update_x_frame(aty, factor, z, u, plain_alpha, plain_beta, config, lambda_x)
+        out, work, fixed = (np.full_like(z, np.nan) for _ in range(3))
+        got = update_x_frame(aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed)
+        assert got is out
+        np.testing.assert_array_equal(got, plain)
+        np.testing.assert_array_equal(alpha, plain_alpha)
+        np.testing.assert_array_equal(beta, plain_beta)
+
     def test_zero_width_factor_reproduces_data_free_branch(self, rng):
         # a frame without columns, a zero Re(A^H y) and a zero threshold is the data-free update
         config = SolverConfig(lambda_x=0.3, rho1=0.4, mu=0.7, inner_iters=3)
@@ -416,6 +445,26 @@ class TestSolve:
         for m in sorted(gap):
             np.testing.assert_allclose(x[m], x[5], atol=1e-6)
             assert np.abs(x[m]).max() > 0.1
+
+    @pytest.mark.parametrize("n_frames", [1, 2])
+    def test_short_solves_meet_the_optimality_conditions(self, n_frames, small_base, small_geometry):
+        # one frame runs without the h-step and the projection; two frames run both on one difference
+        from mrsi_cs.oracle import kkt_residual
+
+        rng = np.random.default_rng(5)
+        frames = tuple(tuple(random_points(rng, small_geometry, 3)) for _ in range(n_frames))
+        schedule = SamplingSchedule(frames=frames)
+        values = np.zeros((n_frames, 16, 2))
+        values[:, 3, 0], values[:, 7, 1] = 0.5, 0.3
+        truth = SubstanceDistribution(values=values, geometry=small_geometry)
+        signals = acquire(truth, small_base, schedule, 0.01, rng_seed=2)
+        lambdas = (1e-3, 1e-2, 1e-1)
+        config = SolverConfig(*lambdas, rho1=0.1, rho2=0.5, mu=0.1, outer_iters=2000)
+        estimate, _ = solve(signals, schedule, small_base, small_geometry, config)
+        assert np.count_nonzero(estimate.values) > 16  # the l1 terms do not settle it at zero
+        # measured 4e-14 (one frame) and 1e-10 (two frames); the gradients' scale is about 1
+        kkt = kkt_residual(estimate, signals, schedule, small_base, small_geometry, lambdas, zero_tol=1e-6)
+        assert kkt < 1e-8
 
     def test_divergence_detection(self, small_geometry):
         # a finite base spectrum whose normal matrix overflows poisons the first iteration
