@@ -99,8 +99,6 @@ def _load_distribution(path: str) -> SubstanceDistribution:
     tensor = read_tensor(path)
     if tensor.ndim < 3:
         raise ShapeError(f"{path}: expected (frames, ...spatial, substances); got {tensor.shape}")
-    if np.iscomplexobj(tensor):
-        raise ShapeError(f"{path}: distributions must be real")
     m, *spatial, j = tensor.shape
     geometry = AcquisitionGeometry(
         spatial_dims=tuple(spatial),
@@ -321,7 +319,7 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
     solver_doc = doc.get("solver", {})
     solver_config = parse_solver_config(solver_doc, outer_iters=iters)
     if iters is None and "outer_iters" not in solver_doc:  # ranking needs less polish than the final fit
-        solver_config = dataclasses.replace(solver_config, outer_iters=200)
+        solver_config = dataclasses.replace(solver_config, outer_iters=CvPlan.base_config.outer_iters)
     grid = PAPER_GRID if paper_grid else COARSE_GRID
     plan = CvPlan(grid_x=grid, grid_w1=grid, grid_w2=grid, base_config=solver_config)
     timer.lap("load")

@@ -146,12 +146,16 @@ def write_profiles_csv(
 
 
 def write_pgm(path: str | Path, image: np.ndarray, upsample: int = 1) -> None:
-    """Binary 8-bit PGM of values already scaled to [0, 1]; clips outside."""
+    """Binary 8-bit PGM of values already scaled to [0, 1]; clips outside.
+
+    The last axis runs across the image.  A 1-D image is one row, and
+    the slices of an image with more axes are stacked vertically, the
+    leading axes varying slowest.
+    """
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 1:
-        image = image[None, :]
-    if image.ndim != 2:
-        raise ShapeError(f"snapshots must be 1D or 2D; got shape {image.shape}")
+    if image.ndim < 1:
+        raise ShapeError("snapshots need at least one axis; got a scalar")
+    image = image.reshape(-1, image.shape[-1])
     if upsample < 1:
         raise ParameterError("upsample factor must be >= 1")
     if upsample > 1:

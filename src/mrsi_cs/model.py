@@ -6,9 +6,12 @@ every voxel's two-dimensional spectrum is a linear combination of
 substance base spectra weighted by ``x``, and the acquired signal is the
 multi-dimensional discrete Fourier transform of that spectrum, sampled
 at one or more (evolution, k-space) points.  Because the spectrum
-separates into (base spectrum) x (spatial map), the sampled transform
-factors into a spatial DFT of ``x`` and a precomputed transform of the
-base spectra; no full-grid tensor is ever materialised.
+separates into (base spectrum) x (spatial map), each sample is the
+product of the point's spatial DFT row and the base spectra's transform
+at the point's evolution index.  That row (:func:`_point_rows`, built
+from one small table per spatial axis) is the one piece the forward
+operator, its adjoint and the normal-matrix factor share; no grid-sized
+transform runs and no full-grid tensor is materialised.
 
 All DFTs are unitary, so the adjoint of the sampling operator is its
 conjugate transpose with no extra scaling.
@@ -24,6 +27,7 @@ solved by small inverses (Woodbury).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -45,7 +49,6 @@ __all__ = [
     "apply_adjoint",
     "normal_matrix",
     "NormalFactor",
-    "FactorTables",
     "FactorizationCache",
 ]
 
@@ -74,7 +77,7 @@ class AcquisitionGeometry:
 
     @property
     def n_voxels(self) -> int:
-        return int(np.prod(self.spatial_dims))
+        return math.prod(self.spatial_dims)
 
     @property
     def spatial_axes(self) -> tuple[int, ...]:
@@ -180,6 +183,8 @@ class SubstanceDistribution:
     geometry: AcquisitionGeometry
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ShapeError("values must be real; got a complex array")
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 3:
             raise ShapeError(f"values must be (M, N, J); got shape {v.shape}")
@@ -336,17 +341,33 @@ class SignalSet:
         return cls(per_frame=per_frame)
 
 
-def _spatial_spectrum(x_m: np.ndarray, base: BaseSpectraSet, geometry: AcquisitionGeometry) -> np.ndarray:
-    """k-space transform of each substance map: returns (..., *spatial_dims, J) complex."""
-    n, j = geometry.n_voxels, base.n_substances
-    x_m = np.asarray(x_m, dtype=np.float64)
-    if x_m.shape[-1:] != (n * j,):
-        raise ShapeError(f"x_m must have length N*J = {n * j} on its last axis; got {x_m.shape}")
-    cube = x_m.reshape(*x_m.shape[:-1], *geometry.spatial_dims, j).astype(np.complex128)
-    # substances go before the spatial axes so those are trailing for the DFT
-    substance_axis = -1 - len(geometry.spatial_dims)
-    khat = dft_spatial(np.moveaxis(cube, -1, substance_axis), "to_kspace", geometry)
-    return np.moveaxis(khat, substance_axis, -1)
+@functools.lru_cache(maxsize=None)
+def _inverse_dft_table(n: int) -> np.ndarray:
+    """Read-only; row k is the unitary inverse DFT of an impulse at k, the conjugate of the forward row k."""
+    table = _unitary_dft(np.eye(n, dtype=np.complex128), axes=(-1,), inverse=True)
+    table.flags.writeable = False
+    return table
+
+
+def _point_rows(frame_points: Sequence[SamplePoint], geometry: AcquisitionGeometry) -> np.ndarray:
+    """(P, N) complex: row p is the inverse spatial DFT of a unit impulse at point p's k index.
+
+    Each row is the outer product of one table row per spatial axis,
+    the first axis varying slowest, as voxels are laid out.
+    """
+    for point in frame_points:
+        _check_point(point, geometry)
+    n_points = len(frame_points)
+    rows = None
+    for axis, n in enumerate(geometry.spatial_dims):
+        axis_rows = _inverse_dft_table(n)[[point.k_index[axis] - 1 for point in frame_points]]
+        rows = axis_rows if rows is None else (rows[:, :, None] * axis_rows[:, None, :]).reshape(n_points, -1)
+    return rows
+
+
+def _evolution_fid(frame_points: Sequence[SamplePoint], base: BaseSpectraSet) -> np.ndarray:
+    """(P, J, N_RO): the base spectra's readouts at each point's evolution index."""
+    return base.fid[:, [point.spectral_index - 1 for point in frame_points], :].transpose(1, 0, 2)
 
 
 def apply_forward(
@@ -358,20 +379,21 @@ def apply_forward(
     """Predicted complex readouts for one frame.
 
     For each sampled point (d, k) the output block over the readout axis
-    is  sum_j  Xhat_j(k) * fid_j(d, :),  where Xhat_j is the unitary
-    spatial DFT of the j-th substance map.  Output blocks follow the
-    order of ``frame_points``.  ``x_m`` may carry leading axes, e.g. one
-    row per weight triple of a stacked solve; the output keeps them.
+    is  sum_j  Xhat_j(k) * fid_j(d, :),  where Xhat_j(k) is the unitary
+    spatial DFT of the j-th substance map at k: the point's row
+    (:func:`_point_rows`), conjugated, times the map.  Output blocks
+    follow the order of ``frame_points``.  ``x_m`` may carry leading
+    axes, e.g. one row per weight triple of a stacked solve; the output
+    keeps them.
     """
     base_check(base, geometry)
-    khat = _spatial_spectrum(x_m, base, geometry)  # (..., *spatial, J)
-    lead = khat.shape[: -1 - len(geometry.spatial_dims)]
-    out = np.empty((*lead, len(frame_points), base.n_readout), dtype=np.complex128)
-    for i, point in enumerate(frame_points):
-        _check_point(point, geometry)
-        kidx = tuple(c - 1 for c in point.k_index)
-        weights = khat[(..., *kidx, slice(None))]  # (..., J)
-        out[..., i, :] = weights @ base.fid[:, point.spectral_index - 1, :]
+    n, j = geometry.n_voxels, base.n_substances
+    x_m = np.asarray(x_m, dtype=np.float64)
+    if x_m.shape[-1:] != (n * j,):
+        raise ShapeError(f"x_m must have length N*J = {n * j} on its last axis; got {x_m.shape}")
+    lead = x_m.shape[:-1]
+    weights = np.conj(_point_rows(frame_points, geometry)) @ x_m.reshape(*lead, n, j)  # (..., P, J)
+    out = weights[..., None, :] @ _evolution_fid(frame_points, base)  # (..., P, 1, N_RO)
     return out.reshape(*lead, -1)
 
 
@@ -383,30 +405,20 @@ def apply_adjoint(
 ) -> np.ndarray:
     """Real part of the conjugate-transpose action on a residual vector.
 
-    Accumulates, per substance, the readout-correlated weight of every
-    sampled point into an otherwise empty k-space grid and transforms
-    back; repeated points accumulate.  Returns a real vector of length
-    N*J matching the ``x_m`` layout of :func:`apply_forward`.
+    Each point's readout block is correlated with the base spectra at
+    its evolution index, giving J weights, and spread over the voxels by
+    the point's row (:func:`_point_rows`); repeated points accumulate.
+    Returns a real vector of length N*J matching the ``x_m`` layout of
+    :func:`apply_forward`.
     """
     base_check(base, geometry)
     residual = np.asarray(residual, dtype=np.complex128).ravel()
-    n_ro = base.n_readout
-    if residual.shape[0] != len(frame_points) * n_ro:
-        raise ShapeError(
-            f"residual has {residual.shape[0]} samples, expected "
-            f"{len(frame_points) * n_ro}"
-        )
-    j = base.n_substances
-    grid = np.zeros((j, *geometry.spatial_dims), dtype=np.complex128)
-    blocks = residual.reshape(len(frame_points), n_ro)
-    for point, block in zip(frame_points, blocks):
-        _check_point(point, geometry)
-        kidx = tuple(c - 1 for c in point.k_index)
-        coeff = np.conj(base.fid[:, point.spectral_index - 1, :]) @ block  # (J,)
-        grid[(slice(None), *kidx)] += coeff
-    image = dft_spatial(grid, "to_image", geometry)
-    out = np.moveaxis(image.real, 0, -1)  # (*spatial, J)
-    return np.ascontiguousarray(out).reshape(-1)
+    n_points, n_ro = len(frame_points), base.n_readout
+    if residual.shape[0] != n_points * n_ro:
+        raise ShapeError(f"residual has {residual.shape[0]} samples, expected {n_points * n_ro}")
+    blocks = residual.reshape(n_points, n_ro, 1)
+    coeff = np.conj(_evolution_fid(frame_points, base)) @ blocks  # (P, J, 1)
+    return (_point_rows(frame_points, geometry).T @ coeff[..., 0]).real.reshape(-1)
 
 
 def base_check(base: BaseSpectraSet, geometry: AcquisitionGeometry) -> None:
@@ -417,37 +429,6 @@ def base_check(base: BaseSpectraSet, geometry: AcquisitionGeometry) -> None:
             f"base spectra grid ({base.n_evolution}, {base.n_readout}) does not match "
             f"geometry ({geometry.spectral_evolution_points}, {geometry.readout_points})"
         )
-
-
-class FactorTables(NamedTuple):
-    """Per-axis and per-evolution-index pieces that every point's factor is built from.
-
-    ``dft_rows[a][k]`` is the unitary inverse spatial DFT of a unit
-    impulse at index k along spatial axis ``a`` (the conjugate of the
-    forward transform's row k); a point's N-voxel row is the outer
-    product of one such row per axis.  ``readout_r[d]`` is the triangular
-    QR factor of the base spectra's readout matrix at evolution index d
-    (0-based), shape (min(N_RO, J), J).
-    """
-
-    dft_rows: tuple[np.ndarray, ...]
-    readout_r: np.ndarray
-
-    @classmethod
-    def build(cls, base: BaseSpectraSet, geometry: AcquisitionGeometry) -> FactorTables:
-        rows = tuple(
-            _unitary_dft(np.eye(n, dtype=np.complex128), axes=(-1,), inverse=True)
-            for n in geometry.spatial_dims
-        )
-        # one batched QR over the evolution axis: fid[:, d, :].T for every d
-        return cls(rows, np.linalg.qr(base.fid.transpose(1, 2, 0), mode="r"))
-
-    def point_row(self, point: SamplePoint) -> np.ndarray:
-        """Inverse spatial DFT of a unit impulse at the point's k index, as a length-N vector."""
-        row = self.dft_rows[0][point.k_index[0] - 1]
-        for rows, k in zip(self.dft_rows[1:], point.k_index[1:]):
-            row = np.multiply.outer(row, rows[k - 1]).reshape(-1)
-        return row
 
 
 class NormalFactor:
@@ -514,33 +495,32 @@ def normal_matrix(
     frame_points: Sequence[SamplePoint],
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
-    tables: FactorTables,
+    readout_r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The separable pieces (Phi, T) of one frame's V, V V^T = Re(A^H A), V = (Phi^T kron I_J) T.
 
     Per point the complex Gram is kron(conj(f) f^T, R^H R), with f the
-    sampled spatial DFT row (:meth:`FactorTables.point_row`) and R the
-    triangular QR factor of the base spectra's readout matrix at the
-    point's evolution index; its real part is C_r C_r^T + C_i C_i^T for
-    C = kron(f, conj(R^T)).  Writing f = a + ib and R^T = X + iY,
-    [C_r, C_i] = (Phi_p^T kron I_J) T_p with Phi_p = [a; b] (2 x N) and
-    the real 2J x 2r core T_p = [[X, -Y], [Y, X]] (r = min(N_RO, J)).
-    Points stack their rows of Phi (2P x N) and their cores block by
-    block on the diagonal of T (2P*J x 2P*r).  The pieces depend only
-    on the points (not on frame index, data or the solver's shift), so
-    they can be shared across frames, iterations and penalties.
-    ``tables`` holds the DFT rows and QR factors (see
-    :class:`FactorizationCache`).
+    point's spatial DFT row (:func:`_point_rows`, the row the forward
+    operator and its adjoint apply) and R the triangular QR factor of
+    the base spectra's readout matrix at the point's evolution index,
+    ``readout_r[d]`` (see :class:`FactorizationCache`).  Its real part
+    is C_r C_r^T + C_i C_i^T for C = kron(f, conj(R^T)).  Writing
+    f = a + ib and R^T = X + iY, [C_r, C_i] = (Phi_p^T kron I_J) T_p
+    with Phi_p = [a; b] (2 x N) and the real 2J x 2r core
+    T_p = [[X, -Y], [Y, X]] (r = min(N_RO, J)).  Points stack their rows
+    of Phi (2P x N) and their cores block by block on the diagonal of T
+    (2P*J x 2P*r).  The pieces depend only on the points (not on frame
+    index, data or the solver's shift), so they can be shared across
+    frames, iterations and penalties.
     """
     base_check(base, geometry)
-    n_points, (_, rank, j) = len(frame_points), tables.readout_r.shape
+    n_points, (_, rank, j) = len(frame_points), readout_r.shape
+    rows = _point_rows(frame_points, geometry)
     phi = np.empty((n_points, 2, geometry.n_voxels))
+    phi[:, 0], phi[:, 1] = rows.real, rows.imag
     core = np.zeros((n_points, 2, j, n_points, 2, rank))
     for p, point in enumerate(frame_points):
-        _check_point(point, geometry)
-        row = tables.point_row(point)
-        phi[p, 0], phi[p, 1] = row.real, row.imag
-        r_t = tables.readout_r[point.spectral_index - 1].T  # X + iY
+        r_t = readout_r[point.spectral_index - 1].T  # X + iY
         core[p, 0, :, p, 0] = core[p, 1, :, p, 1] = r_t.real
         core[p, 0, :, p, 1] = -r_t.imag
         core[p, 1, :, p, 0] = r_t.imag
@@ -552,22 +532,23 @@ class FactorizationCache:
 
     Frames sampling the same points share one pair, also across the
     solves that are given the same cache, whatever their shift.  The
-    :class:`FactorTables` every pair is built from (one QR per evolution
-    index, one DFT row table per spatial axis) are computed once, when
-    the cache is made.
+    readout QR factors every pair is built from, ``readout_r`` (one
+    triangular (min(N_RO, J), J) factor per evolution index, from one
+    batched QR), are computed once, when the cache is made; the spatial
+    DFT rows come from per-axis tables shared by the whole process.
     """
 
     def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry):
         self.base = base
         self.geometry = geometry
-        self.tables = FactorTables.build(base, geometry)
+        self.readout_r = np.linalg.qr(base.fid.transpose(1, 2, 0), mode="r")  # fid[:, d, :].T for every d
         self._store: dict[tuple[SamplePoint, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def get(self, frame_points: Iterable[SamplePoint]) -> tuple[np.ndarray, np.ndarray]:
         key = tuple(frame_points)
         found = self._store.get(key)
         if found is None:
-            found = self._store[key] = normal_matrix(key, self.base, self.geometry, self.tables)
+            found = self._store[key] = normal_matrix(key, self.base, self.geometry, self.readout_r)
         return found
 
     def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None], shift: float) -> NormalFactor:

@@ -199,6 +199,29 @@ class TestAcquireCommand:
         )
         assert result.exit_code == 3
 
+    def test_complex_truth_exits_3_before_writing(self, runner, tmp_path):
+        config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+        design = write_config(tmp_path / "design.json", TINY_DESIGN)
+        phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "p")])
+        design_out = run_ok(runner, ["design", "--config", design, "--out", str(tmp_path / "d")])
+        truth = read_tensor(phantom_out["truth"])
+        complex_truth = tmp_path / "complex.mrst"
+        write_tensor(complex_truth, truth + 1j * truth)
+        result = runner.invoke(
+            main,
+            [
+                "acquire",
+                "--config", config,
+                "--schedule", design_out["schedule"],
+                "--truth", str(complex_truth),
+                "--base", phantom_out["base"],
+                "--out", str(tmp_path / "a"),
+            ],
+        )
+        assert_clean_exit(result, 3)
+        assert "real" in result.output
+        assert not (tmp_path / "a").exists()
+
 
 class TestReconstructCommand:
     def test_products(self, runner, tmp_path):
@@ -728,6 +751,17 @@ class TestEvaluateCommand:
         )
         assert len(out["snapshots"]) == 2
         assert Path(out["snapshots"][0]).read_bytes().startswith(b"P5\n8 8\n")
+
+    def test_three_dimensional_grid_stacks_slices(self, runner, tmp_path):
+        truth = tmp_path / "truth.mrst"
+        write_tensor(truth, np.random.default_rng(3).random((3, 2, 3, 4, 1)))
+        out = run_ok(
+            runner,
+            ["evaluate", "--recon", str(truth), "--truth", str(truth), "--out", str(tmp_path / "ev")],
+        )
+        assert len(out["snapshots"]) == 3
+        for snap in out["snapshots"]:
+            assert Path(snap).read_bytes().startswith(b"P5\n4 6\n255\n")
 
 
 class TestPipelineDeterminism:

@@ -17,7 +17,7 @@ from mrsi_cs import (
     dft_spatial,
     dft_spectral,
 )
-from mrsi_cs.model import FactorizationCache, FactorTables, NormalFactor, normal_matrix
+from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix
 from conftest import random_points
 
 
@@ -48,6 +48,38 @@ def naive_forward(x_m, points, base, geometry):
         for p in points
     ]
     return np.concatenate(out)
+
+
+# (spatial dims, evolution points, readout points, substances J); "short-readout" has J > N_RO,
+# so each point's QR factor has fewer rows than J
+FACTOR_CASES = {
+    "2-D": ((4, 4), 4, 8, 2),
+    "short-readout": ((3, 3), 2, 2, 3),
+    "1-D": ((6,), 3, 4, 2),
+    "3-D": ((2, 3, 2), 2, 3, 2),
+}
+
+
+def factor_problem(case, rng):
+    dims, n_evolution, n_readout, j = FACTOR_CASES[case]
+    geometry = AcquisitionGeometry(
+        spatial_dims=dims, spectral_evolution_points=n_evolution, readout_points=n_readout
+    )
+    shape = (j, n_evolution, n_readout)
+    base = BaseSpectraSet.from_spectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return base, geometry
+
+
+def operator_point_sets(rng, geometry, count):
+    """``count`` random sets of 1-3 points, one set with a repeated point, and one fully sampled frame.
+
+    The full frame samples every k index at one evolution index.
+    """
+    sets = [random_points(rng, geometry, int(rng.integers(1, 4))) for _ in range(count)]
+    sets.append(sets[0] + sets[0][:1])
+    d = int(rng.integers(1, geometry.spectral_evolution_points + 1))
+    sets.append([SamplePoint(d, tuple(k + 1 for k in index)) for index in np.ndindex(geometry.spatial_dims)])
+    return sets
 
 
 class TestDftSpectral:
@@ -130,12 +162,13 @@ class TestApplyForward:
         out = apply_forward(np.zeros(32), points, small_base, small_geometry)
         assert np.abs(out).max() == 0.0
 
-    def test_matches_naive_full_transform(self, rng, small_base, small_geometry):
-        for _ in range(25):
-            x = rng.standard_normal(32)
-            points = random_points(rng, small_geometry, int(rng.integers(1, 4)))
-            fast = apply_forward(x, points, small_base, small_geometry)
-            slow = naive_forward(x, points, small_base, small_geometry)
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_matches_naive_full_transform(self, case, rng):
+        base, geometry = factor_problem(case, rng)
+        for points in operator_point_sets(rng, geometry, 25):
+            x = rng.standard_normal(geometry.n_voxels * base.n_substances)
+            fast = apply_forward(x, points, base, geometry)
+            slow = naive_forward(x, points, base, geometry)
             np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     def test_leading_axes_match_single_vectors(self, rng, small_base, small_geometry):
@@ -157,14 +190,15 @@ class TestApplyForward:
 
 
 class TestApplyAdjoint:
-    def test_adjoint_identity(self, rng, small_base, small_geometry):
-        for _ in range(100):
-            x = rng.standard_normal(32)
-            points = random_points(rng, small_geometry, int(rng.integers(1, 4)))
-            ax = apply_forward(x, points, small_base, small_geometry)
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_adjoint_identity(self, case, rng):
+        base, geometry = factor_problem(case, rng)
+        for points in operator_point_sets(rng, geometry, 25):
+            x = rng.standard_normal(geometry.n_voxels * base.n_substances)
+            ax = apply_forward(x, points, base, geometry)
             y = rng.standard_normal(ax.shape) + 1j * rng.standard_normal(ax.shape)
             lhs = np.vdot(y, ax).real
-            rhs = float(x @ apply_adjoint(y, points, small_base, small_geometry))
+            rhs = float(x @ apply_adjoint(y, points, base, geometry))
             bound = 1e-10 * max(np.linalg.norm(x) * np.linalg.norm(y), 1.0)
             assert abs(lhs - rhs) <= bound
 
@@ -191,8 +225,8 @@ class TestApplyAdjoint:
 
 
 def pieces(points, base, geometry):
-    """A point set's separable pieces (Phi, T), built from the tables a factor cache builds."""
-    return normal_matrix(points, base, geometry, FactorTables.build(base, geometry))
+    """A point set's separable pieces (Phi, T), built from the QR table a factor cache builds."""
+    return normal_matrix(points, base, geometry, FactorizationCache(base, geometry).readout_r)
 
 
 def dense_columns(phi, core):
@@ -213,26 +247,6 @@ def dense_gram(points, base, geometry):
         return np.zeros((geometry.n_voxels * base.n_substances,) * 2)
     dense = dense_operator(points, base, geometry)
     return (dense.conj().T @ dense).real
-
-
-# (spatial dims, evolution points, readout points, substances J); "short-readout" has J > N_RO,
-# so each point's QR factor has fewer rows than J
-FACTOR_CASES = {
-    "2-D": ((4, 4), 4, 8, 2),
-    "short-readout": ((3, 3), 2, 2, 3),
-    "1-D": ((6,), 3, 4, 2),
-    "3-D": ((2, 3, 2), 2, 3, 2),
-}
-
-
-def factor_problem(case, rng):
-    dims, n_evolution, n_readout, j = FACTOR_CASES[case]
-    geometry = AcquisitionGeometry(
-        spatial_dims=dims, spectral_evolution_points=n_evolution, readout_points=n_readout
-    )
-    shape = (j, n_evolution, n_readout)
-    base = BaseSpectraSet.from_spectra(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return base, geometry
 
 
 def assert_relative_close(got, expected, rtol=1e-12):
