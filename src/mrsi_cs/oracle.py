@@ -6,11 +6,11 @@ gradient steps on the smooth terms (data fit and squared differences),
 a proximal step on the coefficient l1 term, and a dual projection for
 the difference l1 term, with no equality-constraint splitting anywhere.
 
-Measurement operators are probed into dense per-frame matrices with unit
-vectors, so apart from the forward map itself nothing is shared with the
-production code path.  A bounded least-squares computation of the
-minimal-norm subgradient provides an optimality certificate that does
-not rely on either solver having converged.
+Measurement operators are probed with unit vectors into one stack of
+dense per-frame matrices, so apart from the forward map itself nothing
+is shared with the production code path.  A bounded least-squares
+computation of the minimal-norm subgradient provides an optimality
+certificate that does not rely on either solver having converged.
 """
 
 from __future__ import annotations
@@ -67,49 +67,59 @@ class OracleConfig:
 
 
 class _DenseFrames:
-    """Densely probed per-frame measurement matrices and data."""
+    """Checked inputs and the data term on one stack of densely probed frame matrices.
 
-    def __init__(self, signals, schedule, base, geometry):
+    Both entry points share this set-up: the weights, shapes and size cap
+    are checked before any probing.  ``apply_forward`` is then probed with
+    unit vectors into an (F, R, N*J) complex stack over the F acquired
+    frames, R being the most readouts of any frame; shorter frames are
+    padded with zero rows and zero data, which add exact zeros.
+    """
+
+    def __init__(self, signals, schedule, base, geometry, lambdas):
+        self.lambdas = tuple(float(v) for v in lambdas)
+        if len(self.lambdas) != 3 or not all(math.isfinite(v) and v >= 0 for v in self.lambdas):
+            raise ParameterError(
+                f"regularization weights must be three finite values >= 0, got {lambdas}"
+            )
         base_check(base, geometry)
         schedule.validate_geometry(geometry)
         signals.validate_schedule(schedule, base.n_readout)
         self.n_unknown = geometry.n_voxels * base.n_substances
         self.n_frames = schedule.n_frames
-        self.acquired = schedule.acquired_index_set
-        self.matrices: dict[int, np.ndarray] = {}
-        self.data: dict[int, np.ndarray] = {}
+        if self.n_frames * self.n_unknown > SIZE_CAP:
+            raise ParameterError(
+                f"instance has {self.n_frames * self.n_unknown} unknowns, "
+                f"reference solver caps at {SIZE_CAP}"
+            )
+        self.acquired = np.zeros(self.n_frames, dtype=bool)
+        self.acquired[list(schedule.acquired_index_set)] = True
+        self.index = np.flatnonzero(self.acquired)
         eye = np.eye(self.n_unknown)
-        for m in self.acquired:
-            points = schedule.frames[m]
-            cols = [apply_forward(eye[i], points, base, geometry) for i in range(self.n_unknown)]
-            self.matrices[m] = np.stack(cols, axis=1)
-            self.data[m] = signals.per_frame[m]
+        probes = [apply_forward(eye, schedule.frames[m], base, geometry).T for m in self.index]
+        rows = max((p.shape[0] for p in probes), default=0)
+        self.a = np.zeros((len(probes), rows, self.n_unknown), dtype=np.complex128)
+        self.y = np.zeros((len(probes), rows), dtype=np.complex128)
+        for k, (m, p) in enumerate(zip(self.index, probes)):
+            self.a[k, : p.shape[0]] = p
+            self.y[k, : p.shape[0]] = signals.per_frame[m]
+        self.a_h = self.a.conj().transpose(0, 2, 1)
 
-    def grad_data(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for m in self.acquired:
-            a = self.matrices[m]
-            out[m] = (a.conj().T @ (a @ x[m] - self.data[m])).real
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """A_m x_m - y_m for every acquired frame, as an (F, R) array."""
+        return (self.a @ x[self.index, :, None])[..., 0] - self.y
+
+    def objective(self, r: np.ndarray) -> float:
+        return 0.5 * float(np.vdot(r, r).real)
+
+    def gradient(self, r: np.ndarray) -> np.ndarray:
+        """Re(A_m^H r_m) in the acquired frames' rows, zero elsewhere."""
+        out = np.zeros((self.n_frames, self.n_unknown))
+        out[self.index] = (self.a_h @ r[..., None])[..., 0].real
         return out
 
-    def obj_data(self, x: np.ndarray) -> float:
-        total = 0.0
-        for m in self.acquired:
-            r = self.matrices[m] @ x[m] - self.data[m]
-            total += 0.5 * float(np.vdot(r, r).real)
-        return total
-
-    def lipschitz_data(self) -> float:
-        if not self.acquired:
-            return 0.0
-        return max(np.linalg.norm(self.matrices[m], 2) ** 2 for m in self.acquired)
-
-
-def _check_cap(n_total: int) -> None:
-    if n_total > SIZE_CAP:
-        raise ParameterError(
-            f"instance has {n_total} unknowns, reference solver caps at {SIZE_CAP}"
-        )
+    def lipschitz(self) -> float:
+        return float(np.linalg.norm(self.a, 2, axis=(1, 2)).max(initial=0.0)) ** 2
 
 
 def _w(x: np.ndarray) -> np.ndarray:
@@ -134,36 +144,23 @@ def oracle_solve(
 ) -> SubstanceDistribution:
     """Minimize the reconstruction objective by Condat-Vu primal-dual iteration."""
     config = config or OracleConfig()
-    lam_x, lam_w1, lam_w2 = (float(v) for v in lambdas)
-    if min(lam_x, lam_w1, lam_w2) < 0:
-        raise ParameterError("regularization weights must be >= 0")
-    ops = _DenseFrames(signals, schedule, base, geometry)
-    m_total, n = ops.n_frames, ops.n_unknown
-    _check_cap(m_total * n)
+    ops = _DenseFrames(signals, schedule, base, geometry, lambdas)
+    lam_x, lam_w1, lam_w2 = ops.lambdas
+    m_total, n, acquired_mask = ops.n_frames, ops.n_unknown, ops.acquired
 
     norm_w_sq = 4.0  # first-difference operator norm bound
-    lip = ops.lipschitz_data() + lam_w2 * norm_w_sq
+    lip = ops.lipschitz() + lam_w2 * norm_w_sq
     lip = max(lip, 1e-8)
     sigma = config.sigma if config.sigma is not None else lip / 8.0
     tau = config.tau if config.tau is not None else 0.99 / (lip / 2.0 + sigma * norm_w_sq)
 
-    acquired_mask = np.zeros(m_total, dtype=bool)
-    acquired_mask[list(ops.acquired)] = True
-
     x = np.zeros((m_total, n))
     xi = np.zeros((max(m_total - 1, 0), n))
+    r = ops.residual(x)
     history: list[float] = []
 
-    def objective(xv: np.ndarray) -> float:
-        total = ops.obj_data(xv)
-        total += lam_x * float(np.abs(xv[acquired_mask]).sum())
-        if m_total > 1:
-            d = _w(xv)
-            total += lam_w1 * float(np.abs(d).sum()) + 0.5 * lam_w2 * float((d**2).sum())
-        return total
-
     for _ in range(config.max_iters):
-        grad = ops.grad_data(x)
+        grad = ops.gradient(r)  # r is the residual at this x
         if m_total > 1:
             grad += lam_w2 * _wt(_w(x), m_total)
             grad += _wt(xi, m_total)
@@ -174,7 +171,13 @@ def oracle_solve(
         if m_total > 1 and lam_w1 > 0:
             xi = np.clip(xi + sigma * _w(2.0 * x_new - x), -lam_w1, lam_w1)
         x = x_new
-        history.append(objective(x))
+        r = ops.residual(x)
+        total = ops.objective(r)
+        total += lam_x * float(np.abs(x[acquired_mask]).sum())
+        if m_total > 1:
+            d = _w(x)
+            total += lam_w1 * float(np.abs(d).sum()) + 0.5 * lam_w2 * float((d**2).sum())
+        history.append(total)
         if len(history) > config.window:
             past, now = history[-config.window - 1], history[-1]
             if past - now < config.tol * max(abs(now), 1.0):
@@ -205,21 +208,17 @@ def kkt_residual(
     if isinstance(x, SubstanceDistribution):
         x = x.frame_matrix()
     x = np.asarray(x, dtype=np.float64)
-    lam_x, lam_w1, lam_w2 = (float(v) for v in lambdas)
-    ops = _DenseFrames(signals, schedule, base, geometry)
-    m_total, n = ops.n_frames, ops.n_unknown
-    _check_cap(m_total * n)
+    ops = _DenseFrames(signals, schedule, base, geometry, lambdas)
+    lam_x, lam_w1, lam_w2 = ops.lambdas
+    m_total, n, acquired_mask = ops.n_frames, ops.n_unknown, ops.acquired
     if x.shape != (m_total, n):
         raise ShapeError(f"x has shape {x.shape}, expected {(m_total, n)}")
 
     tol = zero_tol * max(1.0, float(np.abs(x).max(initial=0.0)))
-    grad = ops.grad_data(x)
+    grad = ops.gradient(ops.residual(x))
     diff = _w(x) if m_total > 1 else np.zeros((0, n))
     if m_total > 1:
         grad += lam_w2 * _wt(diff, m_total)
-
-    acquired_mask = np.zeros(m_total, dtype=bool)
-    acquired_mask[list(ops.acquired)] = True
 
     c = grad.copy()
     free_cols: list[sp.csc_matrix] = []

@@ -1,3 +1,7 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,12 +15,14 @@ from mrsi_cs import (
     SignalSet,
     SubstanceDistribution,
     acquire,
+    apply_adjoint,
     apply_forward,
     kkt_residual,
     oracle_solve,
 )
+from mrsi_cs import oracle
 from mrsi_cs.solver import SolverConfig, objective_value, solve
-from conftest import random_schedule
+from conftest import random_points, random_schedule
 
 
 def scalar_instance(y=2.0):
@@ -105,7 +111,7 @@ class TestOracleSolve:
         f_cvx = objective_value(np.asarray(x.value), signals, schedule, base, geometry, config)
         assert abs(f_ref - f_cvx) <= 1e-5 * max(abs(f_cvx), 1e-12)
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
         geometry = AcquisitionGeometry(
             spatial_dims=(8, 8), spectral_evolution_points=2, readout_points=2
         )
@@ -115,8 +121,39 @@ class TestOracleSolve:
         signals = SignalSet(
             per_frame={m: np.zeros(2, dtype=complex) for m in range(65)}
         )
+        probes = []
+        monkeypatch.setattr(oracle, "apply_forward", lambda *args: probes.append(args))
         with pytest.raises(ParameterError):
             oracle_solve(signals, schedule, base, geometry, (0.1, 0.1, 0.1))
+        with pytest.raises(ParameterError):
+            kkt_residual(
+                np.zeros((65, 64)), signals, schedule, base, geometry, (0.1, 0.1, 0.1)
+            )
+        assert probes == []  # refused before any probing
+
+    @pytest.mark.parametrize("entry", ["oracle_solve", "kkt_residual"])
+    @pytest.mark.parametrize(
+        "lambdas",
+        [
+            (math.nan, 0.0, 0.0), (0.5, math.inf, 0.0), (0.5, 0.0, -1.0),
+            (-1.0, 0.0, 0.0), (0.5, math.nan, 0.0), (0.5, 0.0, math.inf),
+        ],
+    )
+    def test_rejects_non_finite_and_negative_weights(self, entry, lambdas):
+        geometry, base, schedule, signals = scalar_instance(y=2.0)
+        with pytest.raises(ParameterError):
+            if entry == "oracle_solve":
+                oracle_solve(signals, schedule, base, geometry, lambdas, OracleConfig(max_iters=5))
+            else:
+                kkt_residual(np.array([[1.5]]), signals, schedule, base, geometry, lambdas)
+
+    def test_schedule_without_data_gives_zero(self):
+        geometry, base, _, _ = small_instance(np.random.default_rng(0))
+        schedule = SamplingSchedule(frames=(None,) * 3)
+        signals = SignalSet(per_frame={})
+        out = oracle_solve(signals, schedule, base, geometry, (0.1, 0.1, 0.1))
+        assert np.array_equal(out.values, np.zeros((3, 4, 1)))
+        assert kkt_residual(out, signals, schedule, base, geometry, (0.1, 0.1, 0.1)) == 0.0
 
     def test_objective_convexity_spot_check(self, rng):
         geometry, base, schedule, signals = small_instance(rng)
@@ -173,3 +210,64 @@ class TestKktResidual:
             )
         )
         assert r <= 1e-4 * max(scale, 1.0)
+
+
+class TestStackedDataTerm:
+    def test_matches_per_frame_operator(self, rng):
+        geometry = AcquisitionGeometry(
+            spatial_dims=(2, 3), spectral_evolution_points=3, readout_points=4
+        )
+        spectra = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        base = BaseSpectraSet.from_spectra(spectra)
+        counts = [1, None, 3, 3, None, None, 1, 3]  # frames of 1 and 3 points, with gaps
+        frames = tuple(
+            None if c is None else tuple(random_points(rng, geometry, c)) for c in counts
+        )
+        schedule = SamplingSchedule(frames=frames)
+        signals = SignalSet(
+            per_frame={
+                m: rng.standard_normal(4 * len(f)) + 1j * rng.standard_normal(4 * len(f))
+                for m, f in enumerate(frames)
+                if f is not None
+            }
+        )
+        x = rng.standard_normal((len(frames), 12))
+        ops = oracle._DenseFrames(signals, schedule, base, geometry, (0.1, 0.1, 0.1))
+        r = ops.residual(x)
+        expect_obj, expect_grad = 0.0, np.zeros_like(x)
+        for m, f in enumerate(frames):
+            if f is not None:
+                r_m = apply_forward(x[m], f, base, geometry) - signals.per_frame[m]
+                expect_obj += 0.5 * float(np.vdot(r_m, r_m).real)
+                expect_grad[m] = apply_adjoint(r_m, f, base, geometry)
+        assert ops.objective(r) == pytest.approx(expect_obj, rel=1e-12)
+        grad = ops.gradient(r)
+        assert np.abs(grad - expect_grad).max() <= 1e-12 * np.abs(expect_grad).max()
+        assert not grad[[1, 4, 5]].any()
+
+
+def test_oracle_shares_only_the_forward_map():
+    """The oracle certifies the production operator, so it may import no more of it."""
+    allowed_from_model = {
+        "apply_forward", "base_check", "AcquisitionGeometry", "BaseSpectraSet",
+        "SamplePoint", "SamplingSchedule", "SignalSet", "SubstanceDistribution",
+    }
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []  # (package module, name) pairs
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [
+                (a.name.split(".")[1], None) for a in node.names if a.name.startswith("mrsi_cs.")
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "mrsi_cs":
+                    continue
+                module = module.removeprefix("mrsi_cs").lstrip(".")
+            # `from . import solver` names the module itself
+            imported += [(module or a.name, a.name) for a in node.names]
+    assert imported, "the import scan found no package imports"
+    assert not [i for i in imported if i[0] in ("solver", "selection")], imported
+    extra = {name for module, name in imported if module == "model"} - allowed_from_model
+    assert not extra, f"oracle imports {sorted(extra)} from the production model"
