@@ -97,8 +97,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _load_distribution(path: str) -> SubstanceDistribution:
     tensor = read_tensor(path)
-    if tensor.ndim < 3:
-        raise ShapeError(f"{path}: expected (frames, ...spatial, substances); got {tensor.shape}")
+    if tensor.ndim < 3 or 0 in tensor.shape:
+        raise ShapeError(f"{path}: expected non-empty (frames, ...spatial, substances); got {tensor.shape}")
     m, *spatial, j = tensor.shape
     geometry = AcquisitionGeometry(
         spatial_dims=tuple(spatial),
@@ -361,10 +361,8 @@ def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
     timer = StageTimer()
     recon = _load_distribution(recon_path)
     truth = _load_distribution(truth_path)
-    if recon.values.shape != truth.values.shape:
-        raise ShapeError(
-            f"reconstruction {recon.values.shape} and truth {truth.values.shape} differ"
-        )
+    if recon.spatial().shape != truth.spatial().shape:
+        raise ShapeError(f"reconstruction {recon.spatial().shape} and truth {truth.spatial().shape} differ")
     if config_path is not None:
         labels = list(parse_phantom_config(load_json(config_path)).labels)
         if len(labels) != recon.n_substances:

@@ -530,8 +530,8 @@ def normal_matrix(
 class FactorizationCache:
     """Store of each point set's pieces (:func:`normal_matrix`), keyed by a frame's point tuple.
 
-    Frames sampling the same points share one pair, also across the
-    solves that are given the same cache, whatever their shift.  The
+    Frames of a schedule that sample the same points share one pair,
+    whatever the shift of the stack (:meth:`stack`) they join.  The
     readout QR factors every pair is built from, ``readout_r`` (one
     triangular (min(N_RO, J), J) factor per evolution index, from one
     batched QR), are computed once, when the cache is made; the spatial

@@ -14,8 +14,9 @@ lockstep.  The solver holds up to ten (M, N*J) arrays per row (state,
 work buffers and smaller temporaries), and :data:`STACK_BYTES` bounds one
 block's share: 16 rows at 32 frames and NJ = 16, but one row on exp3
 (256 frames, NJ = 384, 7.9 MB per row), where the rows run one after
-another.  The blocks of an orientation share one factor cache, so the
-normal-matrix factors are built once per fold at any size, and each
+another.  Each orientation prepares its training fold once
+(:func:`~mrsi_cs.solver.prepare`: the adjoints, the stacked factor and
+the banded factor), every block's solve reuses that set-up, and each
 block is scored before the next is solved.  A row's score does not
 depend on the block it ran in.
 """
@@ -34,12 +35,11 @@ from .errors import ParameterError, ShapeError
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
-    FactorizationCache,
     SamplingSchedule,
     SignalSet,
     apply_forward,
 )
-from .solver import _ROW_STATE_ARRAYS, SolverConfig, solve
+from .solver import _ROW_STATE_ARRAYS, SolverConfig, prepare, solve
 
 logger = logging.getLogger(__name__)
 
@@ -130,18 +130,17 @@ def _directional_rmse(
     """RMSE of predicting ``test``'s readouts from a fit to ``train``, one per row of a (C, 3) stack.
 
     The stack is solved in blocks whose state fits :data:`STACK_BYTES`,
-    all sharing one factor cache, and each block is scored before the
-    next is solved.
+    all sharing the fold's one set-up, and each block is scored before
+    the next is solved.
     """
-    n_unknown = geometry.n_voxels * base.n_substances
-    block = max(1, STACK_BYTES // (_ROW_STATE_ARRAYS * 8 * train.schedule.n_frames * n_unknown))
-    cache = FactorizationCache(base, geometry)
+    prepared = prepare(train.signals, train.schedule, base, geometry, config)
+    block = max(1, STACK_BYTES // (_ROW_STATE_ARRAYS * prepared[0].nbytes))  # Re(A^H y) is (M, N*J)
     rmse = np.empty(len(stack))
     for start in range(0, len(stack), block):
         stop = min(start + block, len(stack))
         estimates, _ = solve(
             train.signals, train.schedule, base, geometry, config,
-            weights=stack[start:stop], cache=cache,
+            weights=stack[start:stop], prepared=prepared,
         )
         rmse[start:stop] = _prediction_rmse(estimates, test, base, geometry)
         logger.info("solved %d/%d combinations on one fold", stop, len(stack))

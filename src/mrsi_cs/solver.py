@@ -14,7 +14,7 @@ onto the constraint set, and the dual ascent.
 
 The x step runs on all frames at once, in one batch.  Frames with data
 solve their normal equations through one stacked low-rank (Woodbury)
-factor, built once per solve, and then shrink toward sparsity.  The
+factor, built once per set-up, and then shrink toward sparsity.  The
 factor is separable: it holds each frame's sampled DFT rows and a small
 core, never the N*J-row column block, so a solve is three small matrix
 products per frame.  A data-free frame joins the batch with a zero
@@ -30,14 +30,15 @@ iteration takes O(sqrt(M)) Python steps.
 The three weights only set thresholds and the h-step scale, so
 :func:`solve` can run a stack of C weight triples in lockstep: the
 iterates are laid out (frame, row, N*J), the weights broadcast as one
-column per row, and the adjoints, factors and banded Cholesky factor
-are built once per call.  Rows never mix, and every product keeps the
-row axis as a batch axis, so each row's result does not depend on the
-stack it ran in.  The loop holds nine (M, N*J) arrays per row (seven
-of state, two work buffers; ``_ROW_STATE_ARRAYS`` counts them with the
-smaller temporaries), so the caller bounds C to bound the memory (the
-CV sweep solves its grid in blocks that share one factor cache); a
-solve without a stack is the C = 1 case.
+column per row, and the checks, adjoints, factors and banded Cholesky
+factor form one set-up (:func:`prepare`) that solves may share.  Rows
+never mix, and every product keeps the row axis as a batch axis, so
+each row's result does not depend on the stack it ran in.  The loop
+holds nine (M, N*J) arrays per row (seven of state, two work buffers;
+``_ROW_STATE_ARRAYS`` counts them with the smaller temporaries), so the
+caller bounds C to bound the memory (the CV sweep prepares each fold
+once and solves its grid in blocks that reuse it); a solve without a
+stack is the C = 1 case.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "project_constraint",
     "update_x_frame",
     "update_h",
+    "prepare",
     "solve",
     "objective_value",
 ]
@@ -407,6 +409,30 @@ def _weight_rows(weights, config: SolverConfig) -> np.ndarray:
     return rows
 
 
+def prepare(
+    signals: SignalSet,
+    schedule: SamplingSchedule,
+    base: BaseSpectraSet,
+    geometry: AcquisitionGeometry,
+    config: SolverConfig,
+) -> tuple[np.ndarray, NormalFactor, np.ndarray, BandCholesky | None]:
+    """Check a data set and build the set-up its solves share: (Re(A^H y), factor, has_data, chol).
+
+    Of ``config`` only rho1 + mu and gamma enter.  The factor cache made
+    here is dropped on return, so its per-point-set pieces do not live
+    through the loop.
+    """
+    _prepared_inputs(signals, schedule, base, geometry)
+    m_total = schedule.n_frames
+    aty = np.zeros((m_total, geometry.n_voxels * base.n_substances))
+    for m in schedule.acquired_index_set:
+        aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
+    factor = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
+    has_data = np.array([f is not None for f in schedule.frames])
+    chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
+    return aty, factor, has_data, chol
+
+
 def solve(
     signals: SignalSet,
     schedule: SamplingSchedule,
@@ -414,7 +440,7 @@ def solve(
     geometry: AcquisitionGeometry,
     config: SolverConfig,
     weights: np.ndarray | None = None,
-    cache: FactorizationCache | None = None,
+    prepared: tuple | None = None,
 ) -> tuple[SubstanceDistribution, ResidualLog] | tuple[np.ndarray, list[ResidualLog]]:
     """Run the full outer iteration and return the estimate with its residual log.
 
@@ -430,33 +456,15 @@ def solve(
     ``stop_tol`` set, each row stops on its own, at the iteration its
     solo solve would.
 
-    ``cache`` lets several solves of frames from one point set share
-    their normal-matrix pieces, e.g. the blocks of a CV sweep; it must
-    have been built for ``base`` and ``geometry``.  When it is None, a
-    cache made for this call serves the stack and is dropped before the
-    iterations start.
+    ``prepared`` is the set-up :func:`prepare` built from the same data
+    set and penalties, shared by several solves, e.g. the blocks of a CV
+    fold; when it is None, this call prepares its own.
     """
-    _prepared_inputs(signals, schedule, base, geometry)
+    if prepared is None:
+        prepared = prepare(signals, schedule, base, geometry, config)
     rows = _weight_rows(weights, config)
-    m_total = schedule.n_frames
-    n_unknown = geometry.n_voxels * base.n_substances
-    acquired = schedule.acquired_index_set
-
-    if cache is not None and (cache.base is not base or cache.geometry is not geometry):
-        raise ParameterError("factorization cache was built for another base or geometry")
-    # every frame joins one x-update batch: a data-free frame has a zero Re(A^H y) and a factor
-    # without columns, whose solve is rhs / (rho1 + mu), and later a zero l1 threshold
-    aty = np.zeros((m_total, n_unknown))
-    for m in acquired:
-        aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
-    # a cache made for this call is not kept, so its per-point-set pieces do not live through the loop
-    factor = (cache or FactorizationCache(base, geometry)).stack(schedule.frames, config.rho1 + config.mu)
-    has_data = np.zeros(m_total, dtype=bool)
-    has_data[list(acquired)] = True
-    chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
-
-    x, logs = _iterate(rows, aty, factor, has_data, chol, config)
-    values = x.reshape(len(rows), m_total, geometry.n_voxels, base.n_substances)
+    x, logs = _iterate(rows, *prepared, config)
+    values = x.reshape(len(rows), schedule.n_frames, geometry.n_voxels, base.n_substances)
     if weights is None:
         return SubstanceDistribution(values=values[0], geometry=geometry), logs[0]
     return values, logs

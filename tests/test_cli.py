@@ -735,6 +735,27 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 3
 
+    def test_grids_of_the_same_voxel_count_exit_3_before_writing(self, runner, tmp_path):
+        recon, truth = tmp_path / "recon.mrst", tmp_path / "truth.mrst"
+        write_tensor(recon, np.zeros((6, 4, 4, 1)))
+        write_tensor(truth, np.zeros((6, 2, 8, 1)))
+        out = tmp_path / "ev"
+        result = runner.invoke(main, ["evaluate", "--recon", str(recon), "--truth", str(truth), "--out", str(out)])
+        assert_clean_exit(result, 3)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4, 1), (3, 4, 4, 0), (3, 0, 4, 1)])
+    @pytest.mark.parametrize("role", ["--recon", "--truth"])
+    def test_tensor_with_an_empty_axis_exits_3_before_writing(self, runner, tmp_path, shape, role):
+        empty, full = tmp_path / "empty.mrst", tmp_path / "full.mrst"
+        write_tensor(empty, np.zeros(shape))
+        write_tensor(full, np.zeros((3, 4, 4, 1)))
+        paths = {"--recon": str(full), "--truth": str(full), role: str(empty)}
+        out = tmp_path / "ev"
+        result = runner.invoke(main, ["evaluate", *(a for item in paths.items() for a in item), "--out", str(out)])
+        assert_clean_exit(result, 3)
+        assert not out.exists()
+
     def test_upsampled_snapshots(self, runner, tmp_path):
         config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
         phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "p")])

@@ -20,6 +20,7 @@ from mrsi_cs import (
     split_readouts,
 )
 from mrsi_cs.selection import _ROW_STATE_ARRAYS, PAPER_GRID, STACK_BYTES, _directional_rmse
+from mrsi_cs import selection as selection_module, solver as solver_module
 from mrsi_cs.solver import SolverConfig, solve
 from conftest import random_schedule
 from test_solver import full_sampling_schedule
@@ -164,9 +165,23 @@ class TestLockstepSweep:
             tables.append(grid_search(plan, schedule, signals, base, geometry)[1])
         assert tables[0] == tables[1]
 
-    def test_blocks_build_each_factor_once_per_fold(self, rng, monkeypatch, built_point_sets):
+    def test_each_fold_is_prepared_once_for_all_its_blocks(self, rng, monkeypatch, built_point_sets):
         geometry, base, schedule, signals, _ = make_instance(rng, n_frames=10, gaps={3, 4})
         monkeypatch.setattr("mrsi_cs.selection.STACK_BYTES", 1)  # one row per block
+        calls = {"apply_adjoint": 0, "band_cholesky": 0, "solve": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(solver_module, "apply_adjoint")
+        counted(solver_module, "band_cholesky")
+        counted(selection_module, "solve")
         plan = CvPlan(
             grid_x=(1e-3, 1.0),
             grid_w1=(1e-2,),
@@ -174,9 +189,12 @@ class TestLockstepSweep:
             base_config=SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=5),
         )
         grid_search(plan, schedule, signals, base, geometry)
+        folds = split_readouts(schedule, signals)
+        assert calls["apply_adjoint"] == sum(fold.schedule.n_acquired for fold in folds)
+        assert calls["band_cholesky"] == len(folds)
+        assert calls["solve"] == len(folds) * len(plan.combinations())  # one block per triple
         per_fold = [
-            len({fold.schedule.frames[m] for m in fold.schedule.acquired_index_set})
-            for fold in split_readouts(schedule, signals)
+            len({fold.schedule.frames[m] for m in fold.schedule.acquired_index_set}) for fold in folds
         ]
         assert len(built_point_sets) == sum(per_fold)
 

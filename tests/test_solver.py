@@ -24,7 +24,7 @@ from mrsi_cs import (
     update_h,
 )
 from mrsi_cs.model import FactorizationCache, NormalFactor
-from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, update_x_frame
+from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, prepare, update_x_frame
 from conftest import random_points, random_schedule
 
 
@@ -638,16 +638,18 @@ class TestWeightStack:
         # the loop's arrays and per-row temporaries, Re(A^H y), the stacked factor and one array of slack
         assert peak <= (_ROW_STATE_ARRAYS + 2) * array_bytes + stack_bytes
 
-    def test_blocks_sharing_a_cache_match_one_stack(self, rng, small_base, small_geometry, built_point_sets):
+    def test_one_row_solves_sharing_a_set_up_match_one_stack(
+        self, rng, small_base, small_geometry, built_point_sets
+    ):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=30)
         whole, whole_logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)
-        del built_point_sets[:]  # count the shared cache's builds only
-        cache = FactorizationCache(small_base, small_geometry)
+        del built_point_sets[:]  # count the shared set-up's builds only
+        prepared = prepare(signals, schedule, small_base, small_geometry, config)
         for i in range(len(WEIGHT_STACK)):
             values, logs = solve(
                 signals, schedule, small_base, small_geometry, config,
-                weights=WEIGHT_STACK[i : i + 1], cache=cache,
+                weights=WEIGHT_STACK[i : i + 1], prepared=prepared,
             )
             np.testing.assert_array_equal(values[0], whole[i])
             assert logs[0] == whole_logs[i]
@@ -673,17 +675,6 @@ class TestWeightStack:
             solo, solo_logs = solve(signals, schedule, base, geometry, config, weights=row[None])
             np.testing.assert_array_equal(values[i], solo[0])
             assert logs[i] == solo_logs[0]
-
-    @pytest.mark.parametrize("other", ["base", "geometry"])
-    def test_rejects_cache_of_another_base_or_geometry(self, other, rng, small_base, small_geometry):
-        schedule, signals = gapped_instance(rng, small_base, small_geometry)
-        config = SolverConfig(rho1=0.1, mu=0.1, outer_iters=2)
-        if other == "base":
-            cache = FactorizationCache(BaseSpectraSet.from_spectra(2 * small_base.spectra), small_geometry)
-        else:  # as many voxels on another grid
-            cache = FactorizationCache(small_base, replace(small_geometry, spatial_dims=(2, 8)))
-        with pytest.raises(ParameterError, match="another base or geometry"):
-            solve(signals, schedule, small_base, small_geometry, config, cache=cache)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
     def test_rejects_non_finite_or_negative_rows(self, value, rng, small_base, small_geometry):
