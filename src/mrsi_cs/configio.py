@@ -186,7 +186,9 @@ def _parse_schedule(doc: Any) -> SamplingSchedule:
     """A schedule document, in which every frame index in [0, M) is listed, as ``design`` writes it.
 
     A gap entry lists a data-free frame; a frame with one or more point
-    entries is acquired at those points.
+    entries is acquired at those points.  A frame is one or the other:
+    an entry that is a gap and holds a point, or a frame listed both as
+    a gap and with a point, is refused.
     """
     doc = _typed(doc, dict, "schedule")
     m_total = _get(doc, "M", "schedule", int)
@@ -197,6 +199,7 @@ def _parse_schedule(doc: Any) -> SamplingSchedule:
         raise ConfigError(f"schedule.M must lie in [1, {len(entries)}], the number of entries, got {m_total}")
     points: list[list[SamplePoint]] = [[] for _ in range(m_total)]
     unlisted = set(range(m_total))
+    gaps = set()
     for i, entry in enumerate(entries):
         path = f"schedule.frames[{i}]"
         m = _get(entry, "m", path, int)
@@ -204,10 +207,15 @@ def _parse_schedule(doc: Any) -> SamplingSchedule:
             raise ConfigError(f"{path}.m: frame index {m} outside [0, {m_total})")
         unlisted.discard(m)
         if _typed(entry.get("gap", False), bool, f"{path}.gap"):
-            continue
-        point = _get(entry, "point", path, dict)  # an entry that is not a gap holds a point
-        spectral = _get(point, "spectral", f"{path}.point", int)
-        points[m].append(SamplePoint(spectral, _get(point, "k", f"{path}.point", tuple[int, ...])))
+            if "point" in entry:
+                raise ConfigError(f"{path}: a gap entry may not hold a point")
+            gaps.add(m)
+        else:
+            point = _get(entry, "point", path, dict)  # an entry that is not a gap holds a point
+            spectral = _get(point, "spectral", f"{path}.point", int)
+            points[m].append(SamplePoint(spectral, _get(point, "k", f"{path}.point", tuple[int, ...])))
+        if m in gaps and points[m]:
+            raise ConfigError(f"{path}: frame {m} is listed both as a gap and with points")
     if unlisted:
         raise ConfigError(f"schedule lists no entry for frames {sorted(unlisted)[:5]}")
     # a frame without points is a gap

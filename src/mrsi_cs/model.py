@@ -240,7 +240,7 @@ def _check_point(point: SamplePoint, geometry: AcquisitionGeometry) -> None:
 
 @dataclass(frozen=True)
 class SamplingSchedule:
-    """Ordered acquisition plan over M frames.
+    """Ordered acquisition plan over M >= 1 frames.
 
     ``frames[m]`` is either ``None`` (gap: no data for that frame) or a
     tuple of :class:`SamplePoint`.  Repeated points are legal and each
@@ -255,6 +255,8 @@ class SamplingSchedule:
             None if f is None else tuple(SamplePoint(int(p[0]), tuple(int(c) for c in p[1])) for p in f)
             for f in self.frames
         )
+        if not frames:
+            raise ScheduleError("a schedule needs at least one frame")
         for m, f in enumerate(frames):
             if f is not None and len(f) == 0:
                 raise ScheduleError(f"acquired frame {m} has no sample points")

@@ -41,15 +41,13 @@ SIZE_CAP = 4096
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Iteration cap, optional manual step sizes and the stopping rule.
+    """Iteration cap and the stopping rule.
 
     The solver stops once the objective has decreased by less than
     ``tol`` (relative) over the trailing ``window`` iterations.
     """
 
     max_iters: int = 60000
-    tau: float | None = None
-    sigma: float | None = None
     tol: float = 1e-11
     window: int = 50
 
@@ -60,10 +58,6 @@ class OracleConfig:
                 raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
-        for name in ("tau", "sigma"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be finite and > 0 when given, got {v}")
 
 
 class _DenseFrames:
@@ -127,10 +121,9 @@ def _w(x: np.ndarray) -> np.ndarray:
 
 
 def _wt(v: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((m, v.shape[1]) if v.ndim == 2 else (m,))
-    if m > 1:
-        out[:-1] -= v
-        out[1:] += v
+    out = np.zeros((m, v.shape[1]))
+    out[:-1] -= v
+    out[1:] += v
     return out
 
 
@@ -151,32 +144,30 @@ def oracle_solve(
     norm_w_sq = 4.0  # first-difference operator norm bound
     lip = ops.lipschitz() + lam_w2 * norm_w_sq
     lip = max(lip, 1e-8)
-    sigma = config.sigma if config.sigma is not None else lip / 8.0
-    tau = config.tau if config.tau is not None else 0.99 / (lip / 2.0 + sigma * norm_w_sq)
+    sigma = lip / 8.0
+    tau = 0.99 / (lip / 2.0 + sigma * norm_w_sq)
 
     x = np.zeros((m_total, n))
-    xi = np.zeros((max(m_total - 1, 0), n))
+    xi = np.zeros((m_total - 1, n))
     r = ops.residual(x)
     history: list[float] = []
 
     for _ in range(config.max_iters):
         grad = ops.gradient(r)  # r is the residual at this x
-        if m_total > 1:
-            grad += lam_w2 * _wt(_w(x), m_total)
-            grad += _wt(xi, m_total)
+        grad += lam_w2 * _wt(_w(x), m_total)
+        grad += _wt(xi, m_total)
         x_new = x - tau * grad
         if lam_x > 0:
             shrunk = np.sign(x_new) * np.maximum(np.abs(x_new) - tau * lam_x, 0.0)
             x_new[acquired_mask] = shrunk[acquired_mask]
-        if m_total > 1 and lam_w1 > 0:
+        if lam_w1 > 0:
             xi = np.clip(xi + sigma * _w(2.0 * x_new - x), -lam_w1, lam_w1)
         x = x_new
         r = ops.residual(x)
         total = ops.objective(r)
         total += lam_x * float(np.abs(x[acquired_mask]).sum())
-        if m_total > 1:
-            d = _w(x)
-            total += lam_w1 * float(np.abs(d).sum()) + 0.5 * lam_w2 * float((d**2).sum())
+        d = _w(x)
+        total += lam_w1 * float(np.abs(d).sum()) + 0.5 * lam_w2 * float((d**2).sum())
         history.append(total)
         if len(history) > config.window:
             past, now = history[-config.window - 1], history[-1]
@@ -216,9 +207,8 @@ def kkt_residual(
 
     tol = zero_tol * max(1.0, float(np.abs(x).max(initial=0.0)))
     grad = ops.gradient(ops.residual(x))
-    diff = _w(x) if m_total > 1 else np.zeros((0, n))
-    if m_total > 1:
-        grad += lam_w2 * _wt(diff, m_total)
+    diff = _w(x)
+    grad += lam_w2 * _wt(diff, m_total)
 
     c = grad.copy()
     free_cols: list[sp.csc_matrix] = []
@@ -237,7 +227,7 @@ def kkt_residual(
             free_cols.append(mat)
             bounds.extend([lam_x] * idx.size)
 
-    if lam_w1 > 0 and m_total > 1:
+    if lam_w1 > 0:
         pinned = np.abs(diff) > tol
         c += _wt(np.where(pinned, lam_w1 * np.sign(diff), 0.0), m_total)
         idx = np.flatnonzero(~pinned.ravel())

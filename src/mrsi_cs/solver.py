@@ -185,16 +185,19 @@ class BandCholesky:
 def band_cholesky(m: int, gamma: float) -> BandCholesky:
     """Factor I + gamma*W^T W for ``m`` frames, W the first-difference map.
 
-    The matrix is tridiagonal with diagonal (1+g, 1+2g, ..., 1+2g, 1+g)
-    and off-diagonal -g; its factor is lower-bidiagonal, so only the two
-    bands are stored, plus the inverses of its diagonal blocks.
+    The matrix is tridiagonal with diagonal 1 + g*degree, the degrees
+    being (1, 2, ..., 2, 1) or (0,) for one frame, and off-diagonal -g;
+    its factor is lower-bidiagonal, so only the two bands are stored,
+    plus the inverses of its diagonal blocks.
     """
-    if m < 2:
-        raise ParameterError(f"need at least 2 frames, got {m}")
+    if m < 1:
+        raise ParameterError(f"need at least 1 frame, got {m}")
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ParameterError(f"gamma must be finite and > 0, got {gamma}")
-    d = np.full(m, 1.0 + 2.0 * gamma)
-    d[0] = d[-1] = 1.0 + gamma
+    degree = np.full(m, 2.0)
+    degree[0] -= 1.0
+    degree[-1] -= 1.0
+    d = 1.0 + gamma * degree
     diag = np.empty(m)
     subdiag = np.empty(m - 1)
     diag[0] = np.sqrt(d[0])
@@ -259,12 +262,12 @@ def project_constraint(
     if not (z.flags.c_contiguous and g.flags.c_contiguous):
         raise ShapeError("projection output and work arrays must be C-contiguous")
     # z holds the right-hand side b = omega + gamma * W^T q
-    z[0] -= gamma * q[0]
-    z[-1] += gamma * q[-1]
-    if m > 2:
-        np.subtract(q[:-1], q[1:], out=g[1:-1])
-        g[1:-1] *= gamma
-        z[1:-1] += g[1:-1]
+    if m > 1:
+        z[0] -= gamma * q[0]
+        z[-1] += gamma * q[-1]
+    np.subtract(q[:-1], q[1:], out=g[1:-1])
+    g[1:-1] *= gamma
+    z[1:-1] += g[1:-1]
     cols = z.shape[-1] if z.ndim > 1 else 1
     _blocked_solve(chol, z.reshape(m, -1, cols), g.reshape(m, -1, cols))
     np.subtract(z[1:], z[:-1], out=s)
@@ -415,7 +418,7 @@ def prepare(
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> tuple[np.ndarray, NormalFactor, np.ndarray, BandCholesky | None]:
+) -> tuple[np.ndarray, NormalFactor, np.ndarray, BandCholesky]:
     """Check a data set and build the set-up its solves share: (Re(A^H y), factor, has_data, chol).
 
     Of ``config`` only rho1 + mu and gamma enter.  The factor cache made
@@ -429,8 +432,7 @@ def prepare(
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
     factor = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
     has_data = np.array([f is not None for f in schedule.frames])
-    chol = band_cholesky(m_total, config.gamma) if m_total >= 2 else None
-    return aty, factor, has_data, chol
+    return aty, factor, has_data, band_cholesky(m_total, config.gamma)
 
 
 def solve(
@@ -490,7 +492,7 @@ def _iterate(
     aty: np.ndarray,
     factor: NormalFactor,
     has_data: np.ndarray,
-    chol: BandCholesky | None,
+    chol: BandCholesky,
     config: SolverConfig,
 ) -> tuple[np.ndarray, list[ResidualLog]]:
     """Outer iterations of a (C, 3) stack of weight rows, from the start point x = Re(A^H y).
@@ -517,27 +519,24 @@ def _iterate(
     z = x.copy()
     u, alpha, beta = (np.zeros_like(x) for _ in range(3))
     omega, work = np.empty_like(x), np.empty_like(x)
-    s, nu = (np.zeros((max(m_total - 1, 0), n_rows, n_unknown)) for _ in range(2))
+    s, nu = (np.zeros((m_total - 1, n_rows, n_unknown)) for _ in range(2))
     logs = [ResidualLog() for _ in range(n_rows)]
     live = np.arange(n_rows)  # the weight row each stacked row belongs to
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
         update_x_frame(aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega)
-        if m_total >= 2:
-            # nu holds q = h + nu until the dual step: nu_new = q - s_new
-            nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=work[:-1])
+        # nu holds q = h + nu until the dual step: nu_new = q - s_new
+        nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=work[:-1])
         np.add(x, u, out=omega)
-        if m_total >= 2:
-            project_constraint(omega, nu, chol, config.gamma, out=(omega, s), work=work)
+        project_constraint(omega, nu, chol, config.gamma, out=(omega, s), work=work)
         # omega and s now hold the new z and s
         np.subtract(x, omega, out=work)
         gap = _row_norms(work)
         u += work
         np.subtract(omega, z, out=work)
         step = _row_norms(work)
-        if m_total >= 2:
-            nu -= s
+        nu -= s
         z, omega = omega, z
         if not all(math.isfinite(v) for v in gap + step):
             raise DivergenceError(f"non-finite iterates at outer iteration {k}", iteration=k)
@@ -596,8 +595,7 @@ def objective_value(
         r = signals.per_frame[m] - apply_forward(x[m], schedule.frames[m], base, geometry)
         total += 0.5 * float(np.vdot(r, r).real)
         total += config.lambda_x * float(np.abs(x[m]).sum())
-    if schedule.n_frames > 1:
-        diff = x[1:] - x[:-1]
-        total += config.lambda_w1 * float(np.abs(diff).sum())
-        total += 0.5 * config.lambda_w2 * float((diff**2).sum())
+    diff = x[1:] - x[:-1]
+    total += config.lambda_w1 * float(np.abs(diff).sum())
+    total += 0.5 * config.lambda_w2 * float((diff**2).sum())
     return total

@@ -323,6 +323,30 @@ class TestInputBoundary:
         )
         assert_clean_exit(runner.invoke(main, args), 2)
 
+    @pytest.mark.parametrize("form", ["gap-holding-a-point", "gap-after-points", "gap-before-points"])
+    def test_self_contradicting_schedule_exits_2_before_writing(self, runner, tmp_path, form):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        doc = json.loads(Path(design_out["schedule"]).read_text())
+        frames = doc["frames"]
+        index = next(i for i, e in enumerate(frames) if "point" in e)
+        gap = {"m": frames[index]["m"], "gap": True}
+        if form == "gap-holding-a-point":
+            frames[index]["gap"] = True
+        elif form == "gap-after-points":
+            frames.append(gap)
+            index = len(frames) - 1
+        else:
+            frames.insert(0, gap)
+            index += 1
+        bad = tmp_path / "bad_schedule.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "r2"
+        args = reconstruct_args(config, acquire_out["signals"], str(bad), phantom_out["base"], str(out))
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 2)
+        assert f"schedule.frames[{index}]" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["phantom", "acquire"])
     @pytest.mark.parametrize(
         "path, value",
@@ -695,6 +719,41 @@ class TestCvCommand:
         assert len(table) == 126
         selected = json.loads(Path(out["selected"]).read_text())
         assert {"lambda_x", "lambda_w1", "lambda_w2", "rmse"} <= set(selected)
+
+
+class TestOneFrame:
+    def test_pipeline_runs_and_cv_exits_3(self, runner, tmp_path):
+        doc = json.loads((Path(mrsi_cs.__file__).parent / "configs" / "exp1.json").read_text())
+        doc["n_frames"] = 1
+        config = write_config(tmp_path / "phantom.json", doc)
+        design = write_config(
+            tmp_path / "design.json", {"n_points": 1, "dims": [16, 8, 8], "skip": 0, "frame_interval_s": 4.0}
+        )
+        phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "ph")])
+        design_out = run_ok(runner, ["design", "--config", design, "--out", str(tmp_path / "de")])
+        acquire_out = run_ok(
+            runner,
+            ["acquire", "--config", config, "--schedule", design_out["schedule"],
+             "--truth", phantom_out["truth"], "--base", phantom_out["base"], "--out", str(tmp_path / "ac")],
+        )
+        args = reconstruct_args(
+            config, acquire_out["signals"], design_out["schedule"], phantom_out["base"], str(tmp_path / "re")
+        )
+        recon_out = run_ok(runner, args[:-1] + ["5"])
+        rows = Path(recon_out["residuals"]).read_text().strip().splitlines()
+        assert len(rows) == 1 + 5
+        run_ok(
+            runner,
+            ["evaluate", "--recon", recon_out["recon"], "--truth", phantom_out["truth"],
+             "--out", str(tmp_path / "ev"), "--config", config],
+        )
+        out = tmp_path / "cv"
+        args = reconstruct_args(config, acquire_out["signals"], design_out["schedule"], phantom_out["base"], str(out))
+        args[0] = "cv"
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 3)
+        assert "need at least two acquired frames" in result.output
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

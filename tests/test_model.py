@@ -403,3 +403,7 @@ class TestTypes:
     def test_frame_interval_must_be_finite(self, interval):
         with pytest.raises(ParameterError, match="finite"):
             SamplingSchedule(frames=(None,), frame_interval_s=interval)
+
+    def test_schedule_needs_a_frame(self):
+        with pytest.raises(ScheduleError, match="at least one frame"):
+            SamplingSchedule(frames=())

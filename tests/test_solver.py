@@ -126,9 +126,15 @@ class TestBandCholesky:
         expected = np.eye(m) + gamma * (w.T @ w)
         np.testing.assert_allclose(lower @ lower.T, expected, atol=1e-12)
 
+    def test_one_frame_is_the_identity(self):
+        chol = band_cholesky(1, 2.5)
+        np.testing.assert_array_equal(chol.diag, [1.0])
+        assert chol.subdiag.shape == (0,)
+        np.testing.assert_array_equal(chol.block_inv, [[[1.0]]])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
-            band_cholesky(1, 1.0)
+            band_cholesky(0, 1.0)
         with pytest.raises(ParameterError):
             band_cholesky(4, 0.0)
 
@@ -163,6 +169,12 @@ class TestProjectConstraint:
             w[i, i], w[i, i + 1] = -1.0, 1.0
         expected = np.linalg.solve(np.eye(m) + gamma * w.T @ w, omega + gamma * w.T @ q)
         np.testing.assert_allclose(z, expected, atol=1e-10)
+
+    def test_one_frame_returns_omega(self, rng):
+        omega = rng.standard_normal((1, 7))
+        z, s = project_constraint(omega, np.zeros((0, 7)), band_cholesky(1, 0.7), 0.7)
+        assert np.array_equal(z, omega)
+        assert s.shape == (0, 7)
 
     def test_shape_mismatch(self):
         chol = band_cholesky(4, 1.0)
@@ -448,7 +460,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("n_frames", [1, 2])
     def test_short_solves_meet_the_optimality_conditions(self, n_frames, small_base, small_geometry):
-        # one frame runs without the h-step and the projection; two frames run both on one difference
+        # one frame runs the h-step and the projection on no difference; two frames run them on one
         from mrsi_cs.oracle import kkt_residual
 
         rng = np.random.default_rng(5)
@@ -465,6 +477,25 @@ class TestSolve:
         # measured 4e-14 (one frame) and 1e-10 (two frames); the gradients' scale is about 1
         kkt = kkt_residual(estimate, signals, schedule, small_base, small_geometry, lambdas, zero_tol=1e-6)
         assert kkt < 1e-8
+
+    def test_one_frame_runs_every_step(self, monkeypatch):
+        # one frame takes the same loop as many: an h-step and a projection per outer iteration
+        import mrsi_cs.solver as solver_module
+
+        calls = {"update_h": 0, "project_constraint": 0}
+        for name in calls:
+            def counted(*args, _step=getattr(solver_module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(solver_module, name, counted)
+        geometry, base, point = scalar_problem()
+        schedule = SamplingSchedule(frames=((point,),))
+        signals = SignalSet(per_frame={0: np.array([2.0 + 0j])})
+        config = SolverConfig(lambda_x=0.1, outer_iters=7)
+        _, log = solve(signals, schedule, base, geometry, config)
+        assert len(log) == 7
+        assert calls == {"update_h": 7, "project_constraint": 7}
 
     def test_divergence_detection(self, small_geometry):
         # a finite base spectrum whose normal matrix overflows poisons the first iteration
