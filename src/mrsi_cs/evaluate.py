@@ -41,10 +41,12 @@ def max_normalize(a: np.ndarray) -> np.ndarray:
     return a / peak
 
 
-def normalized_rmse(recon: np.ndarray, truth: np.ndarray) -> float:
+def normalized_rmse(recon: np.ndarray, truth: np.ndarray) -> float | None:
     """RMSE between max-normalized tensors, relative to the truth's norm.
 
-    Equals 0 for a perfect reconstruction and 1 for an all-zero one.
+    Equals 0 for a perfect reconstruction and 1 for an all-zero one.  A
+    truth that is zero everywhere has no norm to compare against: the
+    result is 0 when the reconstruction is zero too, and None otherwise.
     """
     recon = np.asarray(recon, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -54,7 +56,7 @@ def normalized_rmse(recon: np.ndarray, truth: np.ndarray) -> float:
     t = max_normalize(truth)
     t_norm = float(np.linalg.norm(t))
     if t_norm == 0.0:
-        return 0.0 if float(np.linalg.norm(r)) == 0.0 else float("inf")
+        return 0.0 if float(np.linalg.norm(r)) == 0.0 else None
     return float(np.linalg.norm(r - t)) / t_norm
 
 

@@ -136,31 +136,20 @@ class BaseSpectraSet:
     operator consumes.
     """
 
-    labels: tuple[str, ...]
     spectra: np.ndarray
     fid: np.ndarray
 
     @classmethod
-    def from_spectra(
-        cls,
-        spectra: np.ndarray,
-        labels: Sequence[str] | None = None,
-    ) -> "BaseSpectraSet":
+    def from_spectra(cls, spectra: np.ndarray) -> "BaseSpectraSet":
         spectra = np.ascontiguousarray(np.asarray(spectra, dtype=np.complex128))
         if spectra.ndim != 3:
             raise ShapeError(f"spectra must be (J, N_C, N_RO); got shape {spectra.shape}")
         if not np.all(np.isfinite(spectra)):
             raise ShapeError("base spectra contain non-finite entries")
-        j = spectra.shape[0]
-        if j < 1:
+        if spectra.shape[0] < 1:
             raise ShapeError("need at least one substance")
-        if labels is None:
-            labels = tuple(f"substance_{i}" for i in range(j))
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != j:
-            raise ShapeError(f"{len(labels)} labels for {j} spectra")
         fid = dft_spectral(spectra, "to_time")
-        return cls(labels=labels, spectra=spectra, fid=fid)
+        return cls(spectra=spectra, fid=fid)
 
     @property
     def n_substances(self) -> int:

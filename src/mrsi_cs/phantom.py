@@ -119,6 +119,15 @@ class PhantomConfig:
             raise ParameterError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.rng_seed < 0:  # numpy's generators take no negative seed
             raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        # evaluate names its files after the labels, so a label must be one file-name part, used once
+        for i, label in enumerate(self.labels):
+            if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+                raise ConfigError(
+                    f"substances[{i}].label must be a non-empty file name other than '.' or '..', "
+                    f"without '/', '\\' or NUL; got {label!r}"
+                )
+            if label in self.labels[:i]:
+                raise ConfigError(f"substances[{i}].label {label!r} is used by an earlier substance")
         for sub in self.substances:
             for voxel in sub.region:
                 if len(voxel) != len(self.geometry.spatial_dims):
@@ -163,7 +172,7 @@ def make_base_spectra(config: PhantomConfig) -> BaseSpectraSet:
             spectra[j] += peak.amplitude / (
                 1.0 + ((i1 - c1) / peak.width) ** 2 + ((i2 - c2) / peak.width) ** 2
             )
-    return BaseSpectraSet.from_spectra(spectra, labels=config.labels)
+    return BaseSpectraSet.from_spectra(spectra)
 
 
 def acquire(

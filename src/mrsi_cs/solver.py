@@ -167,10 +167,10 @@ class BandCholesky:
 
     ``diag`` and ``subdiag`` are L's two bands.  For the blocked
     substitution of :func:`project_constraint`, the frames split into
-    ``len(block_inv)`` leading blocks of B = ``block_inv.shape[1]``
-    frames (B = isqrt(M)) and a tail of fewer than B frames;
-    ``block_inv[k]`` is the dense lower-triangular inverse of L's
-    diagonal block k.
+    ``len(block_inv)`` = ceil(M / B) blocks of B = isqrt(M) frames, the
+    last one short when B does not divide M; ``block_inv[k]`` is the
+    dense lower-triangular inverse of L's diagonal block k, and for a
+    short last block its leading corner is.
     """
 
     diag: np.ndarray
@@ -188,7 +188,8 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
     The matrix is tridiagonal with diagonal 1 + g*degree, the degrees
     being (1, 2, ..., 2, 1) or (0,) for one frame, and off-diagonal -g;
     its factor is lower-bidiagonal, so only the two bands are stored,
-    plus the inverses of its diagonal blocks.
+    plus the inverses of its diagonal blocks.  A short last block is
+    inverted padded with identity rows.
     """
     if m < 1:
         raise ParameterError(f"need at least 1 frame, got {m}")
@@ -204,11 +205,13 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
     for i in range(1, m):
         subdiag[i - 1] = -gamma / diag[i - 1]
         diag[i] = np.sqrt(d[i] - subdiag[i - 1] ** 2)
-    # invert every diagonal block at once by forward substitution on the identity
+    # invert every diagonal block at once by forward substitution on the identity; identity rows
+    # pad the bands to whole blocks, so the last block's leading corner inverts L's short last block
     b = math.isqrt(m)
-    n_blocks = m // b
-    block_diag = diag[: n_blocks * b].reshape(n_blocks, b)
-    block_sub = np.append(subdiag, 0.0)[: n_blocks * b].reshape(n_blocks, b)  # [k, i]: L[kb+i+1, kb+i]
+    n_blocks = -(-m // b)
+    pad = n_blocks * b - m
+    block_diag = np.append(diag, np.ones(pad)).reshape(n_blocks, b)
+    block_sub = np.append(subdiag, np.zeros(pad + 1)).reshape(n_blocks, b)  # [k, i]: L[kb+i+1, kb+i]
     eye = np.eye(b)
     inv = np.empty((n_blocks, b, b))
     inv[:, 0] = eye[0] / block_diag[:, :1]
@@ -232,12 +235,13 @@ def project_constraint(
     factor, columnwise over the trailing axes, then rebuilds s from z so
     the constraint holds exactly.
 
-    The substitutions are blocked: one batched matmul applies every
-    diagonal block's inverse (``chol.block_inv``) and a pass over the
-    blocks adds the rank-one coupling between neighbours, once forward
-    with L and once backward with L^T; the tail frames are substituted
-    one by one.  That is O(sqrt(M)) Python steps.  Axes between the
-    frame axis and the last one are batch axes of the matmuls, so, as in
+    The substitutions are blocked: two batched matmuls apply the
+    diagonal blocks' inverses (``chol.block_inv``), one over the full
+    blocks and one over the possibly short last block, and a pass over
+    the blocks adds the rank-one coupling between neighbours, once
+    forward with L and once backward with L^T.  That is O(sqrt(M))
+    Python steps.  Axes between the frame axis and the last one are
+    batch axes of the matmuls, so, as in
     :meth:`~mrsi_cs.model.NormalFactor.solve`, each row of a weight stack
     is computed alike whatever the stack.
 
@@ -276,35 +280,29 @@ def project_constraint(
 
 def _blocked_solve(chol: BandCholesky, z: np.ndarray, g: np.ndarray) -> None:
     """Overwrite the (M, rows, cols) right-hand side ``z`` with (L L^T)^-1 z; ``g`` is scratch."""
-    d, e, inv = chol.diag, chol.subdiag, chol.block_inv
+    e, inv = chol.subdiag, chol.block_inv
     m = chol.n
     n_blocks, b = inv.shape[:2]
-    head = n_blocks * b
+    head = (n_blocks - 1) * b  # the first frame of the last block, which may be short
+    full, last = inv[:-1, None], inv[-1:, None, : m - head, : m - head]
 
-    def blocks(a):  # (n_blocks, rows, b, cols) view of the leading blocks
-        return a[:head].reshape(n_blocks, b, *a.shape[1:]).swapaxes(1, 2)
+    def blocks(a):  # views of the full blocks, (n_blocks - 1, rows, b, cols), and of the last block
+        full_blocks = a[:head].reshape(n_blocks - 1, b, *a.shape[1:])
+        return full_blocks.swapaxes(1, 2), a[None, head:].swapaxes(1, 2)
 
+    (z_full, z_last), (g_full, g_last) = blocks(z), blocks(g)
     # forward, L g = z: each block's inverse, then the coupling to the previous block's last row
-    np.matmul(inv[:, None], blocks(z), out=blocks(g))
+    np.matmul(full, z_full, out=g_full)
+    np.matmul(last, z_last, out=g_last)
     for k in range(1, n_blocks):
-        g[k * b : (k + 1) * b] -= (e[k * b - 1] * inv[k, :, :1])[..., None] * g[k * b - 1]
-    for i in range(head, m):
-        np.multiply(g[i - 1], e[i - 1], out=g[i])
-        np.subtract(z[i], g[i], out=g[i])
-        g[i] /= d[i]
-    # backward, L^T z = g: the tail from the bottom, then the blocks, coupled to the next block's first row
-    for i in range(m - 1, head - 1, -1):
-        if i == m - 1:
-            np.divide(g[i], d[i], out=z[i])
-        else:
-            np.multiply(z[i + 1], e[i], out=z[i])
-            np.subtract(g[i], z[i], out=z[i])
-            z[i] /= d[i]
-    np.matmul(inv.swapaxes(1, 2)[:, None], blocks(g), out=blocks(z))
-    for k in range(n_blocks - 1, -1, -1):
+        end = min((k + 1) * b, m)
+        g[k * b : end] -= (e[k * b - 1] * inv[k, : end - k * b, :1])[..., None] * g[k * b - 1]
+    # backward, L^T z = g: the transposed inverses, then the coupling to the next block's first row
+    np.matmul(full.swapaxes(2, 3), g_full, out=z_full)
+    np.matmul(last.swapaxes(2, 3), g_last, out=z_last)
+    for k in range(n_blocks - 2, -1, -1):
         nxt = (k + 1) * b
-        if nxt < m:
-            z[k * b : nxt] -= (e[nxt - 1] * inv[k, -1, :, None])[..., None] * z[nxt]
+        z[k * b : nxt] -= (e[nxt - 1] * inv[k, -1, :, None])[..., None] * z[nxt]
 
 
 def update_x_frame(
@@ -315,11 +313,11 @@ def update_x_frame(
     alpha_m: np.ndarray,
     beta_m: np.ndarray,
     config: SolverConfig,
-    lambda_x: np.ndarray | float | None = None,
+    lambda_x: np.ndarray | float,
     *,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-    fixed: np.ndarray | None = None,
+    out: np.ndarray,
+    work: np.ndarray,
+    fixed: np.ndarray,
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
@@ -332,20 +330,15 @@ def update_x_frame(
 
     Every array may carry a leading frame axis, with ``factor`` stacked
     to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  ``lambda_x``
-    replaces ``config.lambda_x`` and must be >= 0 (:func:`solve` checks
-    its weights once); as an array it broadcasts against the iterates,
-    e.g. shape (M, C, 1) for one weight per frame and row of (frame, C,
-    N*J) iterates.  ``out`` receives x_m; ``work`` and ``fixed`` are
-    scratch, the latter for the part rho1*(z - u) + Re(A^H y) of the
-    right-hand side that the inner rounds share.  All three are shaped
-    like ``alpha_m`` and allocated when not given.
+    must be >= 0 (:func:`solve` checks its weights once); as an array it
+    broadcasts against the iterates, e.g. shape (M, C, 1) for one weight
+    per frame and row of (frame, C, N*J) iterates.  ``out`` receives x_m;
+    ``work`` and ``fixed`` are scratch, the latter for the part
+    rho1*(z - u) + Re(A^H y) of the right-hand side that the inner
+    rounds share.  All three are shaped like ``alpha_m``.
     """
     rho1, mu = config.rho1, config.mu
-    if lambda_x is None:
-        lambda_x = config.lambda_x
-    x_m = np.empty(alpha_m.shape) if out is None else out
-    rhs = np.empty(alpha_m.shape) if work is None else work
-    fixed = np.empty(alpha_m.shape) if fixed is None else fixed
+    x_m, rhs = out, work
     threshold = np.divide(lambda_x, mu)
     np.subtract(z_m, u_m, out=fixed)
     fixed *= rho1

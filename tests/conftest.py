@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ def built_point_sets(monkeypatch):
     return built
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text: str):
+    """Parse ``text`` as RFC 8259 JSON, which has no ``NaN``, ``Infinity`` or ``-Infinity``."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -40,7 +51,7 @@ def small_geometry():
 def small_base(rng, small_geometry):
     j = 2
     spectra = rng.standard_normal((j, 4, 8)) + 1j * rng.standard_normal((j, 4, 8))
-    return BaseSpectraSet.from_spectra(spectra, labels=("a", "b"))
+    return BaseSpectraSet.from_spectra(spectra)
 
 
 def random_points(rng, geometry, count):

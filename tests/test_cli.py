@@ -17,6 +17,7 @@ from mrsi_cs.mrst import read_tensor, write_tensor
 from mrsi_cs.sampling import write_schedule
 from mrsi_cs.selection import COARSE_GRID
 from mrsi_cs.solver import SolverConfig
+from conftest import strict_json
 
 TINY_PHANTOM = {
     "geometry": {
@@ -55,7 +56,7 @@ def runner():
 def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
-    return json.loads(result.output.strip().splitlines()[-1])
+    return strict_json(result.output.strip().splitlines()[-1])
 
 
 def write_config(path, doc):
@@ -105,7 +106,7 @@ class TestPhantomCommand:
         assert truth.shape == (12, 2, 2, 1)
         base = read_tensor(out["base"])
         assert base.shape == (1, 2, 4)
-        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        manifest = strict_json((tmp_path / "o" / "manifest.json").read_text())
         assert {entry["path"] for entry in manifest["outputs"]} == {
             out["truth"],
             out["base"],
@@ -136,7 +137,7 @@ class TestDesignCommand:
         out = run_ok(runner, ["design", "--config", design, "--out", str(tmp_path / "d")])
         assert out["n_frames"] == 12
         assert out["n_acquired"] == 10
-        doc = json.loads(Path(out["schedule"]).read_text())
+        doc = strict_json(Path(out["schedule"]).read_text())
         assert doc["M"] == 12
         gaps = [e for e in doc["frames"] if e.get("gap")]
         assert [e["m"] for e in gaps] == [4, 5]
@@ -221,6 +222,20 @@ class TestAcquireCommand:
         assert_clean_exit(result, 3)
         assert "real" in result.output
         assert not (tmp_path / "a").exists()
+
+    def test_seed_option_replaces_the_configured_seed(self, runner, tmp_path):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        assert TINY_PHANTOM["noise_sigma"] > 0 and TINY_PHANTOM["rng_seed"] != 5
+        run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "ph5"), "--seed", "5"])
+        seeded = run_ok(
+            runner,
+            ["acquire", "--config", config, "--schedule", design_out["schedule"], "--truth", phantom_out["truth"],
+             "--base", phantom_out["base"], "--out", str(tmp_path / "ac5"), "--seed", "5"],
+        )
+        for outdir in ("ph5", "ac5"):
+            assert strict_json((tmp_path / outdir / "manifest.json").read_text())["seeds"]["rng_seed"] == 5
+        assert strict_json((tmp_path / "ac" / "manifest.json").read_text())["seeds"]["rng_seed"] == 77
+        assert not np.array_equal(read_tensor(seeded["signals"]), read_tensor(acquire_out["signals"]))
 
 
 class TestReconstructCommand:
@@ -313,7 +328,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize("owner, key", [("entry", "m"), ("point", "spectral"), ("point", "k")])
     def test_schedule_entry_missing_field_exits_2(self, runner, tmp_path, owner, key):
         config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
-        doc = json.loads(Path(design_out["schedule"]).read_text())
+        doc = strict_json(Path(design_out["schedule"]).read_text())
         entry = next(e for e in doc["frames"] if "point" in e)
         del (entry if owner == "entry" else entry["point"])[key]
         bad = tmp_path / "bad_schedule.json"
@@ -326,7 +341,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize("form", ["gap-holding-a-point", "gap-after-points", "gap-before-points"])
     def test_self_contradicting_schedule_exits_2_before_writing(self, runner, tmp_path, form):
         config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
-        doc = json.loads(Path(design_out["schedule"]).read_text())
+        doc = strict_json(Path(design_out["schedule"]).read_text())
         frames = doc["frames"]
         index = next(i for i, e in enumerate(frames) if "point" in e)
         gap = {"m": frames[index]["m"], "gap": True}
@@ -472,6 +487,77 @@ class TestInputBoundary:
         assert "deep.json" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["nan", "missing-sample"])
+    def test_damaged_signals_exit_3_before_writing(self, runner, tmp_path, damage):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        vector = read_tensor(acquire_out["signals"])
+        if damage == "nan":
+            vector[3] = complex(np.nan, 0.0)
+        else:
+            vector = vector[:-1]
+        bad = tmp_path / "bad.mrst"
+        write_tensor(bad, vector)
+        out = tmp_path / "r2"
+        args = reconstruct_args(config, str(bad), design_out["schedule"], phantom_out["base"], str(out))
+        result = runner.invoke(main, args)
+        assert_clean_exit(result, 3)
+        assert ("non-finite" if damage == "nan" else "samples") in result.output
+        assert not out.exists()
+
+
+TWO_SUBSTANCES = {
+    **TINY_PHANTOM,
+    "substances": [
+        TINY_PHANTOM["substances"][0],
+        {**TINY_PHANTOM["substances"][0], "label": "lactate", "region": [[1, 1]]},
+    ],
+}
+
+
+class TestSubstanceLabels:
+    """A label names evaluate's snapshot files, so it must be one file name, used once."""
+
+    FORMS = {  # the two labels, and the index of the substance the error names
+        "repeated": (("glucose", "glucose"), 1),
+        "empty": (("glucose", ""), 1),
+        "dot": ((".", "lactate"), 0),
+        "dot-dot": (("glucose", ".."), 1),
+        "slash": (("a/b", "lactate"), 0),
+        "backslash": (("glucose", "a\\b"), 1),
+        "nul": (("glucose", "a\0b"), 1),
+    }
+
+    @staticmethod
+    def labelled(tmp_path, labels):
+        doc = json.loads(json.dumps(TWO_SUBSTANCES))
+        for sub, label in zip(doc["substances"], labels):
+            sub["label"] = label
+        return write_config(tmp_path / "labelled.json", doc)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_phantom_exits_2_before_writing(self, runner, tmp_path, form):
+        labels, index = self.FORMS[form]
+        out = tmp_path / "ph"
+        result = runner.invoke(main, ["phantom", "--config", self.labelled(tmp_path, labels), "--out", str(out)])
+        assert_clean_exit(result, 2)
+        assert f"substances[{index}].label" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_evaluate_config_exits_2_before_writing(self, runner, tmp_path, form):
+        good = write_config(tmp_path / "good.json", TWO_SUBSTANCES)
+        phantom_out = run_ok(runner, ["phantom", "--config", good, "--out", str(tmp_path / "ph")])
+        labels, index = self.FORMS[form]
+        out = tmp_path / "ev"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--recon", phantom_out["truth"], "--truth", phantom_out["truth"],
+             "--out", str(out), "--config", self.labelled(tmp_path, labels)],
+        )
+        assert_clean_exit(result, 2)
+        assert f"substances[{index}].label" in result.output
+        assert not out.exists()
+
 
 class TestExitCodes:
     @pytest.mark.parametrize(
@@ -524,7 +610,7 @@ class TestTypedFields:
         docs = {
             "phantom": TINY_PHANTOM,
             "design": TINY_DESIGN,
-            "schedule": json.loads(Path(design_out["schedule"]).read_text()),
+            "schedule": strict_json(Path(design_out["schedule"]).read_text()),
         }
         bad = write_config(tmp_path / "bad.json", replaced(docs[document], path, value))
         out = tmp_path / "out"
@@ -717,13 +803,24 @@ class TestCvCommand:
         table = Path(out["table"]).read_text().strip().splitlines()
         assert table[0] == "lambda_x,lambda_w1,lambda_w2,rmse"
         assert len(table) == 126
-        selected = json.loads(Path(out["selected"]).read_text())
+        selected = strict_json(Path(out["selected"]).read_text())
         assert {"lambda_x", "lambda_w1", "lambda_w2", "rmse"} <= set(selected)
+
+    def test_cv_without_a_budget_runs_200_iterations(self, runner, tmp_path):
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path, iters=1)
+        assert "solver" not in TINY_PHANTOM
+        run_ok(
+            runner,
+            ["cv", "--config", config, "--signals", acquire_out["signals"],
+             "--schedule", design_out["schedule"], "--base", phantom_out["base"], "--out", str(tmp_path / "cv")],
+        )
+        manifest = strict_json((tmp_path / "cv" / "manifest.json").read_text())
+        assert manifest["config"]["solver"]["outer_iters"] == 200
 
 
 class TestOneFrame:
     def test_pipeline_runs_and_cv_exits_3(self, runner, tmp_path):
-        doc = json.loads((Path(mrsi_cs.__file__).parent / "configs" / "exp1.json").read_text())
+        doc = strict_json((Path(mrsi_cs.__file__).parent / "configs" / "exp1.json").read_text())
         doc["n_frames"] = 1
         config = write_config(tmp_path / "phantom.json", doc)
         design = write_config(
@@ -742,11 +839,14 @@ class TestOneFrame:
         recon_out = run_ok(runner, args[:-1] + ["5"])
         rows = Path(recon_out["residuals"]).read_text().strip().splitlines()
         assert len(rows) == 1 + 5
-        run_ok(
+        eval_out = run_ok(
             runner,
             ["evaluate", "--recon", recon_out["recon"], "--truth", phantom_out["truth"],
              "--out", str(tmp_path / "ev"), "--config", config],
         )
+        # the ramp starts at 0, so the one truth frame is zero and the nRMSE has no finite value
+        stats = strict_json(Path(eval_out["metrics"]).read_text())["substances"]["glucose"]
+        assert stats["normalized_rmse"] is None
         out = tmp_path / "cv"
         args = reconstruct_args(config, acquire_out["signals"], design_out["schedule"], phantom_out["base"], str(out))
         args[0] = "cv"
@@ -770,7 +870,7 @@ class TestEvaluateCommand:
                 "--config", config,
             ],
         )
-        metrics = json.loads(Path(out["metrics"]).read_text())
+        metrics = strict_json(Path(out["metrics"]).read_text())
         stats = metrics["substances"]["glucose"]
         assert stats["normalized_rmse"] == 0.0
         assert stats["pearson_r"] == pytest.approx(1.0)
@@ -843,6 +943,20 @@ class TestEvaluateCommand:
         for snap in out["snapshots"]:
             assert Path(snap).read_bytes().startswith(b"P5\n4 6\n255\n")
 
+    @pytest.mark.parametrize("frames", ["0,x", "1.5", "12", "-1"])
+    def test_bad_frames_exit_2_before_writing(self, runner, tmp_path, frames):
+        config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)
+        phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "ph")])
+        out = tmp_path / "ev"
+        result = runner.invoke(
+            main,
+            ["evaluate", "--recon", phantom_out["truth"], "--truth", phantom_out["truth"],
+             "--out", str(out), "--frames", frames],
+        )
+        assert_clean_exit(result, 2)
+        assert "--frames" in result.output
+        assert not out.exists()
+
 
 class TestPipelineDeterminism:
     def test_stage_outputs_are_byte_identical(self, runner, tmp_path):
@@ -912,7 +1026,7 @@ class TestManifests:
         assert len(eval_out["snapshots"]) == 3
         manifests = {}
         for outdir, (command, inputs, outputs) in expected.items():
-            manifest = json.loads((tmp_path / outdir / "manifest.json").read_text())
+            manifest = strict_json((tmp_path / outdir / "manifest.json").read_text())
             manifests[command] = manifest
             assert set(manifest) == MANIFEST_KEYS
             assert manifest["command"] == command

@@ -31,6 +31,11 @@ class TestNormalizedRmse:
             normalized_rmse(recon, truth)
         )
 
+    def test_zero_truth_has_no_ratio(self, rng):
+        # no norm to divide by: a zero reconstruction matches, any other has no finite score
+        assert normalized_rmse(np.zeros((5, 9)), np.zeros((5, 9))) == 0.0
+        assert normalized_rmse(rng.random((5, 9)), np.zeros((5, 9))) is None
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             normalized_rmse(np.zeros((2, 2)), np.zeros((2, 3)))

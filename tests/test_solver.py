@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -26,6 +27,12 @@ from mrsi_cs import (
 from mrsi_cs.model import FactorizationCache, NormalFactor
 from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, prepare, update_x_frame
 from conftest import random_points, random_schedule
+
+
+def x_update(aty, factor, z, u, alpha, beta, config, lambda_x):
+    """``update_x_frame`` with fresh output and scratch buffers, as the loop passes its own."""
+    out, work, fixed = (np.empty(np.shape(alpha)) for _ in range(3))
+    return update_x_frame(aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed)
 
 
 def scalar_problem():
@@ -183,7 +190,7 @@ class TestProjectConstraint:
 
     @pytest.mark.parametrize("m", [2, 3, 17, 33, 256])
     def test_blocked_substitution_matches_dense_solve(self, m, rng):
-        # 17 and 33 leave a tail after the isqrt(M)-frame blocks; 256 has none
+        # 17 and 33 end in a short block of isqrt(M)-frame blocks; 256 splits into whole blocks
         gamma = 2.5
         chol = band_cholesky(m, gamma)
         omega = rng.standard_normal((m, 3, 5))
@@ -202,6 +209,22 @@ class TestProjectConstraint:
         assert z2 is omega and s2 is q
         np.testing.assert_array_equal(z2, z)
         np.testing.assert_array_equal(s2, s)
+
+    def test_every_last_block_length_matches_dense_solve(self, rng):
+        # M = 1..130 ends, for every block size B = isqrt(M) up to 10, in a short block of each length 1..B-1
+        gamma = 2.5
+        for m in range(1, 131):
+            chol = band_cholesky(m, gamma)
+            b = math.isqrt(m)
+            assert chol.block_inv.shape == (-(-m // b), b, b)
+            omega = rng.standard_normal((m, 2, 3))
+            q = rng.standard_normal((m - 1, 2, 3))
+            w = np.diff(np.eye(m), axis=0)
+            rhs = (omega + gamma * np.tensordot(w.T, q, axes=1)).reshape(m, -1)
+            expected = np.linalg.solve(np.eye(m) + gamma * w.T @ w, rhs).reshape(omega.shape)
+            z, s = project_constraint(omega, q, chol, gamma)
+            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+            np.testing.assert_array_equal(s, z[1:] - z[:-1])
 
 
 def data_free_update(z_m, u_m, alpha_m, beta_m, config):
@@ -231,8 +254,8 @@ class TestUpdateXFrame:
         factor = NormalFactor(*FactorizationCache(base, geometry).get([point]), 2.0)
         aty = np.array([2.0])  # Re(A^H y) with y = 2
         config = SolverConfig(rho1=1.0, mu=1.0, inner_iters=1)
-        x = update_x_frame(
-            aty, factor, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), config
+        x = x_update(
+            aty, factor, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), config, config.lambda_x
         )
         assert x[0] == pytest.approx(2.0 / 3.0)
 
@@ -243,7 +266,7 @@ class TestUpdateXFrame:
         beta = np.zeros(6)
         # a data-free frame: zero Re(A^H y), a factor without columns and no shrinkage
         empty = NormalFactor(np.zeros((0, 6)), np.zeros((0, 0)), config.rho1 + config.mu)
-        x = update_x_frame(np.zeros(6), empty, c.copy(), np.zeros(6), alpha, beta, config, 0.0)
+        x = x_update(np.zeros(6), empty, c.copy(), np.zeros(6), alpha, beta, config, 0.0)
         np.testing.assert_allclose(x, c, atol=1e-14)
         np.testing.assert_allclose(beta, 0.0, atol=1e-14)
 
@@ -263,8 +286,8 @@ class TestUpdateXFrame:
 
         aty = apply_adjoint(y, points, base, geometry)
         z = rng.standard_normal(4)
-        x = update_x_frame(
-            aty, factor, z, np.zeros(4), np.zeros(4), np.zeros(4), config
+        x = x_update(
+            aty, factor, z, np.zeros(4), np.zeros(4), np.zeros(4), config, config.lambda_x
         )
         a_dense = np.stack(
             [apply_forward(np.eye(4)[i], points, base, geometry) for i in range(4)], axis=1
@@ -290,41 +313,22 @@ class TestUpdateXFrame:
         expected = np.stack([
             data_free_update(z[m], u[m], expected_alpha[m], expected_beta[m], config)
             if points is None
-            else update_x_frame(
+            else x_update(
                 aty[m], NormalFactor(*cache.get(points), shift), z[m], u[m], expected_alpha[m], expected_beta[m],
-                config,
+                config, config.lambda_x,
             )
             for m, points in enumerate(frames)
         ])
 
         # one batch over every frame, as solve runs it: a zero l1 threshold on data-free frames
         lambda_x = np.array([0.0 if f is None else config.lambda_x for f in frames])[:, None, None]
-        got = update_x_frame(
+        got = x_update(
             aty[:, None], cache.stack(frames, shift), z[:, None], u[:, None], alpha[:, None], beta[:, None],
             config, lambda_x,
         )[:, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(beta, expected_beta, rtol=1e-12, atol=1e-14)
-
-    def test_buffers_do_not_change_the_result(self, rng, small_base, small_geometry):
-        # the loop passes its own out, work and fixed buffers; a call without them allocates its own
-        config = SolverConfig(rho1=0.3, mu=0.2, inner_iters=3)
-        frames = [None, *(tuple(random_points(rng, small_geometry, c)) for c in (1, 3, 2))]
-        factor = FactorizationCache(small_base, small_geometry).stack(frames, config.rho1 + config.mu)
-        aty = rng.standard_normal((4, 1, 32))
-        aty[0] = 0.0
-        z, u, alpha, beta = (rng.standard_normal((4, 3, 32)) for _ in range(4))
-        lambda_x = np.zeros((4, 3, 1))
-        lambda_x[1:] = np.array([0.0, 0.05, 0.5])[:, None]  # none on the data-free frame
-        plain_alpha, plain_beta = alpha.copy(), beta.copy()
-        plain = update_x_frame(aty, factor, z, u, plain_alpha, plain_beta, config, lambda_x)
-        out, work, fixed = (np.full_like(z, np.nan) for _ in range(3))
-        got = update_x_frame(aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed)
-        assert got is out
-        np.testing.assert_array_equal(got, plain)
-        np.testing.assert_array_equal(alpha, plain_alpha)
-        np.testing.assert_array_equal(beta, plain_beta)
 
     def test_zero_width_factor_reproduces_data_free_branch(self, rng):
         # a frame without columns, a zero Re(A^H y) and a zero threshold is the data-free update
@@ -333,7 +337,7 @@ class TestUpdateXFrame:
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
         expected = data_free_update(z, u, expected_alpha, expected_beta, config)
         empty = NormalFactor(np.zeros((5, 1, 0, 8)), np.zeros((5, 1, 0, 0)), config.rho1 + config.mu)
-        x = update_x_frame(
+        x = x_update(
             np.zeros((5, 1, 8)), empty, z, u, alpha, beta, config, np.zeros((5, 3, 1))
         )
         np.testing.assert_array_equal(x, expected)
