@@ -133,11 +133,15 @@ class BaseSpectraSet:
 
     ``spectra`` has shape (J, N_C, N_RO) in the spectral domain; ``fid``
     is its unitary DFT along both spectral axes and is what the forward
-    operator consumes.
+    operator consumes.  ``readout_r`` holds, per evolution index d, the
+    triangular (min(N_RO, J), J) QR factor R of the readout matrix
+    ``fid[:, d, :].T``, from one batched QR; the normal-matrix pieces
+    (:func:`normal_matrix`) are built from it.
     """
 
     spectra: np.ndarray
     fid: np.ndarray
+    readout_r: np.ndarray
 
     @classmethod
     def from_spectra(cls, spectra: np.ndarray) -> "BaseSpectraSet":
@@ -149,7 +153,7 @@ class BaseSpectraSet:
         if spectra.shape[0] < 1:
             raise ShapeError("need at least one substance")
         fid = dft_spectral(spectra, "to_time")
-        return cls(spectra=spectra, fid=fid)
+        return cls(spectra=spectra, fid=fid, readout_r=np.linalg.qr(fid.transpose(1, 2, 0), mode="r"))
 
     @property
     def n_substances(self) -> int:
@@ -486,78 +490,72 @@ def normal_matrix(
     frame_points: Sequence[SamplePoint],
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
-    readout_r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The separable pieces (Phi, T) of one frame's V, V V^T = Re(A^H A), V = (Phi^T kron I_J) T.
 
     Per point the complex Gram is kron(conj(f) f^T, R^H R), with f the
     point's spatial DFT row (:func:`_point_rows`, the row the forward
     operator and its adjoint apply) and R the triangular QR factor of
-    the base spectra's readout matrix at the point's evolution index,
-    ``readout_r[d]`` (see :class:`FactorizationCache`).  Its real part
-    is C_r C_r^T + C_i C_i^T for C = kron(f, conj(R^T)).  Writing
-    f = a + ib and R^T = X + iY, [C_r, C_i] = (Phi_p^T kron I_J) T_p
-    with Phi_p = [a; b] (2 x N) and the real 2J x 2r core
-    T_p = [[X, -Y], [Y, X]] (r = min(N_RO, J)).  Points stack their rows
-    of Phi (2P x N) and their cores block by block on the diagonal of T
-    (2P*J x 2P*r).  The pieces depend only on the points (not on frame
-    index, data or the solver's shift), so they can be shared across
-    frames, iterations and penalties.
+    the base spectra's readout matrix at the point's evolution index
+    (``base.readout_r``).  Its real part is C_r C_r^T + C_i C_i^T for
+    C = kron(f, conj(R^T)).  Writing f = a + ib and R^T = X + iY,
+    [C_r, C_i] = (Phi_p^T kron I_J) T_p with Phi_p = [a; b] (2 x N) and
+    the real 2J x 2r core T_p = [[X, -Y], [Y, X]] (r = min(N_RO, J)).
+    Points stack their rows of Phi (2P x N) and their cores block by
+    block on the diagonal of T (2P*J x 2P*r).  The pieces depend only on
+    the points (not on frame index, data or the solver's shift), so the
+    frames of one stack that sample the same points share them
+    (:meth:`FactorizationCache.stack`).
     """
     base_check(base, geometry)
-    n_points, (_, rank, j) = len(frame_points), readout_r.shape
     rows = _point_rows(frame_points, geometry)
-    phi = np.empty((n_points, 2, geometry.n_voxels))
-    phi[:, 0], phi[:, 1] = rows.real, rows.imag
-    core = np.zeros((n_points, 2, j, n_points, 2, rank))
-    for p, point in enumerate(frame_points):
-        r_t = readout_r[point.spectral_index - 1].T  # X + iY
-        core[p, 0, :, p, 0] = core[p, 1, :, p, 1] = r_t.real
-        core[p, 0, :, p, 1] = -r_t.imag
-        core[p, 1, :, p, 0] = r_t.imag
-    return phi.reshape(2 * n_points, -1), core.reshape(2 * n_points * j, 2 * n_points * rank)
+    phi = np.stack([rows.real, rows.imag], axis=1).reshape(2 * len(rows), -1)
+    r_t = base.readout_r[[point.spectral_index - 1 for point in frame_points]].swapaxes(-1, -2)  # X + iY
+    # [[X, -Y], [Y, X]] per point, (P, 2J, 2r); np.block builds the same array at three times the cost
+    x, y = r_t.real, r_t.imag
+    blocks = np.concatenate([np.concatenate([x, -y], -1), np.concatenate([y, x], -1)], -2)
+    n_points, height, width = blocks.shape
+    core = np.zeros((n_points, height, n_points, width))
+    core[np.arange(n_points), :, np.arange(n_points)] = blocks
+    return phi, core.reshape(n_points * height, n_points * width)
 
 
 class FactorizationCache:
-    """Store of each point set's pieces (:func:`normal_matrix`), keyed by a frame's point tuple.
+    """Builds one stacked factor (:meth:`stack`) over a schedule's frames; it keeps no pieces.
 
-    Frames of a schedule that sample the same points share one pair,
-    whatever the shift of the stack (:meth:`stack`) they join.  The
-    readout QR factors every pair is built from, ``readout_r`` (one
-    triangular (min(N_RO, J), J) factor per evolution index, from one
-    batched QR), are computed once, when the cache is made; the spatial
-    DFT rows come from per-axis tables shared by the whole process.
+    :meth:`get` builds one point set's pieces (:func:`normal_matrix`).
+    The readout QR factors they are built from live with the base
+    spectra, and the spatial DFT rows come from per-axis tables shared
+    by the whole process.
     """
 
     def __init__(self, base: BaseSpectraSet, geometry: AcquisitionGeometry):
         self.base = base
         self.geometry = geometry
-        self.readout_r = np.linalg.qr(base.fid.transpose(1, 2, 0), mode="r")  # fid[:, d, :].T for every d
-        self._store: dict[tuple[SamplePoint, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def get(self, frame_points: Iterable[SamplePoint]) -> tuple[np.ndarray, np.ndarray]:
-        key = tuple(frame_points)
-        found = self._store.get(key)
-        if found is None:
-            found = self._store[key] = normal_matrix(key, self.base, self.geometry, self.readout_r)
-        return found
+        return normal_matrix(tuple(frame_points), self.base, self.geometry)
 
     def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None], shift: float) -> NormalFactor:
         """One factor of ``shift`` over a schedule's frames, its pieces stacked on a leading frame axis.
 
         Phi is laid out (frame, 1, 2P, N) and T (frame, 1, 2P*J, width),
         P the most points of any frame.  The unit axis broadcasts over
-        the rows of (frame, row, N*J) iterates.  Each frame's pieces come from :meth:`get`; frames
-        with fewer points get zero rows of Phi and zero rows and columns
-        of T, which leave their solves unchanged, and a data-free
-        (``None``) frame has only zeros, so its solve is rhs / shift.
+        the rows of (frame, row, N*J) iterates.  Each distinct point set
+        is built once, by :meth:`get` in first-seen order, and copied to
+        every frame that samples it; frames with fewer points get zero
+        rows of Phi and zero rows and columns of T, which leave their
+        solves unchanged, and a data-free (``None``) frame has only
+        zeros, so its solve is rhs / shift.
         """
-        pieces = {m: self.get(points) for m, points in enumerate(frames) if points is not None}
+        pieces = {points: self.get(points) for points in dict.fromkeys(frames) if points is not None}
         n_rows = max((len(phi) for phi, _ in pieces.values()), default=0)
         width = max((core.shape[1] for _, core in pieces.values()), default=0)
         phi_stack = np.zeros((len(frames), 1, n_rows, self.geometry.n_voxels))
         core_stack = np.zeros((len(frames), 1, n_rows * self.base.n_substances, width))
-        for m, (phi, core) in pieces.items():
-            phi_stack[m, 0, : len(phi)] = phi
-            core_stack[m, 0, : len(core), : core.shape[1]] = core
+        for m, points in enumerate(frames):
+            if points is not None:
+                phi, core = pieces[points]
+                phi_stack[m, 0, : len(phi)] = phi
+                core_stack[m, 0, : len(core), : core.shape[1]] = core
         return NormalFactor(phi_stack, core_stack, shift)

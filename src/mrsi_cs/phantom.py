@@ -102,6 +102,11 @@ class SubstanceSpec:
             raise ConfigError(f"substance {self.label!r} has an empty region")
 
 
+# evaluate's snapshot "<label>_frame<index>.pgm" must fit NAME_MAX, 255 bytes: that leaves the
+# label 255 less the 10 bytes of "_frame.pgm" and the 20 digits of the largest u64 frame index
+MAX_LABEL_BYTES = 225
+
+
 @dataclass(frozen=True)
 class PhantomConfig:
     geometry: AcquisitionGeometry
@@ -128,6 +133,12 @@ class PhantomConfig:
                 )
             if label in self.labels[:i]:
                 raise ConfigError(f"substances[{i}].label {label!r} is used by an earlier substance")
+            try:
+                size = len(label.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise ConfigError(f"substances[{i}].label {label!r} does not encode as UTF-8") from None
+            if size > MAX_LABEL_BYTES:
+                raise ConfigError(f"substances[{i}].label has {size} bytes in UTF-8, more than {MAX_LABEL_BYTES}")
         for sub in self.substances:
             for voxel in sub.region:
                 if len(voxel) != len(self.geometry.spatial_dims):

@@ -414,9 +414,9 @@ def prepare(
 ) -> tuple[np.ndarray, NormalFactor, np.ndarray, BandCholesky]:
     """Check a data set and build the set-up its solves share: (Re(A^H y), factor, has_data, chol).
 
-    Of ``config`` only rho1 + mu and gamma enter.  The factor cache made
-    here is dropped on return, so its per-point-set pieces do not live
-    through the loop.
+    Of ``config`` only rho1 + mu and gamma enter.  The stacked factor
+    builds each distinct point set's pieces once and keeps only its
+    stack, so no per-point-set pieces live through the loop.
     """
     _prepared_inputs(signals, schedule, base, geometry)
     m_total = schedule.n_frames

@@ -26,6 +26,20 @@ def built_point_sets(monkeypatch):
     return built
 
 
+@pytest.fixture
+def requested_point_sets(monkeypatch):
+    """The point sets :meth:`mrsi_cs.model.FactorizationCache.get` is asked for during the test, in call order."""
+    requested = []
+    get = model.FactorizationCache.get
+
+    def counting_get(cache, points):
+        requested.append(tuple(points))
+        return get(cache, points)
+
+    monkeypatch.setattr(model.FactorizationCache, "get", counting_get)
+    return requested
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 

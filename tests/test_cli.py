@@ -525,6 +525,8 @@ class TestSubstanceLabels:
         "slash": (("a/b", "lactate"), 0),
         "backslash": (("glucose", "a\\b"), 1),
         "nul": (("glucose", "a\0b"), 1),
+        "too-long": (("glucose", "\u00e9" * 113), 1),  # 226 bytes in UTF-8, 113 characters
+        "not-utf-8": (("\ud800", "lactate"), 0),  # a lone surrogate
     }
 
     @staticmethod
@@ -557,6 +559,18 @@ class TestSubstanceLabels:
         assert_clean_exit(result, 2)
         assert f"substances[{index}].label" in result.output
         assert not out.exists()
+
+    def test_label_of_the_byte_limit_names_its_snapshots(self, runner, tmp_path):
+        label = "\u00e9" * 112 + "x"  # 225 bytes in UTF-8
+        config = self.labelled(tmp_path, ("glucose", label))
+        phantom_out = run_ok(runner, ["phantom", "--config", config, "--out", str(tmp_path / "ph")])
+        out = tmp_path / "ev"
+        run_ok(
+            runner,
+            ["evaluate", "--recon", phantom_out["truth"], "--truth", phantom_out["truth"],
+             "--out", str(out), "--config", config],
+        )
+        assert (out / "snapshots" / f"{label}_frame0000.pgm").exists()
 
 
 class TestExitCodes:

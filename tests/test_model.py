@@ -224,11 +224,6 @@ class TestApplyAdjoint:
             apply_adjoint(np.zeros(7, dtype=complex), [SamplePoint(1, (1, 1))], small_base, small_geometry)
 
 
-def pieces(points, base, geometry):
-    """A point set's separable pieces (Phi, T), built from the QR table a factor cache builds."""
-    return normal_matrix(points, base, geometry, FactorizationCache(base, geometry).readout_r)
-
-
 def dense_columns(phi, core):
     """V = (Phi^T kron I_J) T, formed densely from a point set's pieces."""
     j = core.shape[-2] // phi.shape[-2]
@@ -259,14 +254,14 @@ class TestNormalMatrix:
             spatial_dims=(1,), spectral_evolution_points=1, readout_points=1
         )
         base = BaseSpectraSet.from_spectra(np.ones((1, 1, 1), dtype=complex))
-        factor = NormalFactor(*pieces([SamplePoint(1, (1,))], base, geometry), 2.0)
+        factor = NormalFactor(*normal_matrix([SamplePoint(1, (1,))], base, geometry), 2.0)
         np.testing.assert_allclose(dense_normal(factor), [[3.0]])
         np.testing.assert_allclose(factor.solve(np.array([3.0])), [1.0])
 
     def test_positive_definite_above_shift(self, rng, small_base, small_geometry):
         for _ in range(5):
             points = random_points(rng, small_geometry, 2)
-            factor = NormalFactor(*pieces(points, small_base, small_geometry), 0.3)
+            factor = NormalFactor(*normal_matrix(points, small_base, small_geometry), 0.3)
             eigs = np.linalg.eigvalsh(dense_normal(factor))
             assert eigs.min() >= 0.3 - 1e-10
 
@@ -277,7 +272,7 @@ class TestNormalMatrix:
         points = random_points(rng, geometry, 2)
         if repeated:
             points.insert(1, points[0])
-        phi, core = pieces(points, base, geometry)
+        phi, core = normal_matrix(points, base, geometry)
         n_points, j = len(points), base.n_substances
         rank = min(base.n_readout, j)
         assert phi.shape == (2 * n_points, geometry.n_voxels)  # real and imaginary DFT row per point
@@ -288,6 +283,20 @@ class TestNormalMatrix:
         b = rng.standard_normal(geometry.n_voxels * j)
         expected = np.linalg.solve(dense_gram(points, base, geometry) + shift * np.eye(len(b)), b)
         assert_relative_close(NormalFactor(phi, core, shift).solve(b), expected)
+
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_core_equals_per_point_blocks(self, case, rng):
+        base, geometry = factor_problem(case, rng)
+        points = random_points(rng, geometry, 3)
+        _, core = normal_matrix(points, base, geometry)
+        j, rank = base.n_substances, min(base.n_readout, base.n_substances)
+        expected = np.zeros((3, 2, j, 3, 2, rank))
+        for p, point in enumerate(points):
+            r_t = base.readout_r[point.spectral_index - 1].T  # X + iY
+            expected[p, 0, :, p, 0] = expected[p, 1, :, p, 1] = r_t.real
+            expected[p, 0, :, p, 1] = -r_t.imag
+            expected[p, 1, :, p, 0] = r_t.imag
+        np.testing.assert_array_equal(core, expected.reshape(core.shape))
 
     @pytest.mark.parametrize("case", list(FACTOR_CASES))
     def test_stacked_mixed_point_counts_match_dense_solves(self, case, rng):
@@ -351,30 +360,45 @@ class TestNormalFactor:
 
 
 class TestFactorizationCache:
-    def test_shares_by_points(self, small_base, small_geometry):
-        cache = FactorizationCache(small_base, small_geometry)
-        p = (SamplePoint(1, (2, 2)),)
-        first = cache.get(p)
-        assert cache.get((SamplePoint(1, (2, 2)),)) is first
-        other = cache.get((SamplePoint(2, (2, 2)),))
-        assert other is not first
-        assert cache.get([SamplePoint(2, (2, 2))]) is other
+    @staticmethod
+    def frames(rng, geometry):
+        """Three point sets of 2, 1 and 3 points over eight frames, with gaps and repeats."""
+        a, b, c = (tuple(random_points(rng, geometry, count)) for count in (2, 1, 3))
+        return [a, None, b, a, c, None, b, a], [a, b, c]
 
-    def test_one_cache_serves_every_shift(self, rng, small_base, small_geometry, built_point_sets):
+    def test_stack_builds_each_distinct_point_set_once_in_first_seen_order(
+        self, rng, small_base, small_geometry, built_point_sets, requested_point_sets
+    ):
+        # the benchmark's model.factor_builds and factor_requests count these two calls
+        frames, distinct = self.frames(rng, small_geometry)
+        FactorizationCache(small_base, small_geometry).stack(frames, 0.2)
+        assert requested_point_sets == built_point_sets == distinct
+
+    @pytest.mark.parametrize("case", list(FACTOR_CASES))
+    def test_stack_holds_each_frames_padded_pieces(self, case, rng):
+        base, geometry = factor_problem(case, rng)
+        frames, _ = self.frames(rng, geometry)
+        stacked = FactorizationCache(base, geometry).stack(frames, 0.2)
+        for m, points in enumerate(frames):
+            phi, core = np.zeros(stacked.phi.shape[2:]), np.zeros(stacked.core.shape[2:])
+            if points is not None:
+                frame_phi, frame_core = normal_matrix(points, base, geometry)
+                phi[: len(frame_phi)] = frame_phi
+                core[: len(frame_core), : frame_core.shape[1]] = frame_core
+            np.testing.assert_array_equal(stacked.phi[m, 0], phi)
+            np.testing.assert_array_equal(stacked.core[m, 0], core)
+
+    def test_new_shift_on_a_stack_equals_a_fresh_stack(self, rng, small_base, small_geometry):
+        frames, _ = self.frames(rng, small_geometry)
         cache = FactorizationCache(small_base, small_geometry)
-        frames = [tuple(random_points(rng, small_geometry, count)) for count in (2, 1, 2)]
-        frames.insert(1, None)
-        rhs = rng.standard_normal((4, 1, 32))
-        for shift in (0.2, 3.0):
-            stacked = cache.stack(frames, shift)
-            for points, b, x in zip(frames, rhs[:, 0], stacked.solve(rhs)[:, 0]):
+        stacked, fresh = cache.stack(frames, 3.0), cache.stack(frames, 0.2)
+        # a new shift needs no rebuild: one batched inverse of the stacked K's
+        np.testing.assert_array_equal(NormalFactor(stacked.phi, stacked.core, 0.2).s, fresh.s)
+        rhs = rng.standard_normal((len(frames), 1, 32))
+        for shift, factor in ((3.0, stacked), (0.2, fresh)):
+            for points, b, x in zip(frames, rhs[:, 0], factor.solve(rhs)[:, 0]):
                 expected = np.linalg.solve(dense_gram(points, small_base, small_geometry) + shift * np.eye(32), b)
-                assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert len(built_point_sets) == 3  # each point set's pieces once, for both shifts
-        # a new shift on a built stack needs no cache: one batched inverse of the stacked K's
-        np.testing.assert_array_equal(
-            NormalFactor(stacked.phi, stacked.core, 0.2).solve(rhs), cache.stack(frames, 0.2).solve(rhs)
-        )
+                assert_relative_close(x, expected)
 
 
 class TestTypes:

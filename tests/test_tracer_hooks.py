@@ -91,3 +91,10 @@ def test_cv_solves_run_under_the_grid_search(bench, traced_spans):
     solves = [i for i, span in enumerate(spans) if span[0] == "solver.solve"]
     assert solves
     assert all(bench._has_ancestor(spans, i, "selection.grid_search") for i in solves)
+
+
+def test_each_factor_request_builds_one_point_set(traced_spans):
+    # model.factor_requests and model.factor_builds count these spans; a stack requests only distinct sets
+    for stage, spans in traced_spans.items():
+        names = [span[0] for span in spans]
+        assert names.count("model.FactorizationCache.get") == names.count("model.normal_matrix"), stage
