@@ -20,8 +20,6 @@ from .model import (
     SubstanceDistribution,
     apply_adjoint,
     apply_forward,
-    dft_spatial,
-    dft_spectral,
 )
 from .phantom import (
     ConstantProfile,

@@ -6,8 +6,8 @@ summary to stdout and diagnostics to stderr.  The manifest's command
 name, arguments and inputs come from the command's click declaration
 (see :func:`_finish`).  A package error exits with its class's
 ``exit_code`` (see :mod:`mrsi_cs.errors`), and sizes that do not fit in
-memory exit 2.  Verbosity is controlled by the MRSI_CS_LOG environment
-variable (error, info or debug).
+memory exit 2.  Verbosity, Python warnings included, is controlled by
+the MRSI_CS_LOG environment variable (error, info or debug).
 """
 
 from __future__ import annotations
@@ -140,6 +140,7 @@ def main():
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
+    logging.captureWarnings(True)  # numpy's RuntimeWarnings follow MRSI_CS_LOG too
 
 
 @main.command()

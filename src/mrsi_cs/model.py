@@ -13,8 +13,8 @@ from one small table per spatial axis) is the one piece the forward
 operator, its adjoint and the normal-matrix factor share; no grid-sized
 transform runs and no full-grid tensor is materialised.
 
-All DFTs are unitary, so the adjoint of the sampling operator is its
-conjugate transpose with no extra scaling.
+All DFTs are unitary (numpy's ``norm="ortho"``), so the adjoint of the
+sampling operator is its conjugate transpose with no extra scaling.
 
 The solver's normal matrices Re(A^H A) + shift*I are kept in low-rank,
 separable form: Re(A^H A) = V V^T with V = (Phi^T kron I_J) T, where
@@ -43,8 +43,6 @@ __all__ = [
     "SamplePoint",
     "SamplingSchedule",
     "SignalSet",
-    "dft_spectral",
-    "dft_spatial",
     "apply_forward",
     "apply_adjoint",
     "normal_matrix",
@@ -79,53 +77,6 @@ class AcquisitionGeometry:
     def n_voxels(self) -> int:
         return math.prod(self.spatial_dims)
 
-    @property
-    def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(-len(self.spatial_dims), 0))
-
-
-def _unitary_dft(a: np.ndarray, axes: tuple[int, ...], inverse: bool) -> np.ndarray:
-    if inverse:
-        return np.fft.ifftn(a, axes=axes, norm="ortho")
-    return np.fft.fftn(a, axes=axes, norm="ortho")
-
-
-def dft_spectral(spectra: np.ndarray, direction: str) -> np.ndarray:
-    """Unitary DFT along the two trailing spectral axes.
-
-    ``direction`` is ``"to_time"`` (spectrum to signal evolution/readout
-    domain), the forward transform exp(-2 pi i k n / N) / sqrt(N), or
-    ``"to_freq"``, its inverse.
-    """
-    a = np.asarray(spectra)
-    if a.ndim < 2:
-        raise ShapeError(f"need at least 2 axes (evolution, readout); got shape {a.shape}")
-    if direction not in ("to_time", "to_freq"):
-        raise ParameterError(f"direction must be 'to_time' or 'to_freq', got {direction!r}")
-    return _unitary_dft(a, axes=(-2, -1), inverse=direction == "to_freq")
-
-
-def dft_spatial(
-    fieldarr: np.ndarray,
-    direction: str,
-    geometry: AcquisitionGeometry,
-) -> np.ndarray:
-    """Unitary DFT along the trailing spatial axes of ``geometry``.
-
-    ``direction`` is ``"to_kspace"``, the forward transform (as the
-    to_time leg of :func:`dft_spectral`), or ``"to_image"``, its inverse.
-    """
-    a = np.asarray(fieldarr)
-    nsp = len(geometry.spatial_dims)
-    if a.ndim < nsp or a.shape[-nsp:] != geometry.spatial_dims:
-        raise ShapeError(
-            f"trailing axes {a.shape[-nsp:] if a.ndim >= nsp else a.shape} "
-            f"do not match spatial grid {geometry.spatial_dims}"
-        )
-    if direction not in ("to_kspace", "to_image"):
-        raise ParameterError(f"direction must be 'to_kspace' or 'to_image', got {direction!r}")
-    return _unitary_dft(a, axes=geometry.spatial_axes, inverse=direction == "to_image")
-
 
 @dataclass(frozen=True)
 class BaseSpectraSet:
@@ -152,7 +103,7 @@ class BaseSpectraSet:
             raise ShapeError("base spectra contain non-finite entries")
         if spectra.shape[0] < 1:
             raise ShapeError("need at least one substance")
-        fid = dft_spectral(spectra, "to_time")
+        fid = np.fft.fft2(spectra, norm="ortho")
         return cls(spectra=spectra, fid=fid, readout_r=np.linalg.qr(fid.transpose(1, 2, 0), mode="r"))
 
     @property
@@ -339,7 +290,7 @@ class SignalSet:
 @functools.lru_cache(maxsize=None)
 def _inverse_dft_table(n: int) -> np.ndarray:
     """Read-only; row k is the unitary inverse DFT of an impulse at k, the conjugate of the forward row k."""
-    table = _unitary_dft(np.eye(n, dtype=np.complex128), axes=(-1,), inverse=True)
+    table = np.fft.ifft(np.eye(n, dtype=np.complex128), norm="ortho")
     table.flags.writeable = False
     return table
 
@@ -439,8 +390,9 @@ class NormalFactor:
 
     The pieces may carry leading axes (see :meth:`FactorizationCache.stack`):
     every K of the stack is inverted in one batched call, and ``solve``
-    takes right-hand sides that broadcast against them.  A singular K
-    raises :class:`DivergenceError`.
+    takes right-hand sides that broadcast against them and writes to a
+    caller's buffer; it allocates no result.  A singular K raises
+    :class:`DivergenceError`.
     """
 
     def __init__(self, phi: np.ndarray, core: np.ndarray, shift: float):
@@ -463,22 +415,22 @@ class NormalFactor:
             raise DivergenceError("normal matrix factor is singular in floating point", iteration=0) from err
         self.s = core @ k_inv @ core.swapaxes(-1, -2)
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to ``out`` if given.
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to and returned as ``out``.
 
         ``rhs`` is read as (..., N, J), voxel rows and substance
         columns, so every product is a matrix product per leading index:
         an axis of ``rhs`` that the pieces broadcast over (e.g. the
         weight rows of a stacked solve, against their unit axis) stays a
-        batch axis.  Every row goes through the same BLAS kernel, and its
-        result does not depend on how many rows are stacked.  Only
+        batch axis.  ``out`` is a contiguous float array, distinct from
+        ``rhs``, of the shape ``rhs`` broadcasts to against the pieces'
+        leading axes.  Every row goes through the same BLAS kernel, and
+        its result does not depend on how many rows are stacked.  Only
         (..., 2P, J) temporaries are allocated besides ``out``.
         """
         r = rhs.reshape(*rhs.shape[:-1], self.phi.shape[-1], -1)
         g = self.phi @ r  # (Phi kron I_J) rhs as (..., 2P, J)
         h = self.s @ g.reshape(*g.shape[:-2], -1, 1)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(rhs.shape, self.phi.shape[:-2] + (1,)))
         out_r = out.reshape(*out.shape[:-1], *r.shape[-2:])  # a view of a contiguous ``out``
         np.matmul(self.phi.swapaxes(-1, -2), h.reshape(g.shape), out=out_r)
         np.subtract(rhs, out_r.reshape(out.shape), out=out)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -267,6 +268,25 @@ class TestReconstructCommand:
         )
         assert result.exit_code == 4
 
+    def test_divergence_warnings_follow_the_log_level(self, runner, tmp_path):
+        # the overflowing base above makes numpy warn before the solver gives up
+        config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path)
+        bad_base = tmp_path / "bad_base.mrst"
+        write_tensor(bad_base, read_tensor(phantom_out["base"]) * 1e200)
+        src = str(Path(mrsi_cs.__file__).resolve().parents[1])
+
+        def reconstruct(level):
+            args = reconstruct_args(
+                config, acquire_out["signals"], design_out["schedule"], str(bad_base), str(tmp_path / level)
+            )
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default", "MRSI_CS_LOG": level}
+            done = subprocess.run([sys.executable, "-m", "mrsi_cs.cli", *args], env=env, capture_output=True, text=True)
+            assert done.returncode == 4, done.stderr
+            assert "DivergenceError" in done.stderr
+            return done.stderr
+
+        assert "RuntimeWarning" not in reconstruct("error")
+        assert "WARNING py.warnings" in reconstruct("info")
 
     def test_singular_normal_factor_exits_4(self, runner, tmp_path):
         # finite base spectra, huge enough that a point sampled twice rounds the factor's K to a singular matrix

@@ -14,8 +14,6 @@ from mrsi_cs import (
     SubstanceDistribution,
     apply_adjoint,
     apply_forward,
-    dft_spatial,
-    dft_spectral,
 )
 from mrsi_cs.model import FactorizationCache, NormalFactor, normal_matrix
 from conftest import random_points
@@ -29,7 +27,7 @@ def dense_operator(points, base, geometry):
 
 
 def naive_forward(x_m, points, base, geometry):
-    """Full-tensor reference: mix spectra, transform every axis, sample."""
+    """Full-tensor reference: mix spectra, take the unitary DFT over every axis, sample."""
     j = base.n_substances
     xr = np.asarray(x_m).reshape(*geometry.spatial_dims, j)
     theta = np.zeros(
@@ -40,9 +38,7 @@ def naive_forward(x_m, points, base, geometry):
             base.spectra[sub][(...,) + (None,) * len(geometry.spatial_dims)]
             * xr[..., sub][(None, None)]
         )
-    stage = dft_spectral(np.moveaxis(theta, (0, 1), (-2, -1)), "to_time")
-    stage = np.moveaxis(stage, (-2, -1), (0, 1))
-    full = dft_spatial(stage, "to_kspace", geometry)
+    full = np.fft.fftn(theta) / np.sqrt(theta.size)
     out = [
         full[(p.spectral_index - 1, slice(None)) + tuple(c - 1 for c in p.k_index)]
         for p in points
@@ -82,65 +78,6 @@ def operator_point_sets(rng, geometry, count):
     return sets
 
 
-class TestDftSpectral:
-    def test_constant_maps_to_scaled_impulse(self):
-        out = dft_spectral(np.ones((1, 8), dtype=complex), "to_time")
-        expected = np.zeros((1, 8), dtype=complex)
-        expected[0, 0] = np.sqrt(8)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_round_trip_identity(self, rng):
-        a = rng.standard_normal((3, 4, 8)) + 1j * rng.standard_normal((3, 4, 8))
-        back = dft_spectral(dft_spectral(a, "to_time"), "to_freq")
-        np.testing.assert_allclose(back, a, atol=1e-12)
-
-    def test_parseval(self, rng):
-        a = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        out = dft_spectral(a, "to_time")
-        assert abs(np.linalg.norm(a) - np.linalg.norm(out)) < 1e-12
-
-    def test_to_time_is_the_forward_transform(self, rng):
-        a = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        np.testing.assert_allclose(dft_spectral(a, "to_time"), np.fft.fft2(a) / np.sqrt(32), atol=1e-12)
-
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ParameterError):
-            dft_spectral(np.ones((2, 2)), "sideways")
-
-    def test_rejects_scalar(self):
-        with pytest.raises(ShapeError):
-            dft_spectral(np.ones(3), "to_time")
-
-
-class TestDftSpatial:
-    def test_uniform_field(self, small_geometry):
-        out = dft_spatial(np.ones((4, 4), dtype=complex), "to_kspace", small_geometry)
-        assert abs(out[0, 0] - 4.0) < 1e-12
-        out[0, 0] = 0
-        assert np.abs(out).max() < 1e-12
-
-    def test_impulse_has_flat_magnitude(self, small_geometry):
-        field = np.zeros((4, 4), dtype=complex)
-        field[1, 2] = 1.0
-        out = dft_spatial(field, "to_kspace", small_geometry)
-        np.testing.assert_allclose(np.abs(out), 0.25, atol=1e-12)
-
-    def test_to_kspace_is_the_forward_transform(self, rng, small_geometry):
-        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
-        np.testing.assert_allclose(
-            dft_spatial(a, "to_kspace", small_geometry), np.fft.fft2(a) / 4.0, atol=1e-12
-        )
-
-    def test_round_trip(self, rng, small_geometry):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        back = dft_spatial(dft_spatial(a, "to_kspace", small_geometry), "to_image", small_geometry)
-        np.testing.assert_allclose(back, a, atol=1e-12)
-
-    def test_shape_mismatch(self, small_geometry):
-        with pytest.raises(ShapeError):
-            dft_spatial(np.ones((4, 5)), "to_kspace", small_geometry)
-
-
 class TestApplyForward:
     def test_uniform_field_dc_point(self):
         geometry = AcquisitionGeometry(
@@ -149,7 +86,7 @@ class TestApplyForward:
         # spectra built so that the time-domain tensor is an impulse row at d=1
         fid = np.zeros((1, 4, 8), dtype=complex)
         fid[0, 0, 0] = 1.0
-        spectra = dft_spectral(fid, "to_freq")
+        spectra = np.fft.ifft2(fid) * np.sqrt(4 * 8)
         base = BaseSpectraSet.from_spectra(spectra)
         x = np.ones(16)
         out = apply_forward(x, [SamplePoint(1, (1, 1))], base, geometry)
@@ -256,7 +193,8 @@ class TestNormalMatrix:
         base = BaseSpectraSet.from_spectra(np.ones((1, 1, 1), dtype=complex))
         factor = NormalFactor(*normal_matrix([SamplePoint(1, (1,))], base, geometry), 2.0)
         np.testing.assert_allclose(dense_normal(factor), [[3.0]])
-        np.testing.assert_allclose(factor.solve(np.array([3.0])), [1.0])
+        rhs = np.array([3.0])
+        np.testing.assert_allclose(factor.solve(rhs, np.empty_like(rhs)), [1.0])
 
     def test_positive_definite_above_shift(self, rng, small_base, small_geometry):
         for _ in range(5):
@@ -282,7 +220,7 @@ class TestNormalMatrix:
         shift = 0.2
         b = rng.standard_normal(geometry.n_voxels * j)
         expected = np.linalg.solve(dense_gram(points, base, geometry) + shift * np.eye(len(b)), b)
-        assert_relative_close(NormalFactor(phi, core, shift).solve(b), expected)
+        assert_relative_close(NormalFactor(phi, core, shift).solve(b, np.empty_like(b)), expected)
 
     @pytest.mark.parametrize("case", list(FACTOR_CASES))
     def test_core_equals_per_point_blocks(self, case, rng):
@@ -310,7 +248,7 @@ class TestNormalMatrix:
         assert stacked.phi.shape == (6, 1, 6, geometry.n_voxels)
         assert stacked.core.shape == (6, 1, 6 * base.n_substances, 6 * min(base.n_readout, base.n_substances))
         rhs = rng.standard_normal((6, 1, n))
-        got = stacked.solve(rhs)[:, 0]
+        got = stacked.solve(rhs, np.empty_like(rhs))[:, 0]
         for m, (points, b, x) in enumerate(zip(frames, rhs[:, 0], got)):
             gram = dense_gram(points, base, geometry)
             v = dense_columns(stacked.phi[m, 0], stacked.core[m, 0])
@@ -351,12 +289,12 @@ class TestNormalFactor:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            stacked.solve(rhs, out=out)
+            returned = stacked.solve(rhs, out)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < rhs.nbytes
-        np.testing.assert_array_equal(out, stacked.solve(rhs))
+        assert returned is out
 
 
 class TestFactorizationCache:
@@ -396,16 +334,22 @@ class TestFactorizationCache:
         np.testing.assert_array_equal(NormalFactor(stacked.phi, stacked.core, 0.2).s, fresh.s)
         rhs = rng.standard_normal((len(frames), 1, 32))
         for shift, factor in ((3.0, stacked), (0.2, fresh)):
-            for points, b, x in zip(frames, rhs[:, 0], factor.solve(rhs)[:, 0]):
+            for points, b, x in zip(frames, rhs[:, 0], factor.solve(rhs, np.empty_like(rhs))[:, 0]):
                 expected = np.linalg.solve(dense_gram(points, small_base, small_geometry) + shift * np.eye(32), b)
                 assert_relative_close(x, expected)
 
 
 class TestTypes:
     def test_base_spectra_fid_is_consistent(self, small_base):
+        spectra = small_base.spectra
         np.testing.assert_allclose(
-            small_base.fid, dft_spectral(small_base.spectra, "to_time"), atol=1e-14
+            small_base.fid, np.fft.fft2(spectra) / np.sqrt(spectra.shape[-2] * spectra.shape[-1]), atol=1e-14
         )
+
+    @pytest.mark.parametrize("shape", [(4, 8), (1, 1, 4, 8)])
+    def test_base_spectra_need_three_axes(self, shape):
+        with pytest.raises(ShapeError):
+            BaseSpectraSet.from_spectra(np.ones(shape, dtype=complex))
 
     def test_distribution_rejects_nonfinite(self, small_geometry):
         values = np.zeros((2, 16, 1))

@@ -7,7 +7,9 @@ nulls or zeros.  The first test loads its ``HOOKS`` table from the file
 and only reads it: ``install`` is never called in this process, since it
 rewraps the package for the rest of the process.  The others run the
 pipeline on a small version of the benchmark's cv workload through the
-tracer, one subprocess per stage, and read the recorded spans.
+tracer, one subprocess per stage, and read the recorded spans.  The
+data stages read a hand-written schedule that samples some point sets
+in more than one frame, so per-frame work shows apart from per-set work.
 """
 
 import importlib
@@ -18,6 +20,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mrsi_cs.model import SamplePoint, SamplingSchedule
+from mrsi_cs.sampling import write_schedule
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,17 +54,33 @@ def bench():
     return load_bench_module("run")
 
 
+def point_set(*points):
+    return tuple(SamplePoint(d, k) for d, k in points)
+
+
+# 8 frames on the cv workload's 4 x 4 grid and 4 evolution points: 7 acquired frames sample 4 distinct point sets
+A = point_set((1, (1, 1)))
+B = point_set((2, (3, 2)))
+C = point_set((4, (2, 4)), (3, (1, 3)))
+D = point_set((2, (4, 4)))
+SCHEDULE = SamplingSchedule(frames=(A, B, A, None, C, B, D, A))
+
+
 @pytest.fixture(scope="module")
 def traced_spans(bench, tmp_path_factory):
-    """{stage: spans} of one traced pipeline on the cv workload's phantom, cut to 8 frames."""
+    """{stage: spans} of one traced pipeline on the cv workload's phantom, cut to 8 frames.
+
+    ``design`` runs on its own configuration; the stages after it read :data:`SCHEDULE`.
+    """
     cwd = tmp_path_factory.mktemp("traced")
-    (cwd / "phantom.json").write_text(json.dumps({**bench._cv_phantom(), "n_frames": 8}))
-    (cwd / "design.json").write_text(json.dumps(bench._design([4, 4, 4], 8)))
-    data = ["--signals", "ac/signals.mrst", "--schedule", "de/schedule.json", "--base", "ph/base.mrst"]
+    (cwd / "phantom.json").write_text(json.dumps({**bench._cv_phantom(), "n_frames": SCHEDULE.n_frames}))
+    (cwd / "design.json").write_text(json.dumps(bench._design([4, 4, 4], SCHEDULE.n_frames)))
+    write_schedule(cwd / "schedule.json", SCHEDULE)
+    data = ["--signals", "ac/signals.mrst", "--schedule", "schedule.json", "--base", "ph/base.mrst"]
     stages = {
         "phantom": ["--config", "phantom.json", "--out", "ph", "--seed", "1"],
         "design": ["--config", "design.json", "--out", "de"],
-        "acquire": ["--config", "phantom.json", "--schedule", "de/schedule.json", "--truth", "ph/truth.mrst",
+        "acquire": ["--config", "phantom.json", "--schedule", "schedule.json", "--truth", "ph/truth.mrst",
                     "--base", "ph/base.mrst", "--out", "ac", "--seed", "1"],
         "cv": ["--config", "phantom.json", *data, "--out", "cv", "--iters", "3"],
         "reconstruct": ["--config", "phantom.json", *data, "--out", "re", "--iters", "3"],
@@ -98,3 +119,12 @@ def test_each_factor_request_builds_one_point_set(traced_spans):
     for stage, spans in traced_spans.items():
         names = [span[0] for span in spans]
         assert names.count("model.FactorizationCache.get") == names.count("model.normal_matrix"), stage
+
+
+def test_reconstruct_builds_each_distinct_point_set_once(traced_spans):
+    # one factor request and build per distinct point set, not per acquired frame
+    names = [span[0] for span in traced_spans["reconstruct"]]
+    acquired = [points for points in SCHEDULE.frames if points is not None]
+    assert len(set(acquired)) < len(acquired)
+    for hook in ("model.normal_matrix", "model.FactorizationCache.get"):
+        assert names.count(hook) == len(set(acquired)), hook
