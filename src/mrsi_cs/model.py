@@ -391,16 +391,22 @@ class NormalFactor:
     The pieces may carry leading axes (see :meth:`FactorizationCache.stack`):
     every K of the stack is inverted in one batched call, and ``solve``
     takes right-hand sides that broadcast against them and writes to a
-    caller's buffer; it allocates no result.  A singular K raises
+    caller's buffer; it allocates no result.  ``index`` places the
+    pieces' leading frame axis on the right-hand sides' frames: the
+    default ``slice(None)`` takes every frame, and an integer array names
+    the frames with data, the others having V = 0.  A singular K raises
     :class:`DivergenceError`.
     """
 
-    def __init__(self, phi: np.ndarray, core: np.ndarray, shift: float):
+    def __init__(
+        self, phi: np.ndarray, core: np.ndarray, shift: float, index: slice | np.ndarray = slice(None)
+    ):
         if not (shift > 0 and math.isfinite(shift)):
             raise ParameterError(f"shift must be finite and > 0, got {shift}")
         self.phi = phi
         self.core = core
         self.shift = shift
+        self.index = index
         *lead, height, width = core.shape
         n_rows = phi.shape[-2]
         j = height // n_rows if n_rows else 0  # a factor without point rows has an empty core
@@ -415,7 +421,7 @@ class NormalFactor:
             raise DivergenceError("normal matrix factor is singular in floating point", iteration=0) from err
         self.s = core @ k_inv @ core.swapaxes(-1, -2)
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, out: np.ndarray, gathered: np.ndarray | None = None) -> np.ndarray:
         """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to and returned as ``out``.
 
         ``rhs`` is read as (..., N, J), voxel rows and substance
@@ -427,13 +433,29 @@ class NormalFactor:
         leading axes.  Every row goes through the same BLAS kernel, and
         its result does not depend on how many rows are stacked.  Only
         (..., 2P, J) temporaries are allocated besides ``out``.
+
+        When ``index`` names the frames with data, the products run on
+        those frames only, and the others get rhs / shift.  ``gathered``
+        is then required: contiguous scratch shaped like ``out`` with
+        ``len(index)`` frames, which holds the frames' right-hand sides
+        and then their products.
         """
-        r = rhs.reshape(*rhs.shape[:-1], self.phi.shape[-1], -1)
+        every_frame = isinstance(self.index, slice)
+        if every_frame:
+            r = rhs.reshape(*rhs.shape[:-1], self.phi.shape[-1], -1)
+            prod = out.reshape(*out.shape[:-1], *r.shape[-2:])  # a view of a contiguous ``out``
+        else:
+            if gathered is None:
+                raise TypeError("a factor over the frames with data needs a gathered buffer")
+            np.take(rhs, self.index, axis=0, out=gathered, mode="clip")
+            r = prod = gathered.reshape(*gathered.shape[:-1], self.phi.shape[-1], -1)
         g = self.phi @ r  # (Phi kron I_J) rhs as (..., 2P, J)
         h = self.s @ g.reshape(*g.shape[:-2], -1, 1)
-        out_r = out.reshape(*out.shape[:-1], *r.shape[-2:])  # a view of a contiguous ``out``
-        np.matmul(self.phi.swapaxes(-1, -2), h.reshape(g.shape), out=out_r)
-        np.subtract(rhs, out_r.reshape(out.shape), out=out)
+        np.matmul(self.phi.swapaxes(-1, -2), h.reshape(g.shape), out=prod)
+        if not every_frame:  # the product is zero on the frames without data
+            out.fill(0.0)
+            out[self.index] = gathered
+        np.subtract(rhs, out, out=out)
         out /= self.shift
         return out
 
@@ -489,25 +511,28 @@ class FactorizationCache:
         return normal_matrix(tuple(frame_points), self.base, self.geometry)
 
     def stack(self, frames: Sequence[tuple[SamplePoint, ...] | None], shift: float) -> NormalFactor:
-        """One factor of ``shift`` over a schedule's frames, its pieces stacked on a leading frame axis.
+        """One factor of ``shift`` over a schedule's frames with data, their pieces stacked on a leading axis.
 
-        Phi is laid out (frame, 1, 2P, N) and T (frame, 1, 2P*J, width),
-        P the most points of any frame.  The unit axis broadcasts over
-        the rows of (frame, row, N*J) iterates.  Each distinct point set
-        is built once, by :meth:`get` in first-seen order, and copied to
-        every frame that samples it; frames with fewer points get zero
-        rows of Phi and zero rows and columns of T, which leave their
-        solves unchanged, and a data-free (``None``) frame has only
-        zeros, so its solve is rhs / shift.
+        Phi is laid out (frame, 1, 2P, N) and T (frame, 1, 2P*J, width)
+        over the D frames with data, P the most points of any frame.  The
+        unit axis broadcasts over the rows of (frame, row, N*J) iterates,
+        and the factor's ``index`` places the stack on their frame axis:
+        ``slice(None)`` when every frame has data, else the D frame
+        numbers.  A data-free (``None``) frame has no pieces; its solve
+        is rhs / shift.  Each distinct point set is built once, by
+        :meth:`get` in first-seen order, and copied to every frame that
+        samples it; frames with fewer points get zero rows of Phi and
+        zero rows and columns of T, which leave their solves unchanged.
         """
-        pieces = {points: self.get(points) for points in dict.fromkeys(frames) if points is not None}
+        data = [m for m, points in enumerate(frames) if points is not None]
+        pieces = {points: self.get(points) for points in dict.fromkeys(frames[m] for m in data)}
         n_rows = max((len(phi) for phi, _ in pieces.values()), default=0)
         width = max((core.shape[1] for _, core in pieces.values()), default=0)
-        phi_stack = np.zeros((len(frames), 1, n_rows, self.geometry.n_voxels))
-        core_stack = np.zeros((len(frames), 1, n_rows * self.base.n_substances, width))
-        for m, points in enumerate(frames):
-            if points is not None:
-                phi, core = pieces[points]
-                phi_stack[m, 0, : len(phi)] = phi
-                core_stack[m, 0, : len(core), : core.shape[1]] = core
-        return NormalFactor(phi_stack, core_stack, shift)
+        phi_stack = np.zeros((len(data), 1, n_rows, self.geometry.n_voxels))
+        core_stack = np.zeros((len(data), 1, n_rows * self.base.n_substances, width))
+        for k, m in enumerate(data):
+            phi, core = pieces[frames[m]]
+            phi_stack[k, 0, : len(phi)] = phi
+            core_stack[k, 0, : len(core), : core.shape[1]] = core
+        index = slice(None) if len(data) == len(frames) else np.array(data, dtype=np.intp)
+        return NormalFactor(phi_stack, core_stack, shift, index)

@@ -150,16 +150,17 @@ def oracle_solve(
     x = np.zeros((m_total, n))
     xi = np.zeros((m_total - 1, n))
     r = ops.residual(x)
+    d = _w(x)
     history: list[float] = []
 
     for _ in range(config.max_iters):
-        grad = ops.gradient(r)  # r is the residual at this x
-        grad += lam_w2 * _wt(_w(x), m_total)
+        grad = ops.gradient(r)  # r and d are the residual and the differences at this x
+        grad += lam_w2 * _wt(d, m_total)
         grad += _wt(xi, m_total)
         x_new = x - tau * grad
-        if lam_x > 0:
-            shrunk = np.sign(x_new) * np.maximum(np.abs(x_new) - tau * lam_x, 0.0)
-            x_new[acquired_mask] = shrunk[acquired_mask]
+        if lam_x > 0:  # the l1 prox on the acquired frames only
+            acquired = x_new[acquired_mask]
+            x_new[acquired_mask] = np.sign(acquired) * np.maximum(np.abs(acquired) - tau * lam_x, 0.0)
         if lam_w1 > 0:
             xi = np.clip(xi + sigma * _w(2.0 * x_new - x), -lam_w1, lam_w1)
         x = x_new

@@ -17,10 +17,10 @@ solve their normal equations through one stacked low-rank (Woodbury)
 factor, built once per set-up, and then shrink toward sparsity.  The
 factor is separable: it holds each frame's sampled DFT rows and a small
 core, never the N*J-row column block, so a solve is three small matrix
-products per frame.  A data-free frame joins the batch with a zero
-Re(A^H y), a factor without columns and a zero l1 threshold, which
-gives the weighted average it would take on its own, bit for bit up to
-the sign of zeros.
+products per frame with data.  A data-free frame joins the batch with
+a zero Re(A^H y) and a zero l1 threshold, and the factor, which holds
+no pieces for it, solves it as rhs / shift: the weighted average it
+would take on its own, bit for bit up to the sign of zeros.
 
 The outer loop runs in place: each step writes into arrays allocated
 once per solve, shrinkage is a - clip(a, -t, t), and the projection's
@@ -34,8 +34,9 @@ column per row, and the checks, adjoints, factors and banded Cholesky
 factor form one set-up (:func:`prepare`) that solves may share.  Rows
 never mix, and every product keeps the row axis as a batch axis, so
 each row's result does not depend on the stack it ran in.  The loop
-holds nine (M, N*J) arrays per row (seven of state, two work buffers;
-``_ROW_STATE_ARRAYS`` counts them with the smaller temporaries), so the
+holds nine (M, N*J) arrays per row (seven of state, two work buffers),
+and a tenth over the frames with data when some frame has none
+(``_ROW_STATE_ARRAYS`` counts them with the smaller temporaries), so the
 caller bounds C to bound the memory (the CV sweep prepares each fold
 once and solves its grid in blocks that reuse it); a solve without a
 stack is the C = 1 case.
@@ -170,12 +171,19 @@ class BandCholesky:
     ``len(block_inv)`` = ceil(M / B) blocks of B = isqrt(M) frames, the
     last one short when B does not divide M; ``block_inv[k]`` is the
     dense lower-triangular inverse of L's diagonal block k, and for a
-    short last block its leading corner is.
+    short last block its leading corner is.  ``forward[k - 1]`` couples
+    block k to the previous block's last row (L[kB, kB-1] times the
+    first column of ``block_inv[k]``) and ``backward[k]`` couples block k
+    to the next block's first row (L[(k+1)B, (k+1)B-1] times the last
+    row of ``block_inv[k]``); both are (ceil(M / B) - 1, B, 1, 1), to
+    broadcast over the iterates' trailing axes.
     """
 
     diag: np.ndarray
     subdiag: np.ndarray
     block_inv: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
 
     @property
     def n(self) -> int:
@@ -217,7 +225,13 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
     inv[:, 0] = eye[0] / block_diag[:, :1]
     for i in range(1, b):
         inv[:, i] = (eye[i] - block_sub[:, i - 1, None] * inv[:, i - 1]) / block_diag[:, i, None]
-    return BandCholesky(diag=diag, subdiag=subdiag, block_inv=inv)
+    # the coupling coefficients of the substitution's passes between neighbouring blocks
+    nxt = np.arange(1, n_blocks) * b  # the first frame of blocks 1, 2, ...
+    forward = subdiag[nxt - 1, None, None] * inv[1:, :, :1]
+    backward = subdiag[nxt - 1, None, None] * inv[:-1, -1, :, None]
+    return BandCholesky(
+        diag=diag, subdiag=subdiag, block_inv=inv, forward=forward[..., None], backward=backward[..., None]
+    )
 
 
 def project_constraint(
@@ -280,7 +294,7 @@ def project_constraint(
 
 def _blocked_solve(chol: BandCholesky, z: np.ndarray, g: np.ndarray) -> None:
     """Overwrite the (M, rows, cols) right-hand side ``z`` with (L L^T)^-1 z; ``g`` is scratch."""
-    e, inv = chol.subdiag, chol.block_inv
+    inv = chol.block_inv
     m = chol.n
     n_blocks, b = inv.shape[:2]
     head = (n_blocks - 1) * b  # the first frame of the last block, which may be short
@@ -296,13 +310,12 @@ def _blocked_solve(chol: BandCholesky, z: np.ndarray, g: np.ndarray) -> None:
     np.matmul(last, z_last, out=g_last)
     for k in range(1, n_blocks):
         end = min((k + 1) * b, m)
-        g[k * b : end] -= (e[k * b - 1] * inv[k, : end - k * b, :1])[..., None] * g[k * b - 1]
+        g[k * b : end] -= chol.forward[k - 1, : end - k * b] * g[k * b - 1]
     # backward, L^T z = g: the transposed inverses, then the coupling to the next block's first row
     np.matmul(full.swapaxes(2, 3), g_full, out=z_full)
     np.matmul(last.swapaxes(2, 3), g_last, out=z_last)
     for k in range(n_blocks - 2, -1, -1):
-        nxt = (k + 1) * b
-        z[k * b : nxt] -= (e[nxt - 1] * inv[k, -1, :, None])[..., None] * z[nxt]
+        z[k * b : (k + 1) * b] -= chol.backward[k] * z[(k + 1) * b]
 
 
 def update_x_frame(
@@ -318,24 +331,29 @@ def update_x_frame(
     out: np.ndarray,
     work: np.ndarray,
     fixed: np.ndarray,
+    gathered: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
     ``aty_m`` is the precomputed Re(A^H y) for the frame and ``factor``
     its normal-matrix factor.  A data-free frame is given as a zero
-    ``aty_m`` with a factor without columns and a zero ``lambda_x``: its
-    solve reduces to a weighted average, and it is not shrunk (shrinking
-    frames without data would drive them to zero).  ``alpha_m`` and
-    ``beta_m`` are updated in place; the new x_m is returned.
+    ``aty_m`` with a factor without columns, or outside a stacked
+    factor's ``index``, and a zero ``lambda_x``: its solve reduces to a
+    weighted average, and it is not shrunk (shrinking frames without data
+    would drive them to zero).  ``alpha_m`` and ``beta_m`` are updated in
+    place; the new x_m is returned.
 
     Every array may carry a leading frame axis, with ``factor`` stacked
     to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  ``lambda_x``
     must be >= 0 (:func:`solve` checks its weights once); as an array it
     broadcasts against the iterates, e.g. shape (M, C, 1) for one weight
-    per frame and row of (frame, C, N*J) iterates.  ``out`` receives x_m;
-    ``work`` and ``fixed`` are scratch, the latter for the part
-    rho1*(z - u) + Re(A^H y) of the right-hand side that the inner
-    rounds share.  All three are shaped like ``alpha_m``.
+    per frame and row of (frame, C, N*J) iterates, or (C, 1) for one per
+    row.  ``out`` receives x_m; ``work`` and ``fixed`` are scratch, the
+    latter for the part rho1*(z - u) + Re(A^H y) of the right-hand side
+    that the inner rounds share.  All three are shaped like ``alpha_m``.
+    ``gathered`` is the factor's scratch for its frames with data
+    (:meth:`~mrsi_cs.model.NormalFactor.solve`), needed when some frame
+    has none.
     """
     rho1, mu = config.rho1, config.mu
     x_m, rhs = out, work
@@ -348,7 +366,7 @@ def update_x_frame(
         np.subtract(alpha_m, beta_m, out=rhs)
         rhs *= mu
         rhs += fixed
-        factor.solve(rhs, out=x_m)
+        factor.solve(rhs, x_m, gathered)
         np.add(x_m, beta_m, out=alpha_m)
         _shrink(alpha_m, threshold, rhs)
         np.subtract(x_m, alpha_m, out=rhs)
@@ -411,12 +429,13 @@ def prepare(
     base: BaseSpectraSet,
     geometry: AcquisitionGeometry,
     config: SolverConfig,
-) -> tuple[np.ndarray, NormalFactor, np.ndarray, BandCholesky]:
-    """Check a data set and build the set-up its solves share: (Re(A^H y), factor, has_data, chol).
+) -> tuple[np.ndarray, NormalFactor, BandCholesky]:
+    """Check a data set and build the set-up its solves share: (Re(A^H y), factor, chol).
 
     Of ``config`` only rho1 + mu and gamma enter.  The stacked factor
     builds each distinct point set's pieces once and keeps only its
-    stack, so no per-point-set pieces live through the loop.
+    stack, so no per-point-set pieces live through the loop; its
+    ``index`` names the frames with data.
     """
     _prepared_inputs(signals, schedule, base, geometry)
     m_total = schedule.n_frames
@@ -424,8 +443,7 @@ def prepare(
     for m in schedule.acquired_index_set:
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
     factor = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
-    has_data = np.array([f is not None for f in schedule.frames])
-    return aty, factor, has_data, band_cholesky(m_total, config.gamma)
+    return aty, factor, band_cholesky(m_total, config.gamma)
 
 
 def solve(
@@ -465,34 +483,36 @@ def solve(
     return values, logs
 
 
-def _row_norms(a: np.ndarray) -> list[float]:
+def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of (frame, row, N*J) iterates.
 
     One dot product per frame and row, summed over frames, so a row's
     norm does not depend on the other rows.
     """
     per_frame = (a[..., None, :] @ a[..., :, None])[..., 0, 0]  # (frame, row)
-    return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1)).tolist()
+    return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1))
 
 
 # (M, N*J) arrays per row that _iterate allocates: the state x, z, u, alpha, beta, s and nu,
-# the work buffers omega and work, and one for the smaller per-row temporaries and residual logs
-_ROW_STATE_ARRAYS = 10
+# the work buffers omega and work, the factor's gather buffer (frames with data only, when
+# some frame has none), and one for the smaller per-row temporaries and residual logs
+_ROW_STATE_ARRAYS = 11
 
 
 def _iterate(
     weights: np.ndarray,
     aty: np.ndarray,
     factor: NormalFactor,
-    has_data: np.ndarray,
     chol: BandCholesky,
     config: SolverConfig,
 ) -> tuple[np.ndarray, list[ResidualLog]]:
     """Outer iterations of a (C, 3) stack of weight rows, from the start point x = Re(A^H y).
 
     Returns the rows' (C, M, N*J) estimates and residual logs.  Every
-    step writes into nine (M, N*J) arrays per row allocated here.  A
-    row that meets ``stop_tol`` is copied out and dropped from the stack.
+    step writes into nine (M, N*J) arrays per row allocated here, and
+    the factor's solves into a tenth over the frames with data when some
+    frame has none.  A row that meets ``stop_tol`` is copied out and
+    dropped from the stack.
     The arrays are re-sliced one at a time, and the estimates are only
     gathered after the loop, so dropping rows costs about one (M, N*J)
     array per row on top of the loop's own peak.
@@ -500,8 +520,16 @@ def _iterate(
     n_rows = len(weights)
     m_total, n_unknown = aty.shape
     stopped_x = {}  # the estimates of rows dropped from the stack, by row
-    # l1 thresholds per frame and row, zero on data-free frames; (C, 1) columns for the h step
-    lambda_x = np.where(has_data[:, None, None], weights[None, :, :1], 0.0)
+    # l1 thresholds and the factor's gather buffer.  When every frame has data, (C, 1) threshold
+    # columns (one row's then broadcasts as fast as a scalar) and no buffer; else thresholds per frame
+    # and row with zeros on data-free frames, and a buffer for the right-hand sides of the frames with
+    # data.  (C, 1) columns for the h step.
+    if isinstance(factor.index, slice):
+        lambda_x, gathered = weights[:, :1], None
+    else:
+        lambda_x = np.zeros((m_total, n_rows, 1))
+        lambda_x[factor.index] = weights[:, :1]
+        gathered = np.empty((len(factor.index), n_rows, n_unknown))
     lambda_w1, lambda_w2 = weights[:, 1:2], weights[:, 2:3]
     aty_rows = aty[:, None]
     # primal x, its copy z and dual u per frame; the differences' copy s and dual nu; the inner
@@ -518,7 +546,9 @@ def _iterate(
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
-        update_x_frame(aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega)
+        update_x_frame(
+            aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega, gathered=gathered
+        )
         # nu holds q = h + nu until the dual step: nu_new = q - s_new
         nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=work[:-1])
         np.add(x, u, out=omega)
@@ -531,11 +561,11 @@ def _iterate(
         step = _row_norms(work)
         nu -= s
         z, omega = omega, z
-        if not all(math.isfinite(v) for v in gap + step):
+        if not np.isfinite(gap.sum() + step.sum()):  # a finite norm is below 1.4e154: the sum cannot overflow
             raise DivergenceError(f"non-finite iterates at outer iteration {k}", iteration=k)
-        for i, row in enumerate(live):
-            logs[row].rms_x_minus_z.append(gap[i] / denom)
-            logs[row].rms_z_delta.append(step[i] / denom)
+        for row, rms_gap, rms_step in zip(live, (gap / denom).tolist(), (step / denom).tolist()):
+            logs[row].rms_x_minus_z.append(rms_gap)
+            logs[row].rms_z_delta.append(rms_step)
         if config.stop_tol is not None:
             stopped = np.array(
                 [xn > 0 and g / xn < config.stop_tol for g, xn in zip(gap, _row_norms(x))]
@@ -545,15 +575,16 @@ def _iterate(
             if stopped.any():
                 stopped_x.update((live[i], x[:, i].copy()) for i in np.flatnonzero(stopped))
                 keep = ~stopped
-                state = [x, z, u, alpha, beta, omega, work, s, nu, lambda_x]
-                del x, z, u, alpha, beta, omega, work, s, nu, lambda_x
+                state = [x, z, u, alpha, beta, omega, work, s, nu, lambda_x, gathered]
+                del x, z, u, alpha, beta, omega, work, s, nu, lambda_x, gathered
                 for i in range(len(state)):  # one at a time: each old array is freed before the next copy
-                    state[i] = state[i].compress(keep, axis=1)
-                x, z, u, alpha, beta, omega, work, s, nu, lambda_x = state
+                    if state[i] is not None:
+                        state[i] = state[i].compress(keep, axis=-2)  # the row axis
+                x, z, u, alpha, beta, omega, work, s, nu, lambda_x, gathered = state
                 del state
                 lambda_w1, lambda_w2 = lambda_w1[keep], lambda_w2[keep]
                 live = live[keep]
-    del z, u, alpha, beta, omega, work, s, nu  # freed before the estimates are gathered
+    del z, u, alpha, beta, omega, work, s, nu, gathered  # freed before the estimates are gathered
     out = np.empty((n_rows, m_total, n_unknown))
     out[live] = x.swapaxes(0, 1)
     for row, estimate in stopped_x.items():

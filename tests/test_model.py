@@ -244,19 +244,18 @@ class TestNormalMatrix:
         frames.insert(2, None)  # a data-free frame
         frames.append(frames[1][:1] * 2)  # a point sampled twice
         stacked = FactorizationCache(base, geometry).stack(frames, shift)
-        # Phi and T padded to 3 points: 2 rows of Phi, 2J rows and 2*min(N_RO, J) columns of T per point
-        assert stacked.phi.shape == (6, 1, 6, geometry.n_voxels)
-        assert stacked.core.shape == (6, 1, 6 * base.n_substances, 6 * min(base.n_readout, base.n_substances))
+        # the five frames with data, Phi and T padded to 3 points: 2 rows of Phi, 2J rows and
+        # 2*min(N_RO, J) columns of T per point
+        np.testing.assert_array_equal(stacked.index, [0, 1, 3, 4, 5])
+        assert stacked.phi.shape == (5, 1, 6, geometry.n_voxels)
+        assert stacked.core.shape == (5, 1, 6 * base.n_substances, 6 * min(base.n_readout, base.n_substances))
+        for k, m in enumerate(stacked.index):
+            v = dense_columns(stacked.phi[k, 0], stacked.core[k, 0])
+            assert_relative_close(v @ v.T, dense_gram(frames[m], base, geometry))
         rhs = rng.standard_normal((6, 1, n))
-        got = stacked.solve(rhs, np.empty_like(rhs))[:, 0]
-        for m, (points, b, x) in enumerate(zip(frames, rhs[:, 0], got)):
-            gram = dense_gram(points, base, geometry)
-            v = dense_columns(stacked.phi[m, 0], stacked.core[m, 0])
-            if points is None:
-                np.testing.assert_array_equal(v, 0.0)
-            else:
-                assert_relative_close(v @ v.T, gram)
-            assert_relative_close(x, np.linalg.solve(gram + shift * np.eye(n), b))
+        got = stacked.solve(rhs, np.empty_like(rhs), np.empty((5, 1, n)))[:, 0]
+        for points, b, x in zip(frames, rhs[:, 0], got):
+            assert_relative_close(x, np.linalg.solve(dense_gram(points, base, geometry) + shift * np.eye(n), b))
 
 
 class TestNormalFactor:
@@ -266,9 +265,10 @@ class TestNormalFactor:
             NormalFactor(np.ones((2, 3)), np.ones((2, 1)), shift)
 
     def test_stack_holds_only_the_separable_pieces(self, rng, small_base):
-        # 64 frames of 1 or 2 points on 64 voxels: a dense V would be N*J x 2P*J per frame
+        # 64 frames of 1 or 2 points on 64 voxels, every fourth without data: a dense V would be
+        # N*J x 2P*J per frame, and a data-free frame holds nothing
         geometry = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=4, readout_points=8)
-        frames = [tuple(random_points(rng, geometry, 1 + m % 2)) for m in range(64)]
+        frames = [None if m % 4 == 3 else tuple(random_points(rng, geometry, 1 + m % 2)) for m in range(64)]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -276,10 +276,38 @@ class TestNormalFactor:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+        np.testing.assert_array_equal(stacked.index, [m for m in range(64) if m % 4 != 3])
         rows, j = 2 * 2, small_base.n_substances  # 2P rows of Phi, padded to 2 points
-        bound = 64 * (rows * geometry.n_voxels + 2 * (rows * j) ** 2) * 8
+        bound = 48 * (rows * geometry.n_voxels + 2 * (rows * j) ** 2) * 8
         assert stacked.phi.nbytes + stacked.core.nbytes + stacked.s.nbytes <= bound
-        assert kept <= bound + 4096  # a few small Python objects beside the arrays
+        assert kept <= bound + stacked.index.nbytes + 4096  # a few small Python objects beside the arrays
+
+    def test_solve_is_rhs_over_shift_on_frames_without_data(self, rng, small_base, small_geometry):
+        # data-free frames interleaved as in a CV fold, plus a gap: their solves are rhs / shift
+        # exactly, and the frames with data match the dense solve
+        shift, n = 0.3, small_geometry.n_voxels * small_base.n_substances
+        frames = [
+            None if m % 2 or m == 6 else tuple(random_points(rng, small_geometry, 1 + m % 3)) for m in range(12)
+        ]
+        stacked = FactorizationCache(small_base, small_geometry).stack(frames, shift)
+        data = [m for m, points in enumerate(frames) if points is not None]
+        np.testing.assert_array_equal(stacked.index, data)
+        rhs = rng.standard_normal((12, 3, n))  # (frame, weight row, N*J)
+        out = stacked.solve(rhs, np.empty_like(rhs), np.empty((len(data), 3, n)))
+        for m, points in enumerate(frames):
+            if points is None:
+                np.testing.assert_array_equal(out[m], rhs[m] / shift)
+            else:
+                normal = dense_gram(points, small_base, small_geometry) + shift * np.eye(n)
+                for got, b in zip(out[m], rhs[m]):
+                    assert_relative_close(got, np.linalg.solve(normal, b))
+
+    def test_solve_over_frames_with_data_needs_a_gathered_buffer(self, rng, small_base, small_geometry):
+        frames = [tuple(random_points(rng, small_geometry, 1)), None]
+        stacked = FactorizationCache(small_base, small_geometry).stack(frames, 0.2)
+        rhs = rng.standard_normal((2, 1, 32))
+        with pytest.raises(TypeError):
+            stacked.solve(rhs, np.empty_like(rhs))
 
     def test_solve_allocates_less_than_one_iterate(self, rng, small_base, small_geometry):
         frames = [tuple(random_points(rng, small_geometry, 2)) for _ in range(32)]
@@ -317,14 +345,22 @@ class TestFactorizationCache:
         base, geometry = factor_problem(case, rng)
         frames, _ = self.frames(rng, geometry)
         stacked = FactorizationCache(base, geometry).stack(frames, 0.2)
-        for m, points in enumerate(frames):
+        # only the six frames with data are stacked, in frame order
+        np.testing.assert_array_equal(stacked.index, [0, 2, 3, 4, 6, 7])
+        assert len(stacked.phi) == len(stacked.core) == len(stacked.s) == 6
+        for k, m in enumerate(stacked.index):
             phi, core = np.zeros(stacked.phi.shape[2:]), np.zeros(stacked.core.shape[2:])
-            if points is not None:
-                frame_phi, frame_core = normal_matrix(points, base, geometry)
-                phi[: len(frame_phi)] = frame_phi
-                core[: len(frame_core), : frame_core.shape[1]] = frame_core
-            np.testing.assert_array_equal(stacked.phi[m, 0], phi)
-            np.testing.assert_array_equal(stacked.core[m, 0], core)
+            frame_phi, frame_core = normal_matrix(frames[m], base, geometry)
+            phi[: len(frame_phi)] = frame_phi
+            core[: len(frame_core), : frame_core.shape[1]] = frame_core
+            np.testing.assert_array_equal(stacked.phi[k, 0], phi)
+            np.testing.assert_array_equal(stacked.core[k, 0], core)
+
+    def test_stack_over_every_frame_takes_all_frames(self, rng, small_base, small_geometry):
+        frames, _ = self.frames(rng, small_geometry)
+        stacked = FactorizationCache(small_base, small_geometry).stack([f for f in frames if f is not None], 0.2)
+        assert stacked.index == slice(None)
+        assert len(stacked.phi) == 6
 
     def test_new_shift_on_a_stack_equals_a_fresh_stack(self, rng, small_base, small_geometry):
         frames, _ = self.frames(rng, small_geometry)
@@ -333,8 +369,9 @@ class TestFactorizationCache:
         # a new shift needs no rebuild: one batched inverse of the stacked K's
         np.testing.assert_array_equal(NormalFactor(stacked.phi, stacked.core, 0.2).s, fresh.s)
         rhs = rng.standard_normal((len(frames), 1, 32))
+        gathered = np.empty((len(stacked.index), 1, 32))
         for shift, factor in ((3.0, stacked), (0.2, fresh)):
-            for points, b, x in zip(frames, rhs[:, 0], factor.solve(rhs, np.empty_like(rhs))[:, 0]):
+            for points, b, x in zip(frames, rhs[:, 0], factor.solve(rhs, np.empty_like(rhs), gathered)[:, 0]):
                 expected = np.linalg.solve(dense_gram(points, small_base, small_geometry) + shift * np.eye(32), b)
                 assert_relative_close(x, expected)
 

@@ -198,9 +198,9 @@ class TestLockstepSweep:
         ]
         assert len(built_point_sets) == sum(per_fold)
 
-    def test_budget_holds_16_cv_coarse_rows_and_one_exp3_row(self):
+    def test_budget_holds_32_cv_coarse_rows_and_one_exp3_row(self):
         per_unknown = _ROW_STATE_ARRAYS * 8  # bytes per frame and unknown of one row
-        assert STACK_BYTES // (per_unknown * 32 * 16) == 16  # cv-coarse: 32 frames, N*J = 16
+        assert STACK_BYTES // (per_unknown * 32 * 16) == 32  # cv-coarse: 32 frames, N*J = 16
         assert STACK_BYTES < per_unknown * 256 * 384  # exp3: one row exceeds it, so blocks hold one
 
     def test_block_solve_stays_within_budget(self, rng):

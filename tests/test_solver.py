@@ -24,6 +24,7 @@ from mrsi_cs import (
     solve,
     update_h,
 )
+from mrsi_cs import solver as solver_module, split_readouts
 from mrsi_cs.model import FactorizationCache, NormalFactor
 from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, prepare, update_x_frame
 from conftest import random_points, random_schedule
@@ -32,7 +33,10 @@ from conftest import random_points, random_schedule
 def x_update(aty, factor, z, u, alpha, beta, config, lambda_x):
     """``update_x_frame`` with fresh output and scratch buffers, as the loop passes its own."""
     out, work, fixed = (np.empty(np.shape(alpha)) for _ in range(3))
-    return update_x_frame(aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed)
+    gathered = None if isinstance(factor.index, slice) else np.empty((len(factor.index), *np.shape(alpha)[1:]))
+    return update_x_frame(
+        aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed, gathered=gathered
+    )
 
 
 def scalar_problem():
@@ -151,6 +155,31 @@ class TestBandCholesky:
             band_cholesky(5, gamma)
 
 
+def blocked_solve_forming_couplings(chol, z, g):
+    """The blocked substitution with each coupling coefficient formed from the bands where it is applied."""
+    e, inv = chol.subdiag, chol.block_inv
+    m = chol.n
+    n_blocks, b = inv.shape[:2]
+    head = (n_blocks - 1) * b
+    full, last = inv[:-1, None], inv[-1:, None, : m - head, : m - head]
+
+    def blocks(a):
+        full_blocks = a[:head].reshape(n_blocks - 1, b, *a.shape[1:])
+        return full_blocks.swapaxes(1, 2), a[None, head:].swapaxes(1, 2)
+
+    (z_full, z_last), (g_full, g_last) = blocks(z), blocks(g)
+    np.matmul(full, z_full, out=g_full)
+    np.matmul(last, z_last, out=g_last)
+    for k in range(1, n_blocks):
+        end = min((k + 1) * b, m)
+        g[k * b : end] -= (e[k * b - 1] * inv[k, : end - k * b, :1])[..., None] * g[k * b - 1]
+    np.matmul(full.swapaxes(2, 3), g_full, out=z_full)
+    np.matmul(last.swapaxes(2, 3), g_last, out=z_last)
+    for k in range(n_blocks - 2, -1, -1):
+        nxt = (k + 1) * b
+        z[k * b : nxt] -= (e[nxt - 1] * inv[k, -1, :, None])[..., None] * z[nxt]
+
+
 class TestProjectConstraint:
     def test_feasible_point_is_fixed(self):
         chol = band_cholesky(2, 1.0)
@@ -225,6 +254,20 @@ class TestProjectConstraint:
             z, s = project_constraint(omega, q, chol, gamma)
             np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             np.testing.assert_array_equal(s, z[1:] - z[:-1])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 32, 256])
+    def test_kept_couplings_give_the_bits_of_couplings_formed_per_step(self, m, rng, monkeypatch):
+        # 3, 17 and 32 end in a short block; 1 has no coupling at all
+        gamma = 2.5
+        chol = band_cholesky(m, gamma)
+        assert chol.forward.shape == chol.backward.shape == (len(chol.block_inv) - 1, math.isqrt(m), 1, 1)
+        omega = rng.standard_normal((m, 4, 6))
+        q = rng.standard_normal((m - 1, 4, 6))
+        z, s = project_constraint(omega, q, chol, gamma)
+        monkeypatch.setattr(solver_module, "_blocked_solve", blocked_solve_forming_couplings)
+        expected_z, expected_s = project_constraint(omega, q, chol, gamma)
+        np.testing.assert_array_equal(z, expected_z)
+        np.testing.assert_array_equal(s, expected_s)
 
 
 def data_free_update(z_m, u_m, alpha_m, beta_m, config):
@@ -573,8 +616,8 @@ class TestSolve:
         assert len(log) < 5000
 
 
-def gapped_instance(rng, small_base, small_geometry, n_frames=10):
-    schedule = random_schedule(rng, small_geometry, n_frames, acquire_prob=0.6)
+def gapped_instance(rng, small_base, small_geometry, n_frames=10, acquire_prob=0.6):
+    schedule = random_schedule(rng, small_geometry, n_frames, acquire_prob=acquire_prob)
     values = np.zeros((n_frames, 16, 2))
     values[:, 3, 0] = np.linspace(0.2, 0.9, n_frames)
     values[:, 9, 1] = 0.5
@@ -602,8 +645,10 @@ class TestWeightStack:
             np.testing.assert_allclose(logs[i].rms_x_minus_z, log.rms_x_minus_z, rtol=1e-12)
             np.testing.assert_allclose(logs[i].rms_z_delta, log.rms_z_delta, rtol=1e-12)
 
-    def test_rows_stop_at_their_solo_iteration(self, rng, small_base, small_geometry):
-        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+    @pytest.mark.parametrize("acquire_prob", [0.6, 1.0], ids=["gaps", "every-frame"])
+    def test_rows_stop_at_their_solo_iteration(self, acquire_prob, rng, small_base, small_geometry):
+        # with every frame acquired the l1 thresholds are (C, 1) columns, dropped rows and all
+        schedule, signals = gapped_instance(rng, small_base, small_geometry, acquire_prob=acquire_prob)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3000, stop_tol=1e-4)
         values, logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)
         solo_lengths = []
@@ -702,6 +747,31 @@ class TestWeightStack:
             solo, solo_logs = solve(signals, schedule, base, geometry, config, weights=row[None])
             np.testing.assert_array_equal(values[i], solo[0])
             assert logs[i] == solo_logs[0]
+
+    def test_rows_on_a_cv_fold_are_bit_identical_in_stacks_of_any_size(self, rng, small_base, small_geometry):
+        # a training fold withholds every other acquired frame, so the factor covers only the
+        # frames with data and its products run on those; one gap shifts the parity
+        frames = list(random_schedule(rng, small_geometry, 14, acquire_prob=1.0).frames)
+        frames[5] = None
+        schedule = SamplingSchedule(frames=tuple(frames))
+        truth = SubstanceDistribution(values=np.full((14, 16, 2), 0.2), geometry=small_geometry)
+        fold, _ = split_readouts(schedule, acquire(truth, small_base, schedule, 0.05, rng_seed=5))
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=25)
+        prepared = prepare(fold.signals, fold.schedule, small_base, small_geometry, config)
+        np.testing.assert_array_equal(prepared[1].index, [0, 2, 4, 7, 9, 11, 13])
+        weights = 10.0 ** rng.uniform(-3, 1, size=(17, 3))
+        whole, whole_logs = solve(
+            fold.signals, fold.schedule, small_base, small_geometry, config, weights=weights, prepared=prepared
+        )
+        for size in (1, 2, 3):
+            for start in range(0, len(weights), size):
+                rows = slice(start, start + size)
+                values, logs = solve(
+                    fold.signals, fold.schedule, small_base, small_geometry, config,
+                    weights=weights[rows], prepared=prepared,
+                )
+                np.testing.assert_array_equal(values, whole[rows])
+                assert logs == whole_logs[rows]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
     def test_rejects_non_finite_or_negative_rows(self, value, rng, small_base, small_geometry):
