@@ -386,15 +386,16 @@ class NormalFactor:
     small w x w matrix K = shift*I + T^T (Phi Phi^T kron I_J) T and
     S = T K^-1 T^T (2P*J x 2P*J), kept as ``s``,
 
-        (shift*I + V V^T)^-1 rhs = (rhs - (Phi^T kron I_J) S (Phi kron I_J) rhs) / shift.
+        (shift*I + V V^T)^-1 (shift * r) = r - (Phi^T kron I_J) S (Phi kron I_J) r,
 
+    so ``solve`` takes a right-hand side r already divided by shift.
     The pieces may carry leading axes (see :meth:`FactorizationCache.stack`):
     every K of the stack is inverted in one batched call, and ``solve``
     takes right-hand sides that broadcast against them and writes to a
     caller's buffer; it allocates no result.  ``index`` places the
-    pieces' leading frame axis on the right-hand sides' frames: the
-    default ``slice(None)`` takes every frame, and an integer array names
-    the frames with data, the others having V = 0.  A singular K raises
+    pieces' leading frame axis on the iterates' frames: the default
+    ``slice(None)`` takes every frame, and an integer array names the
+    frames with data, the others having V = 0.  A singular K raises
     :class:`DivergenceError`.
     """
 
@@ -421,42 +422,26 @@ class NormalFactor:
             raise DivergenceError("normal matrix factor is singular in floating point", iteration=0) from err
         self.s = core @ k_inv @ core.swapaxes(-1, -2)
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray, gathered: np.ndarray | None = None) -> np.ndarray:
-        """(shift*I + V V^T)^-1 rhs over the trailing N*J axis, written to and returned as ``out``.
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(shift*I + V V^T)^-1 (shift * rhs) over the trailing N*J axis, written to and returned as ``out``.
 
         ``rhs`` is read as (..., N, J), voxel rows and substance
         columns, so every product is a matrix product per leading index:
         an axis of ``rhs`` that the pieces broadcast over (e.g. the
         weight rows of a stacked solve, against their unit axis) stays a
-        batch axis.  ``out`` is a contiguous float array, distinct from
-        ``rhs``, of the shape ``rhs`` broadcasts to against the pieces'
-        leading axes.  Every row goes through the same BLAS kernel, and
-        its result does not depend on how many rows are stacked.  Only
-        (..., 2P, J) temporaries are allocated besides ``out``.
-
-        When ``index`` names the frames with data, the products run on
-        those frames only, and the others get rhs / shift.  ``gathered``
-        is then required: contiguous scratch shaped like ``out`` with
-        ``len(index)`` frames, which holds the frames' right-hand sides
-        and then their products.
+        batch axis.  A stacked factor's right-hand sides are its own
+        frames, those ``index`` names.  ``out`` is a contiguous float
+        array, distinct from ``rhs``, of the shape ``rhs`` broadcasts to
+        against the pieces' leading axes.  Every row goes through the same
+        BLAS kernel, and its result does not depend on how many rows are
+        stacked.  Only (..., 2P, J) temporaries are allocated besides ``out``.
         """
-        every_frame = isinstance(self.index, slice)
-        if every_frame:
-            r = rhs.reshape(*rhs.shape[:-1], self.phi.shape[-1], -1)
-            prod = out.reshape(*out.shape[:-1], *r.shape[-2:])  # a view of a contiguous ``out``
-        else:
-            if gathered is None:
-                raise TypeError("a factor over the frames with data needs a gathered buffer")
-            np.take(rhs, self.index, axis=0, out=gathered, mode="clip")
-            r = prod = gathered.reshape(*gathered.shape[:-1], self.phi.shape[-1], -1)
+        r = rhs.reshape(*rhs.shape[:-1], self.phi.shape[-1], -1)
         g = self.phi @ r  # (Phi kron I_J) rhs as (..., 2P, J)
         h = self.s @ g.reshape(*g.shape[:-2], -1, 1)
+        prod = out.reshape(*out.shape[:-1], *r.shape[-2:])  # a view of a contiguous ``out``
         np.matmul(self.phi.swapaxes(-1, -2), h.reshape(g.shape), out=prod)
-        if not every_frame:  # the product is zero on the frames without data
-            out.fill(0.0)
-            out[self.index] = gathered
         np.subtract(rhs, out, out=out)
-        out /= self.shift
         return out
 
 
@@ -518,11 +503,11 @@ class FactorizationCache:
         unit axis broadcasts over the rows of (frame, row, N*J) iterates,
         and the factor's ``index`` places the stack on their frame axis:
         ``slice(None)`` when every frame has data, else the D frame
-        numbers.  A data-free (``None``) frame has no pieces; its solve
-        is rhs / shift.  Each distinct point set is built once, by
-        :meth:`get` in first-seen order, and copied to every frame that
-        samples it; frames with fewer points get zero rows of Phi and
-        zero rows and columns of T, which leave their solves unchanged.
+        numbers.  A data-free (``None``) frame has no pieces.  Each
+        distinct point set is built once, by :meth:`get` in first-seen
+        order, and copied to every frame that samples it; frames with
+        fewer points get zero rows of Phi and zero rows and columns of T,
+        which leave their solves unchanged.
         """
         data = [m for m, points in enumerate(frames) if points is not None]
         pieces = {points: self.get(points) for points in dict.fromkeys(frames[m] for m in data)}

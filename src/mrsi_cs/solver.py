@@ -17,29 +17,28 @@ solve their normal equations through one stacked low-rank (Woodbury)
 factor, built once per set-up, and then shrink toward sparsity.  The
 factor is separable: it holds each frame's sampled DFT rows and a small
 core, never the N*J-row column block, so a solve is three small matrix
-products per frame with data.  A data-free frame joins the batch with
-a zero Re(A^H y) and a zero l1 threshold, and the factor, which holds
-no pieces for it, solves it as rhs / shift: the weighted average it
-would take on its own, bit for bit up to the sign of zeros.
+products per frame with data.  A data-free frame is not shrunk, so its
+inner copy and dual stay x and 0: it takes a weighted average per inner
+round and holds no inner state.  1/shift is folded into the right-hand
+side's coefficients, and the inner dual is a clip.
 
 The outer loop runs in place: each step writes into arrays allocated
-once per solve, shrinkage is a - clip(a, -t, t), and the projection's
-banded substitution is blocked (:func:`project_constraint`), so an
-iteration takes O(sqrt(M)) Python steps.
+once per solve, and the projection's banded substitution is blocked
+(:func:`project_constraint`), so an iteration takes O(sqrt(M)) Python
+steps.
 
 The three weights only set thresholds and the h-step scale, so
 :func:`solve` can run a stack of C weight triples in lockstep: the
-iterates are laid out (frame, row, N*J), the weights broadcast as one
-column per row, and the checks, adjoints, factors and banded Cholesky
-factor form one set-up (:func:`prepare`) that solves may share.  Rows
-never mix, and every product keeps the row axis as a batch axis, so
-each row's result does not depend on the stack it ran in.  The loop
-holds nine (M, N*J) arrays per row (seven of state, two work buffers),
-and a tenth over the frames with data when some frame has none
-(``_ROW_STATE_ARRAYS`` counts them with the smaller temporaries), so the
-caller bounds C to bound the memory (the CV sweep prepares each fold
-once and solves its grid in blocks that reuse it); a solve without a
-stack is the C = 1 case.
+iterates are laid out (frame, row, N*J), the weights broadcast per
+row, and the checks, adjoints, factors and banded Cholesky factor form
+one set-up (:func:`prepare`) that solves may share.  Rows never mix,
+and every product keeps the row axis as a batch axis, so each row's
+result does not depend on the stack it ran in.  The loop holds seven
+(M, N*J) arrays per row (five of state, two work buffers) and two over
+the frames with data (``_ROW_STATE_ARRAYS`` counts them with the
+smaller temporaries), so the caller bounds C to bound the memory (the
+CV sweep prepares each fold once and solves its grid in blocks that
+reuse it); a solve without a stack is the C = 1 case.
 """
 
 from __future__ import annotations
@@ -331,46 +330,52 @@ def update_x_frame(
     out: np.ndarray,
     work: np.ndarray,
     fixed: np.ndarray,
-    gathered: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inner ADMM rounds of the per-frame x subproblem.
 
-    ``aty_m`` is the precomputed Re(A^H y) for the frame and ``factor``
-    its normal-matrix factor.  A data-free frame is given as a zero
-    ``aty_m`` with a factor without columns, or outside a stacked
-    factor's ``index``, and a zero ``lambda_x``: its solve reduces to a
-    weighted average, and it is not shrunk (shrinking frames without data
-    would drive them to zero).  ``alpha_m`` and ``beta_m`` are updated in
-    place; the new x_m is returned.
+    ``aty_m`` is the precomputed Re(A^H y) / shift for the frame, shift
+    being ``factor.shift`` = rho1 + mu, and ``factor`` its normal-matrix
+    factor.  ``alpha_m`` and ``beta_m`` are updated in place; ``out``
+    receives the new x_m, which is returned.  Each round solves with the
+    right-hand side already divided by shift, then takes the dual as
+    beta = clip(x + beta, -t, t) and alpha = (x + beta) - beta, the
+    soft-threshold of x + beta at t = lambda_x / mu (Boyd et al. 2011, 6.4).
 
     Every array may carry a leading frame axis, with ``factor`` stacked
-    to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  ``lambda_x``
-    must be >= 0 (:func:`solve` checks its weights once); as an array it
-    broadcasts against the iterates, e.g. shape (M, C, 1) for one weight
-    per frame and row of (frame, C, N*J) iterates, or (C, 1) for one per
-    row.  ``out`` receives x_m; ``work`` and ``fixed`` are scratch, the
-    latter for the part rho1*(z - u) + Re(A^H y) of the right-hand side
-    that the inner rounds share.  All three are shaped like ``alpha_m``.
-    ``gathered`` is the factor's scratch for its frames with data
-    (:meth:`~mrsi_cs.model.NormalFactor.solve`), needed when some frame
-    has none.
+    to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  When its
+    ``index`` names the frames with data, ``alpha_m`` and ``beta_m`` hold
+    those frames only: a data-free frame is not shrunk (that would drive
+    it to zero), so alpha = x and beta = 0 there, and each round takes
+    x = (mu/shift) x + (rho1/shift) (z - u) from the x ``out`` holds on
+    entry.  ``lambda_x`` must be >= 0 (:func:`solve` checks its weights
+    once); as an array it broadcasts against the iterates, e.g. as (C,
+    N*J) rows or (C, 1) columns, one per row of (frame, C, N*J) iterates.
+    ``work`` and ``fixed`` are scratch shaped like ``out``, the latter for
+    the part (rho1 (z - u) + Re(A^H y)) / shift that the rounds share.
     """
-    rho1, mu = config.rho1, config.mu
-    x_m, rhs = out, work
-    threshold = np.divide(lambda_x, mu)
+    x_m, data = out, factor.index
+    c_mu, c_rho = config.mu / factor.shift, config.rho1 / factor.shift
+    threshold = np.divide(lambda_x, config.mu)
     np.subtract(z_m, u_m, out=fixed)
-    fixed *= rho1
+    fixed *= c_rho
     fixed += aty_m
     for _ in range(config.inner_iters):
-        # rhs = mu * (alpha - beta) + rho1 * (z - u) + Re(A^H y)
-        np.subtract(alpha_m, beta_m, out=rhs)
-        rhs *= mu
-        rhs += fixed
-        factor.solve(rhs, x_m, gathered)
-        np.add(x_m, beta_m, out=alpha_m)
-        _shrink(alpha_m, threshold, rhs)
-        np.subtract(x_m, alpha_m, out=rhs)
-        beta_m += rhs
+        # the right-hand side over the frames with data, formed in alpha: c_mu * (alpha - beta) + fixed
+        alpha_m -= beta_m
+        alpha_m *= c_mu
+        if isinstance(data, slice):
+            alpha_m += fixed
+            x_data = factor.solve(alpha_m, x_m)
+        else:
+            alpha_m += np.take(fixed, data, axis=0, out=work[: len(data)])
+            x_data = factor.solve(alpha_m, work[: len(data)])
+            x_m *= c_mu  # the data-free frames, where alpha = x and beta = 0
+            x_m += fixed
+            x_m[data] = x_data
+        np.add(x_data, beta_m, out=alpha_m)
+        np.minimum(alpha_m, threshold, out=beta_m)
+        np.maximum(beta_m, np.negative(threshold), out=beta_m)
+        alpha_m -= beta_m
     return x_m
 
 
@@ -430,12 +435,13 @@ def prepare(
     geometry: AcquisitionGeometry,
     config: SolverConfig,
 ) -> tuple[np.ndarray, NormalFactor, BandCholesky]:
-    """Check a data set and build the set-up its solves share: (Re(A^H y), factor, chol).
+    """Check a data set and build the set-up its solves share: (Re(A^H y) / shift, factor, chol).
 
-    Of ``config`` only rho1 + mu and gamma enter.  The stacked factor
-    builds each distinct point set's pieces once and keeps only its
-    stack, so no per-point-set pieces live through the loop; its
-    ``index`` names the frames with data.
+    Re(A^H y) / shift, shift = rho1 + mu being the factor's, is the
+    x-update's data term.  Of ``config`` only rho1 + mu and gamma enter.
+    The stacked factor builds each distinct point set's pieces once and
+    keeps only its stack, so no per-point-set pieces live through the
+    loop; its ``index`` names the frames with data.
     """
     _prepared_inputs(signals, schedule, base, geometry)
     m_total = schedule.n_frames
@@ -443,6 +449,7 @@ def prepare(
     for m in schedule.acquired_index_set:
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
     factor = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
+    aty /= factor.shift
     return aty, factor, band_cholesky(m_total, config.gamma)
 
 
@@ -493,10 +500,9 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1))
 
 
-# (M, N*J) arrays per row that _iterate allocates: the state x, z, u, alpha, beta, s and nu,
-# the work buffers omega and work, the factor's gather buffer (frames with data only, when
-# some frame has none), and one for the smaller per-row temporaries and residual logs
-_ROW_STATE_ARRAYS = 11
+# (M, N*J) arrays per row that _iterate allocates: x, z, u, s, nu, omega and work, alpha and beta
+# (over the frames with data only), and one for the smaller per-row temporaries and residual logs
+_ROW_STATE_ARRAYS = 10
 
 
 def _iterate(
@@ -508,11 +514,11 @@ def _iterate(
 ) -> tuple[np.ndarray, list[ResidualLog]]:
     """Outer iterations of a (C, 3) stack of weight rows, from the start point x = Re(A^H y).
 
-    Returns the rows' (C, M, N*J) estimates and residual logs.  Every
-    step writes into nine (M, N*J) arrays per row allocated here, and
-    the factor's solves into a tenth over the frames with data when some
-    frame has none.  A row that meets ``stop_tol`` is copied out and
-    dropped from the stack.
+    ``aty`` is :func:`prepare`'s Re(A^H y) / shift, and shift times it is
+    the start point (up to rounding).  Returns the rows' (C, M, N*J)
+    estimates and residual logs.  Every step writes into seven (M, N*J)
+    arrays per row allocated here and two over the frames with data.  A
+    row that meets ``stop_tol`` is copied out and dropped from the stack.
     The arrays are re-sliced one at a time, and the estimates are only
     gathered after the loop, so dropping rows costs about one (M, N*J)
     array per row on top of the loop's own peak.
@@ -520,25 +526,20 @@ def _iterate(
     n_rows = len(weights)
     m_total, n_unknown = aty.shape
     stopped_x = {}  # the estimates of rows dropped from the stack, by row
-    # l1 thresholds and the factor's gather buffer.  When every frame has data, (C, 1) threshold
-    # columns (one row's then broadcasts as fast as a scalar) and no buffer; else thresholds per frame
-    # and row with zeros on data-free frames, and a buffer for the right-hand sides of the frames with
-    # data.  (C, 1) columns for the h step.
-    if isinstance(factor.index, slice):
-        lambda_x, gathered = weights[:, :1], None
-    else:
-        lambda_x = np.zeros((m_total, n_rows, 1))
-        lambda_x[factor.index] = weights[:, :1]
-        gathered = np.empty((len(factor.index), n_rows, n_unknown))
-    lambda_w1, lambda_w2 = weights[:, 1:2], weights[:, 2:3]
-    aty_rows = aty[:, None]
+    # the weights as (1, 1) columns for one row, else contiguous (C, N*J) rows, so no ufunc buffers them
+    lambda_x, lambda_w1, lambda_w2 = (
+        weights[:, k : k + 1] if n_rows == 1 else np.repeat(weights[:, k : k + 1], n_unknown, axis=1) for k in range(3)
+    )
+    n_data = m_total if isinstance(factor.index, slice) else len(factor.index)
     # primal x, its copy z and dual u per frame; the differences' copy s and dual nu; the inner
-    # splitting's copy alpha and dual beta; each laid out (frame, row, N*J).  omega is the
-    # x-update's fixed right-hand side, then the differences h, then the projection's input and
-    # output; work is scratch for every step.
-    x = np.repeat(aty_rows, n_rows, axis=1)
+    # splitting's copy alpha and dual beta over the frames with data; each laid out (frame, row, N*J).
+    # omega is the x-update's fixed right-hand side, then the differences h, then the projection's
+    # input and output; work is scratch for every step.
+    x = np.repeat(aty[:, None], n_rows, axis=1)
+    x *= factor.shift
     z = x.copy()
-    u, alpha, beta = (np.zeros_like(x) for _ in range(3))
+    u = np.zeros_like(x)
+    alpha, beta = (np.zeros((n_data, n_rows, n_unknown)) for _ in range(2))
     omega, work = np.empty_like(x), np.empty_like(x)
     s, nu = (np.zeros((m_total - 1, n_rows, n_unknown)) for _ in range(2))
     logs = [ResidualLog() for _ in range(n_rows)]
@@ -546,9 +547,7 @@ def _iterate(
     denom = math.sqrt(m_total * n_unknown)
 
     for k in range(1, config.outer_iters + 1):
-        update_x_frame(
-            aty_rows, factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega, gathered=gathered
-        )
+        update_x_frame(aty[:, None], factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega)
         # nu holds q = h + nu until the dual step: nu_new = q - s_new
         nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=work[:-1])
         np.add(x, u, out=omega)
@@ -575,16 +574,14 @@ def _iterate(
             if stopped.any():
                 stopped_x.update((live[i], x[:, i].copy()) for i in np.flatnonzero(stopped))
                 keep = ~stopped
-                state = [x, z, u, alpha, beta, omega, work, s, nu, lambda_x, gathered]
-                del x, z, u, alpha, beta, omega, work, s, nu, lambda_x, gathered
+                state = [x, z, u, alpha, beta, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2]
+                del x, z, u, alpha, beta, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2
                 for i in range(len(state)):  # one at a time: each old array is freed before the next copy
-                    if state[i] is not None:
-                        state[i] = state[i].compress(keep, axis=-2)  # the row axis
-                x, z, u, alpha, beta, omega, work, s, nu, lambda_x, gathered = state
+                    state[i] = state[i].compress(keep, axis=-2)  # the row axis
+                x, z, u, alpha, beta, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2 = state
                 del state
-                lambda_w1, lambda_w2 = lambda_w1[keep], lambda_w2[keep]
                 live = live[keep]
-    del z, u, alpha, beta, omega, work, s, nu, gathered  # freed before the estimates are gathered
+    del z, u, alpha, beta, omega, work, s, nu  # freed before the estimates are gathered
     out = np.empty((n_rows, m_total, n_unknown))
     out[live] = x.swapaxes(0, 1)
     for row, estimate in stopped_x.items():

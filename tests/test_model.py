@@ -193,7 +193,7 @@ class TestNormalMatrix:
         base = BaseSpectraSet.from_spectra(np.ones((1, 1, 1), dtype=complex))
         factor = NormalFactor(*normal_matrix([SamplePoint(1, (1,))], base, geometry), 2.0)
         np.testing.assert_allclose(dense_normal(factor), [[3.0]])
-        rhs = np.array([3.0])
+        rhs = np.array([3.0]) / factor.shift  # the right-hand side comes divided by shift
         np.testing.assert_allclose(factor.solve(rhs, np.empty_like(rhs)), [1.0])
 
     def test_positive_definite_above_shift(self, rng, small_base, small_geometry):
@@ -220,7 +220,7 @@ class TestNormalMatrix:
         shift = 0.2
         b = rng.standard_normal(geometry.n_voxels * j)
         expected = np.linalg.solve(dense_gram(points, base, geometry) + shift * np.eye(len(b)), b)
-        assert_relative_close(NormalFactor(phi, core, shift).solve(b, np.empty_like(b)), expected)
+        assert_relative_close(NormalFactor(phi, core, shift).solve(b / shift, np.empty_like(b)), expected)
 
     @pytest.mark.parametrize("case", list(FACTOR_CASES))
     def test_core_equals_per_point_blocks(self, case, rng):
@@ -252,10 +252,10 @@ class TestNormalMatrix:
         for k, m in enumerate(stacked.index):
             v = dense_columns(stacked.phi[k, 0], stacked.core[k, 0])
             assert_relative_close(v @ v.T, dense_gram(frames[m], base, geometry))
-        rhs = rng.standard_normal((6, 1, n))
-        got = stacked.solve(rhs, np.empty_like(rhs), np.empty((5, 1, n)))[:, 0]
-        for points, b, x in zip(frames, rhs[:, 0], got):
-            assert_relative_close(x, np.linalg.solve(dense_gram(points, base, geometry) + shift * np.eye(n), b))
+        rhs = rng.standard_normal((5, 1, n))  # the frames with data
+        got = stacked.solve(rhs / shift, np.empty_like(rhs))[:, 0]
+        for m, b, x in zip(stacked.index, rhs[:, 0], got):
+            assert_relative_close(x, np.linalg.solve(dense_gram(frames[m], base, geometry) + shift * np.eye(n), b))
 
 
 class TestNormalFactor:
@@ -282,9 +282,9 @@ class TestNormalFactor:
         assert stacked.phi.nbytes + stacked.core.nbytes + stacked.s.nbytes <= bound
         assert kept <= bound + stacked.index.nbytes + 4096  # a few small Python objects beside the arrays
 
-    def test_solve_is_rhs_over_shift_on_frames_without_data(self, rng, small_base, small_geometry):
-        # data-free frames interleaved as in a CV fold, plus a gap: their solves are rhs / shift
-        # exactly, and the frames with data match the dense solve
+    def test_solve_runs_on_the_frames_with_data(self, rng, small_base, small_geometry):
+        # data-free frames interleaved as in a CV fold, plus a gap: the right-hand sides are the
+        # frames with data only, already divided by shift, and match the dense solves
         shift, n = 0.3, small_geometry.n_voxels * small_base.n_substances
         frames = [
             None if m % 2 or m == 6 else tuple(random_points(rng, small_geometry, 1 + m % 3)) for m in range(12)
@@ -292,22 +292,12 @@ class TestNormalFactor:
         stacked = FactorizationCache(small_base, small_geometry).stack(frames, shift)
         data = [m for m, points in enumerate(frames) if points is not None]
         np.testing.assert_array_equal(stacked.index, data)
-        rhs = rng.standard_normal((12, 3, n))  # (frame, weight row, N*J)
-        out = stacked.solve(rhs, np.empty_like(rhs), np.empty((len(data), 3, n)))
-        for m, points in enumerate(frames):
-            if points is None:
-                np.testing.assert_array_equal(out[m], rhs[m] / shift)
-            else:
-                normal = dense_gram(points, small_base, small_geometry) + shift * np.eye(n)
-                for got, b in zip(out[m], rhs[m]):
-                    assert_relative_close(got, np.linalg.solve(normal, b))
-
-    def test_solve_over_frames_with_data_needs_a_gathered_buffer(self, rng, small_base, small_geometry):
-        frames = [tuple(random_points(rng, small_geometry, 1)), None]
-        stacked = FactorizationCache(small_base, small_geometry).stack(frames, 0.2)
-        rhs = rng.standard_normal((2, 1, 32))
-        with pytest.raises(TypeError):
-            stacked.solve(rhs, np.empty_like(rhs))
+        rhs = rng.standard_normal((len(data), 3, n))  # (frame with data, weight row, N*J)
+        out = stacked.solve(rhs / shift, np.empty_like(rhs))
+        for m, b_rows, got_rows in zip(data, rhs, out):
+            normal = dense_gram(frames[m], small_base, small_geometry) + shift * np.eye(n)
+            for got, b in zip(got_rows, b_rows):
+                assert_relative_close(got, np.linalg.solve(normal, b))
 
     def test_solve_allocates_less_than_one_iterate(self, rng, small_base, small_geometry):
         frames = [tuple(random_points(rng, small_geometry, 2)) for _ in range(32)]
@@ -368,11 +358,10 @@ class TestFactorizationCache:
         stacked, fresh = cache.stack(frames, 3.0), cache.stack(frames, 0.2)
         # a new shift needs no rebuild: one batched inverse of the stacked K's
         np.testing.assert_array_equal(NormalFactor(stacked.phi, stacked.core, 0.2).s, fresh.s)
-        rhs = rng.standard_normal((len(frames), 1, 32))
-        gathered = np.empty((len(stacked.index), 1, 32))
+        rhs = rng.standard_normal((len(stacked.index), 1, 32))
         for shift, factor in ((3.0, stacked), (0.2, fresh)):
-            for points, b, x in zip(frames, rhs[:, 0], factor.solve(rhs, np.empty_like(rhs), gathered)[:, 0]):
-                expected = np.linalg.solve(dense_gram(points, small_base, small_geometry) + shift * np.eye(32), b)
+            for m, b, x in zip(stacked.index, rhs[:, 0], factor.solve(rhs / shift, np.empty_like(rhs))[:, 0]):
+                expected = np.linalg.solve(dense_gram(frames[m], small_base, small_geometry) + shift * np.eye(32), b)
                 assert_relative_close(x, expected)
 
 

@@ -16,6 +16,7 @@ from mrsi_cs import (
     SignalSet,
     SubstanceDistribution,
     acquire,
+    apply_adjoint,
     apply_forward,
     band_cholesky,
     objective_value,
@@ -30,12 +31,15 @@ from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, prepare
 from conftest import random_points, random_schedule
 
 
-def x_update(aty, factor, z, u, alpha, beta, config, lambda_x):
-    """``update_x_frame`` with fresh output and scratch buffers, as the loop passes its own."""
-    out, work, fixed = (np.empty(np.shape(alpha)) for _ in range(3))
-    gathered = None if isinstance(factor.index, slice) else np.empty((len(factor.index), *np.shape(alpha)[1:]))
+def x_update(aty, factor, z, u, alpha, beta, config, lambda_x, x=None):
+    """``update_x_frame`` with fresh buffers, given Re(A^H y), which the loop passes divided by shift.
+
+    ``x`` is the iterate held on entry, which a stacked factor's data-free frames start from.
+    """
+    out = np.empty(np.shape(z)) if x is None else np.array(x, dtype=np.float64)
+    work, fixed = np.empty_like(out), np.empty_like(out)
     return update_x_frame(
-        aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed, gathered=gathered
+        np.divide(aty, factor.shift), factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed
     )
 
 
@@ -270,27 +274,6 @@ class TestProjectConstraint:
         np.testing.assert_array_equal(s, expected_s)
 
 
-def data_free_update(z_m, u_m, alpha_m, beta_m, config):
-    """The x-update of a frame without data: a weighted average, not shrunk.
-
-    The arithmetic of the data-free branch ``update_x_frame`` once had,
-    in the same order; ``alpha_m`` and ``beta_m`` are updated in place.
-    """
-    rho1, mu = config.rho1, config.mu
-    x_m, rhs = np.empty(alpha_m.shape), np.empty(alpha_m.shape)
-    for _ in range(config.inner_iters):
-        np.subtract(z_m, u_m, out=rhs)
-        rhs *= rho1
-        np.subtract(alpha_m, beta_m, out=x_m)
-        x_m *= mu
-        rhs += x_m
-        np.divide(rhs, rho1 + mu, out=x_m)
-        np.add(x_m, beta_m, out=alpha_m)
-        np.subtract(x_m, alpha_m, out=rhs)
-        beta_m += rhs
-    return x_m
-
-
 class TestUpdateXFrame:
     def test_scalar_first_inner_round(self):
         geometry, base, point = scalar_problem()
@@ -325,8 +308,6 @@ class TestUpdateXFrame:
         lam, rho = 0.05, 0.5
         config = SolverConfig(lambda_x=lam, rho1=rho, mu=0.5, inner_iters=4000)
         factor = NormalFactor(*FactorizationCache(base, geometry).get(points), config.rho1 + config.mu)
-        from mrsi_cs import apply_adjoint
-
         aty = apply_adjoint(y, points, base, geometry)
         z = rng.standard_normal(4)
         x = x_update(
@@ -347,14 +328,19 @@ class TestUpdateXFrame:
         shift = config.rho1 + config.mu
         counts = (1, None, 3, 2, None, 1)  # points per frame; None marks a data-free frame
         n = 32
-        z, u, alpha, beta = (rng.standard_normal((len(counts), n)) for _ in range(4))
+        x, z, u, alpha, beta = (rng.standard_normal((len(counts), n)) for _ in range(5))
         frames = [None if c is None else tuple(random_points(rng, small_geometry, c)) for c in counts]
         aty = np.array([np.zeros(n) if f is None else rng.standard_normal(n) for f in frames])
+        data, free = [0, 2, 3, 5], [1, 4]
         cache = FactorizationCache(small_base, small_geometry)
 
+        # one frame at a time; a data-free frame runs the full inner splitting on a factor without
+        # columns and a zero threshold, from alpha = x and beta = 0
+        empty = NormalFactor(np.zeros((0, n)), np.zeros((0, 0)), shift)
         expected_alpha, expected_beta = alpha.copy(), beta.copy()
+        expected_alpha[free], expected_beta[free] = x[free], 0.0
         expected = np.stack([
-            data_free_update(z[m], u[m], expected_alpha[m], expected_beta[m], config)
+            x_update(aty[m], empty, z[m], u[m], expected_alpha[m], expected_beta[m], config, 0.0)
             if points is None
             else x_update(
                 aty[m], NormalFactor(*cache.get(points), shift), z[m], u[m], expected_alpha[m], expected_beta[m],
@@ -363,29 +349,87 @@ class TestUpdateXFrame:
             for m, points in enumerate(frames)
         ])
 
-        # one batch over every frame, as solve runs it: a zero l1 threshold on data-free frames
-        lambda_x = np.array([0.0 if f is None else config.lambda_x for f in frames])[:, None, None]
+        # one batch over every frame, as solve runs it: alpha and beta over the frames with data only
+        alpha, beta = alpha[data, None], beta[data, None]
         got = x_update(
-            aty[:, None], cache.stack(frames, shift), z[:, None], u[:, None], alpha[:, None], beta[:, None],
-            config, lambda_x,
+            aty[:, None], cache.stack(frames, shift), z[:, None], u[:, None], alpha, beta, config, config.lambda_x,
+            x=x[:, None],
         )[:, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(alpha, expected_alpha, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(beta, expected_beta, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(alpha[:, 0], expected_alpha[data], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(beta[:, 0], expected_beta[data], rtol=1e-12, atol=1e-14)
 
-    def test_zero_width_factor_reproduces_data_free_branch(self, rng):
-        # a frame without columns, a zero Re(A^H y) and a zero threshold is the data-free update
-        config = SolverConfig(lambda_x=0.3, rho1=0.4, mu=0.7, inner_iters=3)
-        z, u, alpha, beta = (rng.standard_normal((5, 3, 8)) for _ in range(4))
-        expected_alpha, expected_beta = alpha.copy(), beta.copy()
-        expected = data_free_update(z, u, expected_alpha, expected_beta, config)
-        empty = NormalFactor(np.zeros((5, 1, 0, 8)), np.zeros((5, 1, 0, 0)), config.rho1 + config.mu)
-        x = x_update(
-            np.zeros((5, 1, 8)), empty, z, u, alpha, beta, config, np.zeros((5, 3, 1))
-        )
-        np.testing.assert_array_equal(x, expected)
-        np.testing.assert_array_equal(alpha, expected_alpha)
-        np.testing.assert_array_equal(beta, expected_beta)
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_data_free_frames_take_the_weighted_average_in_each_round(self, rounds, rng, small_base, small_geometry):
+        # a fold's data-free frames keep no inner copy or dual: each round is x = (mu/shift) x + (rho1/shift)(z - u)
+        config = SolverConfig(lambda_x=0.05, rho1=0.3, mu=0.2, inner_iters=rounds)
+        frames = [None if m % 2 or m == 4 else tuple(random_points(rng, small_geometry, 1)) for m in range(9)]
+        factor = FactorizationCache(small_base, small_geometry).stack(frames, config.rho1 + config.mu)
+        free = [m for m, points in enumerate(frames) if points is None]
+        x, z, u = (rng.standard_normal((9, 3, 32)) for _ in range(3))
+        aty = rng.standard_normal((9, 1, 32))
+        aty[free] = 0.0
+        alpha, beta = (rng.standard_normal((len(factor.index), 3, 32)) for _ in range(2))
+        got = x_update(aty, factor, z, u, alpha, beta, config, config.lambda_x, x=x)
+        expected = x[free]
+        c_mu, c_rho = config.mu / factor.shift, config.rho1 / factor.shift
+        for _ in range(rounds):
+            expected = c_mu * expected + c_rho * (z[free] - u[free])
+        np.testing.assert_array_equal(got[free], expected)
+
+    def test_inner_state_holds_the_frames_with_data_only(self, rng, small_base, small_geometry, monkeypatch):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3)
+        prepared = prepare(signals, schedule, small_base, small_geometry, config)
+        data = prepared[1].index
+        assert len(data) < schedule.n_frames
+        shapes = []
+
+        def recording(aty, factor, z, u, alpha, beta, *args, **kwargs):
+            shapes.append((alpha.shape, beta.shape))
+            return update_x_frame(aty, factor, z, u, alpha, beta, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "update_x_frame", recording)
+        solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK, prepared=prepared)
+        assert shapes == [((len(data), len(WEIGHT_STACK), 32),) * 2] * config.outer_iters
+
+
+def shrink_then_ascend_x_update(aty):
+    """The x-update as a loop over every frame: the same steps in the order the solver once took them.
+
+    alpha and beta span every frame, a data-free frame gets a zero l1 threshold, the solve divides
+    by shift after the products, and the dual shrinks alpha, then adds x - alpha to beta.  It keeps
+    its own alpha and beta across the calls of one solve, starting from zero, and takes the
+    unscaled Re(A^H y) ``aty``; the loop's ``alpha``, ``beta`` and scaled Re(A^H y) are ignored.
+    """
+    state = {}
+
+    def update(aty_scaled, factor, z, u, alpha, beta, config, lambda_x, *, out, work, fixed):
+        if not state:
+            state["alpha"], state["beta"] = np.zeros_like(out), np.zeros_like(out)
+            state["threshold"] = np.zeros((len(out), out.shape[1], 1))
+            state["threshold"][factor.index] = np.broadcast_to(lambda_x, out.shape[1:])[:, :1] / config.mu
+        a, b, t = state["alpha"], state["beta"], state["threshold"]
+        np.subtract(z, u, out=fixed)
+        fixed *= config.rho1
+        fixed += aty[:, None]
+        for _ in range(config.inner_iters):
+            np.subtract(a, b, out=work)
+            work *= config.mu
+            work += fixed
+            r = work[factor.index].reshape(-1, out.shape[1], factor.phi.shape[-1], out.shape[-1] // factor.phi.shape[-1])
+            g = factor.phi @ r
+            h = factor.s @ g.reshape(*g.shape[:-2], -1, 1)
+            out.fill(0.0)
+            out[factor.index] = (factor.phi.swapaxes(-1, -2) @ h.reshape(g.shape)).reshape(-1, *out.shape[1:])
+            np.subtract(work, out, out=out)
+            out /= factor.shift
+            np.add(out, b, out=a)
+            a -= np.maximum(np.minimum(a, t), -t)
+            b += out - a
+        return out
+
+    return update
 
 
 class TestUpdateH:
@@ -417,6 +461,23 @@ class TestUpdateH:
 
 
 class TestSolve:
+    def test_starts_from_the_adjoint(self, rng, small_base, small_geometry, monkeypatch):
+        # the set-up keeps Re(A^H y) divided by shift; the first x-update still sees x = z = Re(A^H y)
+        schedule, signals = gapped_instance(rng, small_base, small_geometry)
+        seen = []
+
+        def recording(aty, factor, z, u, alpha, beta, config, lambda_x, *, out, work, fixed):
+            seen.append((out.copy(), z.copy(), aty * factor.shift))
+            return update_x_frame(aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed)
+
+        monkeypatch.setattr(solver_module, "update_x_frame", recording)
+        solve(signals, schedule, small_base, small_geometry, SolverConfig(rho1=0.1, mu=0.2, outer_iters=1))
+        expected = np.zeros((schedule.n_frames, 32))
+        for m in schedule.acquired_index_set:
+            expected[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], small_base, small_geometry)
+        for got in seen[0]:
+            np.testing.assert_allclose(got[:, 0], expected, rtol=1e-15, atol=0)
+
     def test_zero_data_gives_zero(self, rng, small_base, small_geometry):
         schedule = random_schedule(rng, small_geometry, 6, acquire_prob=0.8)
         signals = SignalSet(
@@ -772,6 +833,27 @@ class TestWeightStack:
                 )
                 np.testing.assert_array_equal(values, whole[rows])
                 assert logs == whole_logs[rows]
+
+    @pytest.mark.parametrize("acquire_prob", [0.6, 1.0], ids=["gapped-fold", "every-frame"])
+    def test_clip_form_agrees_with_the_shrink_then_ascend_loop(self, acquire_prob, rng, small_base, small_geometry,
+                                                               monkeypatch):
+        # 1/shift folded into the coefficients and the dual taken as a clip round differently; over 40 outer
+        # iterations the estimates and logs must stay within 1e-12 of the loop they replace
+        schedule, signals = gapped_instance(rng, small_base, small_geometry, n_frames=14, acquire_prob=acquire_prob)
+        if acquire_prob < 1.0:
+            schedule, signals = split_readouts(schedule, signals)[0]
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=40)
+        prepared = prepare(signals, schedule, small_base, small_geometry, config)
+        assert isinstance(prepared[1].index, slice) == (acquire_prob == 1.0)
+        values, logs = solve(signals, schedule, small_base, small_geometry, config, WEIGHT_STACK, prepared)
+        start = prepared[0] * prepared[1].shift  # Re(A^H y) as the solve starts from it
+        monkeypatch.setattr(solver_module, "update_x_frame", shrink_then_ascend_x_update(start))
+        expected, expected_logs = solve(signals, schedule, small_base, small_geometry, config, WEIGHT_STACK, prepared)
+        for row, expected_row in zip(values, expected):
+            assert np.abs(row - expected_row).max() <= 1e-12 * np.abs(expected_row).max()
+        for log, expected_log in zip(logs, expected_logs):
+            np.testing.assert_allclose(log.rms_x_minus_z, expected_log.rms_x_minus_z, rtol=1e-12)
+            np.testing.assert_allclose(log.rms_z_delta, expected_log.rms_z_delta, rtol=1e-12)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-3])
     def test_rejects_non_finite_or_negative_rows(self, value, rng, small_base, small_geometry):
