@@ -102,11 +102,26 @@ def detect_plateau_onset(
     profile = np.asarray(profile, dtype=np.float64)
     m = profile.shape[0]
     tail = max(3, int(round(m * tail_fraction)))
-    level = float(np.median(profile[-tail:]))
+    level = _median(profile[-tail:])
     if level <= 0:
         return None
     hits = np.flatnonzero(profile >= threshold * level)
     return int(hits[0]) if hits.size else None
+
+
+def _median(a: np.ndarray) -> float:
+    """The median of a 1-D array, bit for bit as ``np.median`` gives it.
+
+    The middle one or two entries of the sorted array are averaged with
+    ``mean``, as ``np.median`` averages them; any NaN, or no entry, gives NaN.
+    Sorting keeps ``np.median``'s first call, which imports ``numpy.ma``,
+    off the evaluation path.
+    """
+    ordered = np.sort(a)  # NaN sorts last
+    if not ordered.size or np.isnan(ordered[-1]):
+        return float("nan")
+    half = len(ordered) // 2
+    return float(ordered[half - 1 + len(ordered) % 2 : half + 1].mean())
 
 
 def substance_metrics(recon: np.ndarray, truth: np.ndarray) -> dict:

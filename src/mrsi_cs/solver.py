@@ -24,8 +24,9 @@ side's coefficients, and the inner dual is a clip.
 
 The outer loop runs in place: each step writes into arrays allocated
 once per solve, and the projection's banded substitution is blocked
-(:func:`project_constraint`), so an iteration takes O(sqrt(M)) Python
-steps.
+(:func:`project_constraint`), so an iteration takes about M / B Python
+steps, B >= isqrt(M) frames per block.  Narrow iterates take larger
+blocks (:func:`band_cholesky`): a short CV fold solves in one dense block.
 
 The three weights only set thresholds and the h-step scale, so
 :func:`solve` can run a stack of C weight triples in lockstep: the
@@ -167,15 +168,16 @@ class BandCholesky:
 
     ``diag`` and ``subdiag`` are L's two bands.  For the blocked
     substitution of :func:`project_constraint`, the frames split into
-    ``len(block_inv)`` = ceil(M / B) blocks of B = isqrt(M) frames, the
-    last one short when B does not divide M; ``block_inv[k]`` is the
-    dense lower-triangular inverse of L's diagonal block k, and for a
-    short last block its leading corner is.  ``forward[k - 1]`` couples
-    block k to the previous block's last row (L[kB, kB-1] times the
-    first column of ``block_inv[k]``) and ``backward[k]`` couples block k
-    to the next block's first row (L[(k+1)B, (k+1)B-1] times the last
-    row of ``block_inv[k]``); both are (ceil(M / B) - 1, B, 1, 1), to
-    broadcast over the iterates' trailing axes.
+    ``len(block_inv)`` = ceil(M / B) blocks of B frames, B as
+    :func:`band_cholesky` picks it, the last one short when B does not
+    divide M; ``block_inv[k]`` is the dense lower-triangular inverse of
+    L's diagonal block k, and for a short last block its leading corner
+    is.  ``forward[k - 1]`` couples block k to the previous block's last
+    row (L[kB, kB-1] times the first column of ``block_inv[k]``) and
+    ``backward[k]`` couples block k to the next block's first row
+    (L[(k+1)B, (k+1)B-1] times the last row of ``block_inv[k]``); both
+    are (ceil(M / B) - 1, B, 1, 1), to broadcast over the iterates'
+    trailing axes.
     """
 
     diag: np.ndarray
@@ -189,7 +191,11 @@ class BandCholesky:
         return self.diag.shape[0]
 
 
-def band_cholesky(m: int, gamma: float) -> BandCholesky:
+# B * B * (N*J) multiply-adds, one row's dense block product, cost about one Python-level coupling step
+_BLOCK_ELEMENTS = 2**16
+
+
+def band_cholesky(m: int, gamma: float, width: int | None = None) -> BandCholesky:
     """Factor I + gamma*W^T W for ``m`` frames, W the first-difference map.
 
     The matrix is tridiagonal with diagonal 1 + g*degree, the degrees
@@ -197,11 +203,22 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
     its factor is lower-bidiagonal, so only the two bands are stored,
     plus the inverses of its diagonal blocks.  A short last block is
     inverted padded with identity rows.
+
+    The blocks hold B = isqrt(m) frames.  ``width``, the iterates' row
+    width N*J (an integer >= 1), raises B to min(m, isqrt(2**16 // width))
+    where that is larger: a block grows while its dense product costs
+    about as much as a coupling step.  B never depends on the number of
+    weight rows, so rows do not mix.
     """
     if m < 1:
         raise ParameterError(f"need at least 1 frame, got {m}")
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ParameterError(f"gamma must be finite and > 0, got {gamma}")
+    b = math.isqrt(m)
+    if width is not None:
+        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
+            raise ParameterError(f"width must be an integer >= 1, got {width!r}")
+        b = min(m, max(b, math.isqrt(_BLOCK_ELEMENTS // width)))
     degree = np.full(m, 2.0)
     degree[0] -= 1.0
     degree[-1] -= 1.0
@@ -214,7 +231,6 @@ def band_cholesky(m: int, gamma: float) -> BandCholesky:
         diag[i] = np.sqrt(d[i] - subdiag[i - 1] ** 2)
     # invert every diagonal block at once by forward substitution on the identity; identity rows
     # pad the bands to whole blocks, so the last block's leading corner inverts L's short last block
-    b = math.isqrt(m)
     n_blocks = -(-m // b)
     pad = n_blocks * b - m
     block_diag = np.append(diag, np.ones(pad)).reshape(n_blocks, b)
@@ -252,9 +268,9 @@ def project_constraint(
     diagonal blocks' inverses (``chol.block_inv``), one over the full
     blocks and one over the possibly short last block, and a pass over
     the blocks adds the rank-one coupling between neighbours, once
-    forward with L and once backward with L^T.  That is O(sqrt(M))
-    Python steps.  Axes between the frame axis and the last one are
-    batch axes of the matmuls, so, as in
+    forward with L and once backward with L^T.  That is 2 (ceil(M / B) - 1)
+    Python steps, none when one block holds every frame.  Axes between
+    the frame axis and the last one are batch axes of the matmuls, so, as in
     :meth:`~mrsi_cs.model.NormalFactor.solve`, each row of a weight stack
     is computed alike whatever the stack.
 
@@ -441,7 +457,8 @@ def prepare(
     x-update's data term.  Of ``config`` only rho1 + mu and gamma enter.
     The stacked factor builds each distinct point set's pieces once and
     keeps only its stack, so no per-point-set pieces live through the
-    loop; its ``index`` names the frames with data.
+    loop; its ``index`` names the frames with data.  The band factor's
+    blocks are sized by the row width N*J (:func:`band_cholesky`).
     """
     _prepared_inputs(signals, schedule, base, geometry)
     m_total = schedule.n_frames
@@ -450,7 +467,7 @@ def prepare(
         aty[m] = apply_adjoint(signals.per_frame[m], schedule.frames[m], base, geometry)
     factor = FactorizationCache(base, geometry).stack(schedule.frames, config.rho1 + config.mu)
     aty /= factor.shift
-    return aty, factor, band_cholesky(m_total, config.gamma)
+    return aty, factor, band_cholesky(m_total, config.gamma, aty.shape[1])
 
 
 def solve(

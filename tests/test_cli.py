@@ -807,6 +807,14 @@ class TestStartup:
         # the manifest imports hashlib on its first hash, after a command's work is done
         assert self.modules_after("import mrsi_cs.cli", "hashlib", "_hashlib") == "[]"
 
+    def test_plateau_onset_loads_no_numpy_ma(self):
+        # np.median's first call imports numpy.ma, about 12 ms in a fresh process
+        code = (
+            "import numpy as np; from mrsi_cs.evaluate import detect_plateau_onset; "
+            "assert detect_plateau_onset(np.minimum(0.05 * np.arange(40), 1.0)) == 19"
+        )
+        assert "'numpy.ma'" not in self.modules_after(code, "numpy")
+
     def test_design_loads_no_scipy(self):
         code = (
             "import mrsi_cs as mc; "

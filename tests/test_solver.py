@@ -158,6 +158,41 @@ class TestBandCholesky:
         with pytest.raises(ParameterError):
             band_cholesky(5, gamma)
 
+    @pytest.mark.parametrize(
+        "m, width, block",
+        [
+            (256, None, 16),  # without a width, isqrt(M)
+            (32, 16, 32),  # a cv-coarse fold: one dense block
+            (256, 64, 32),  # exp1
+            (256, 384, 16),  # exp3 keeps isqrt(M)
+            (1024, 3072, 32),  # exp3's phantom on 32x32 voxels keeps isqrt(M)
+            (100, 64, 32),  # three full blocks and a short one of 4 frames
+        ],
+    )
+    def test_block_size_follows_the_row_width(self, m, width, block):
+        chol = band_cholesky(m, 2.5, width)
+        assert chol.block_inv.shape == (-(-m // block), block, block)
+
+    def test_width_only_raises_the_block_size(self):
+        for m in (*range(1, 66), 256, 1024):
+            for width in (1, 2, 16, 64, 384, 3072, 2**16, 2**20):
+                block = band_cholesky(m, 2.5, width).block_inv.shape[1]
+                assert math.isqrt(m) <= block <= m
+
+    @pytest.mark.parametrize("width", [True, False, 0, -3, 16.0, float("nan")])
+    def test_rejects_a_width_that_is_not_a_positive_integer(self, width):
+        with pytest.raises(ParameterError):
+            band_cholesky(32, 2.5, width)
+
+    def test_a_cv_fold_and_the_full_data_pick_the_same_block_size(self, rng, small_base, small_geometry):
+        schedule, signals = gapped_instance(rng, small_base, small_geometry, n_frames=60)
+        config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1)
+        full = prepare(signals, schedule, small_base, small_geometry, config)[2]
+        assert math.isqrt(60) < full.block_inv.shape[1] < 60  # N*J = 32 raises B to isqrt(2048) = 45
+        for fold in split_readouts(schedule, signals):
+            chol = prepare(fold.signals, fold.schedule, small_base, small_geometry, config)[2]
+            assert chol.block_inv.shape == full.block_inv.shape
+
 
 def blocked_solve_forming_couplings(chol, z, g):
     """The blocked substitution with each coupling coefficient formed from the bands where it is applied."""
@@ -243,12 +278,21 @@ class TestProjectConstraint:
         np.testing.assert_array_equal(z2, z)
         np.testing.assert_array_equal(s2, s)
 
-    def test_every_last_block_length_matches_dense_solve(self, rng):
-        # M = 1..130 ends, for every block size B = isqrt(M) up to 10, in a short block of each length 1..B-1
+    @pytest.mark.parametrize(
+        "width, block_size",
+        [
+            # M = 1..130 ends, for every block size B = isqrt(M) up to 10, in a short block of each length 1..B-1
+            (None, math.isqrt),
+            (1, lambda m: m),  # one dense block
+            (64, lambda m: min(m, 32)),  # raised to 32 frames, M = 33..130 ending in short blocks
+        ],
+        ids=["isqrt", "one-block", "width-raised"],
+    )
+    def test_every_last_block_length_matches_dense_solve(self, width, block_size, rng):
         gamma = 2.5
         for m in range(1, 131):
-            chol = band_cholesky(m, gamma)
-            b = math.isqrt(m)
+            chol = band_cholesky(m, gamma, width)
+            b = block_size(m)
             assert chol.block_inv.shape == (-(-m // b), b, b)
             omega = rng.standard_normal((m, 2, 3))
             q = rng.standard_normal((m - 1, 2, 3))
@@ -258,6 +302,22 @@ class TestProjectConstraint:
             z, s = project_constraint(omega, q, chol, gamma)
             np.testing.assert_allclose(z, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
             np.testing.assert_array_equal(s, z[1:] - z[:-1])
+
+    @pytest.mark.parametrize("m, width", [(100, 64), (32, 16)], ids=["short-last-block", "one-block"])
+    def test_rows_do_not_mix_at_a_width_raised_block_size(self, m, width, rng):
+        gamma = 2.5
+        chol = band_cholesky(m, gamma, width)
+        assert chol.block_inv.shape[1] > math.isqrt(m)
+        omega = rng.standard_normal((m, 32, width))
+        q = rng.standard_normal((m - 1, 32, width))
+        z, s = project_constraint(omega, q, chol, gamma)
+        for start, rows in ((0, 1), (19, 1), (0, 7), (11, 7)):
+            part = slice(start, start + rows)
+            z_part, s_part = project_constraint(
+                np.ascontiguousarray(omega[:, part]), np.ascontiguousarray(q[:, part]), chol, gamma
+            )
+            np.testing.assert_array_equal(z_part, z[:, part])
+            np.testing.assert_array_equal(s_part, s[:, part])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 32, 256])
     def test_kept_couplings_give_the_bits_of_couplings_formed_per_step(self, m, rng, monkeypatch):
