@@ -43,8 +43,8 @@ SIZE_CAP = 4096
 class OracleConfig:
     """Iteration cap and the stopping rule.
 
-    The solver stops once the objective has decreased by less than
-    ``tol`` (relative) over the trailing ``window`` iterations.
+    The solver stops once the objective has decreased, by less than
+    ``tol`` (relative), over the trailing ``window`` iterations.
     """
 
     max_iters: int = 60000
@@ -172,7 +172,7 @@ def oracle_solve(
         history.append(total)
         if len(history) > config.window:
             past, now = history[-config.window - 1], history[-1]
-            if past - now < config.tol * max(abs(now), 1.0):
+            if 0.0 <= past - now < config.tol * max(abs(now), 1.0):
                 break
 
     values = x.reshape(m_total, geometry.n_voxels, base.n_substances)

@@ -17,10 +17,10 @@ solve their normal equations through one stacked low-rank (Woodbury)
 factor, built once per set-up, and then shrink toward sparsity.  The
 factor is separable: it holds each frame's sampled DFT rows and a small
 core, never the N*J-row column block, so a solve is three small matrix
-products per frame with data.  A data-free frame is not shrunk, so its
-inner copy and dual stay x and 0: it takes a weighted average per inner
-round and holds no inner state.  1/shift is folded into the right-hand
-side's coefficients, and the inner dual is a clip.
+products per frame with data; the inner rounds run over those frames alone.
+A data-free frame is not shrunk: its inner copy and dual stay x and 0, and
+it takes a weighted average per round.  1/shift is folded into the
+right-hand side's coefficients, and the inner dual is a clip.
 
 The outer loop runs in place: each step writes into arrays allocated
 once per solve, and the projection's banded substitution is blocked
@@ -360,14 +360,16 @@ def update_x_frame(
     Every array may carry a leading frame axis, with ``factor`` stacked
     to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  When its
     ``index`` names the frames with data, ``alpha_m`` and ``beta_m`` hold
-    those frames only: a data-free frame is not shrunk (that would drive
-    it to zero), so alpha = x and beta = 0 there, and each round takes
-    x = (mu/shift) x + (rho1/shift) (z - u) from the x ``out`` holds on
-    entry.  ``lambda_x`` must be >= 0 (:func:`solve` checks its weights
+    those frames only, and the rounds run over them alone, solving into
+    ``work``: the call gathers their part of ``fixed`` once and scatters
+    their x into ``out`` once.  A data-free frame is not shrunk (that would
+    drive it to zero), so alpha = x and beta = 0 there, and each round
+    takes x = (mu/shift) x + (rho1/shift) (z - u) from the x ``out`` holds
+    on entry.  ``lambda_x`` must be >= 0 (:func:`solve` checks its weights
     once); as an array it broadcasts against the iterates, e.g. as (C,
     N*J) rows or (C, 1) columns, one per row of (frame, C, N*J) iterates.
     ``work`` and ``fixed`` are scratch shaped like ``out``, the latter for
-    the part (rho1 (z - u) + Re(A^H y)) / shift that the rounds share.
+    the shared part (rho1 (z - u) + Re(A^H y)) / shift of the rounds.
     """
     x_m, data = out, factor.index
     c_mu, c_rho = config.mu / factor.shift, config.rho1 / factor.shift
@@ -375,23 +377,21 @@ def update_x_frame(
     np.subtract(z_m, u_m, out=fixed)
     fixed *= c_rho
     fixed += aty_m
+    gapped = not isinstance(data, slice)
+    fixed_data, x_data = (np.take(fixed, data, axis=0), work[: len(data)]) if gapped else (fixed, x_m)
     for _ in range(config.inner_iters):
-        # the right-hand side over the frames with data, formed in alpha: c_mu * (alpha - beta) + fixed
+        # the right-hand side, formed in alpha: c_mu * (alpha - beta) + fixed
         alpha_m -= beta_m
         alpha_m *= c_mu
-        if isinstance(data, slice):
-            alpha_m += fixed
-            x_data = factor.solve(alpha_m, x_m)
-        else:
-            alpha_m += np.take(fixed, data, axis=0, out=work[: len(data)])
-            x_data = factor.solve(alpha_m, work[: len(data)])
-            x_m *= c_mu  # the data-free frames, where alpha = x and beta = 0
-            x_m += fixed
-            x_m[data] = x_data
+        alpha_m += fixed_data
+        factor.solve(alpha_m, x_data)
         np.add(x_data, beta_m, out=alpha_m)
-        np.minimum(alpha_m, threshold, out=beta_m)
-        np.maximum(beta_m, np.negative(threshold), out=beta_m)
-        alpha_m -= beta_m
+        _shrink(alpha_m, threshold, beta_m)
+    if gapped:
+        for _ in range(config.inner_iters):  # the data-free frames, where alpha = x and beta = 0
+            x_m *= c_mu
+            x_m += fixed
+        x_m[data] = x_data
     return x_m
 
 
@@ -543,11 +543,10 @@ def _iterate(
     n_rows = len(weights)
     m_total, n_unknown = aty.shape
     stopped_x = {}  # the estimates of rows dropped from the stack, by row
-    # the weights as (1, 1) columns for one row, else contiguous (C, N*J) rows, so no ufunc buffers them
+    # the weights as (1, 1) columns for one row, else (C, N*J) rows: ufuncs buffer them, yet beat (C, 1) columns
     lambda_x, lambda_w1, lambda_w2 = (
         weights[:, k : k + 1] if n_rows == 1 else np.repeat(weights[:, k : k + 1], n_unknown, axis=1) for k in range(3)
     )
-    n_data = m_total if isinstance(factor.index, slice) else len(factor.index)
     # primal x, its copy z and dual u per frame; the differences' copy s and dual nu; the inner
     # splitting's copy alpha and dual beta over the frames with data; each laid out (frame, row, N*J).
     # omega is the x-update's fixed right-hand side, then the differences h, then the projection's
@@ -556,7 +555,7 @@ def _iterate(
     x *= factor.shift
     z = x.copy()
     u = np.zeros_like(x)
-    alpha, beta = (np.zeros((n_data, n_rows, n_unknown)) for _ in range(2))
+    alpha, beta = (np.zeros((len(factor.phi), n_rows, n_unknown)) for _ in range(2))
     omega, work = np.empty_like(x), np.empty_like(x)
     s, nu = (np.zeros((m_total - 1, n_rows, n_unknown)) for _ in range(2))
     logs = [ResidualLog() for _ in range(n_rows)]

@@ -111,6 +111,20 @@ class TestOracleSolve:
         f_cvx = objective_value(np.asarray(x.value), signals, schedule, base, geometry, config)
         assert abs(f_ref - f_cvx) <= 1e-5 * max(abs(f_cvx), 1e-12)
 
+    def test_a_rising_objective_does_not_stop_the_iteration(self, rng, monkeypatch):
+        # the window test stops on a decrease smaller than tol, not on a rise
+        geometry, base, schedule, signals = small_instance(rng, n_frames=4)
+        calls = []
+
+        def rising(self, r):
+            calls.append(None)
+            return float(len(calls))
+
+        monkeypatch.setattr(oracle._DenseFrames, "objective", rising)
+        config = OracleConfig(max_iters=40, window=5)
+        oracle_solve(signals, schedule, base, geometry, (0.02, 0.05, 0.01), config)
+        assert len(calls) == config.max_iters
+
     def test_size_cap(self, monkeypatch):
         geometry = AcquisitionGeometry(
             spatial_dims=(8, 8), spectral_evolution_points=2, readout_points=2

@@ -334,6 +334,37 @@ class TestProjectConstraint:
         np.testing.assert_array_equal(s, expected_s)
 
 
+def per_round_layout_x_update(aty, factor, z, u, alpha, beta, config, lambda_x, *, out, work, fixed):
+    """The x-update as it ran with the frame layout read in every inner round.
+
+    Each round gathers the frames with data's part of ``fixed`` again, advances every frame's
+    weighted average and scatters the solve into ``out``; the dual is an inline clip.
+    """
+    x, data = out, factor.index
+    c_mu, c_rho = config.mu / factor.shift, config.rho1 / factor.shift
+    threshold = np.divide(lambda_x, config.mu)
+    np.subtract(z, u, out=fixed)
+    fixed *= c_rho
+    fixed += aty
+    for _ in range(config.inner_iters):
+        alpha -= beta
+        alpha *= c_mu
+        if isinstance(data, slice):
+            alpha += fixed
+            x_data = factor.solve(alpha, x)
+        else:
+            alpha += np.take(fixed, data, axis=0, out=work[: len(data)])
+            x_data = factor.solve(alpha, work[: len(data)])
+            x *= c_mu
+            x += fixed
+            x[data] = x_data
+        np.add(x_data, beta, out=alpha)
+        np.minimum(alpha, threshold, out=beta)
+        np.maximum(beta, np.negative(threshold), out=beta)
+        alpha -= beta
+    return x
+
+
 class TestUpdateXFrame:
     def test_scalar_first_inner_round(self):
         geometry, base, point = scalar_problem()
@@ -436,6 +467,32 @@ class TestUpdateXFrame:
         for _ in range(rounds):
             expected = c_mu * expected + c_rho * (z[free] - u[free])
         np.testing.assert_array_equal(got[free], expected)
+
+    @pytest.mark.parametrize("gapped", [True, False])
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    def test_one_path_matches_the_per_round_layout_bit_for_bit(
+        self, gapped, rounds, n_rows, rng, small_base, small_geometry
+    ):
+        config = SolverConfig(rho1=0.3, mu=0.2, inner_iters=rounds)
+        counts = (1, None, 3, 2, None, None, 1, 2) if gapped else (1, 2, 3, 2, 1, 1, 1, 2)
+        frames = [None if c is None else tuple(random_points(rng, small_geometry, c)) for c in counts]
+        factor = FactorizationCache(small_base, small_geometry).stack(frames, config.rho1 + config.mu)
+        assert isinstance(factor.index, slice) != gapped
+        m, n = len(frames), 32
+        aty = rng.standard_normal((m, 1, n)) / factor.shift
+        aty[[k for k, points in enumerate(frames) if points is None]] = 0.0
+        weights = rng.uniform(0.0, 0.1, (n_rows, 1))  # thresholds of 0 to 0.5: some entries clip, some not
+        lambda_x = weights if n_rows == 1 else np.repeat(weights, n, axis=1)  # as the loop lays them out
+        x = np.repeat(aty * factor.shift, n_rows, axis=1)
+        states = [[x.copy(), *(np.zeros((len(factor.phi), n_rows, n)) for _ in range(2))] for _ in range(2)]
+        for _ in range(4):  # consecutive calls, as the outer loop makes them
+            z, u = rng.standard_normal((2, m, n_rows, n))
+            for update, (x, alpha, beta) in zip((update_x_frame, per_round_layout_x_update), states):
+                update(aty, factor, z, u, alpha, beta, config, lambda_x, out=x, work=np.empty_like(x),
+                       fixed=np.empty_like(x))
+            for got, expected in zip(*states):
+                np.testing.assert_array_equal(got, expected)
 
     def test_inner_state_holds_the_frames_with_data_only(self, rng, small_base, small_geometry, monkeypatch):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
