@@ -2,7 +2,9 @@
 
 Each command reads JSON configuration and MRST tensors, writes its
 products plus a run manifest into ``--out``, prints a machine-readable
-summary to stdout and diagnostics to stderr.  The manifest's command
+summary to stdout and diagnostics to stderr.  The CLI writes every CSV
+table (:func:`_write_csv`); every JSON document goes through
+:func:`mrsi_cs.configio.write_json`.  The manifest's command
 name, arguments and inputs come from the command's click declaration
 (see :func:`_finish`).  A package error exits with its class's
 ``exit_code`` (see :mod:`mrsi_cs.errors`), and sizes that do not fit in
@@ -31,14 +33,11 @@ from .configio import (
     parse_phantom_config,
     parse_solver_config,
     read_schedule,
+    write_json,
+    write_schedule,
 )
 from .errors import ConfigError, MrsiCsError, ShapeError
-from .evaluate import (
-    max_normalize,
-    substance_metrics,
-    write_pgm,
-    write_profiles_csv,
-)
+from .evaluate import max_normalize, substance_metrics, write_pgm
 from .manifest import StageTimer, write_manifest
 from .model import (
     AcquisitionGeometry,
@@ -49,7 +48,7 @@ from .model import (
 from .mrst import read_tensor, write_tensor
 from .phantom import acquire as simulate_acquisition
 from .phantom import make_base_spectra, make_phantom
-from .sampling import build_schedule, write_schedule
+from .sampling import build_schedule
 from .selection import COARSE_GRID, PAPER_GRID, CvPlan, grid_search
 from .solver import solve
 
@@ -91,8 +90,15 @@ def _outdir(out: str) -> Path:
     return path
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a CSV table: an int cell as it is, any other cell as ``repr(float(cell))``.
+
+    ``repr(float(...))`` prints a numpy scalar as a plain, round-trippable number.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([cell if isinstance(cell, int) else repr(float(cell)) for cell in row] for row in rows)
 
 
 def _load_distribution(path: str) -> SubstanceDistribution:
@@ -296,7 +302,10 @@ def reconstruct(
     recon_path = outdir / "recon.mrst"
     residual_path = outdir / "residuals.csv"
     write_tensor(recon_path, estimate.spatial())
-    residuals.write_csv(residual_path)
+    _write_csv(
+        residual_path, ["iteration", "rms_x_minus_z", "rms_z_delta"],
+        zip(range(1, len(residuals) + 1), residuals.rms_x_minus_z, residuals.rms_z_delta),
+    )
 
     _finish(
         outdir, timer, {"recon": recon_path, "residuals": residual_path},
@@ -331,13 +340,9 @@ def cv(config_path, signals_path, schedule_path, base_path, out, paper_grid, thr
     outdir = _outdir(out)
     table_path = outdir / "cv_table.csv"
     selected_path = outdir / "selected.json"
-    with open(table_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_x", "lambda_w1", "lambda_w2", "rmse"])
-        for row in table:
-            writer.writerow([repr(row.lambda_x), repr(row.lambda_w1), repr(row.lambda_w2), repr(row.rmse)])
+    _write_csv(table_path, ["lambda_x", "lambda_w1", "lambda_w2", "rmse"], table)
     best_rmse = min(row.rmse for row in table)
-    _write_json(
+    write_json(
         selected_path,
         {"lambda_x": best[0], "lambda_w1": best[1], "lambda_w2": best[2], "rmse": best_rmse},
     )
@@ -385,21 +390,23 @@ def evaluate(recon_path, truth_path, out, config_path, frames, upsample):
     timer.lap("load")
 
     metrics = {"normalization": "per-substance max", "substances": {}}
-    recon_profiles = np.zeros((recon.n_substances, m_total))
-    truth_profiles = np.zeros_like(recon_profiles)
+    profiles = np.zeros((m_total, recon.n_substances, 2))  # each substance's hottest voxel, recon then truth
     for j, label in enumerate(labels):
         stats = substance_metrics(recon.values[:, :, j], truth.values[:, :, j])
         metrics["substances"][label] = stats
         voxel = stats["hottest_voxel"]
-        recon_profiles[j] = recon.values[:, voxel, j]
-        truth_profiles[j] = truth.values[:, voxel, j]
+        profiles[:, j, 0] = recon.values[:, voxel, j]
+        profiles[:, j, 1] = truth.values[:, voxel, j]
     timer.lap("metrics")
 
     outdir = _outdir(out)
     metrics_path = outdir / "metrics.json"
     profiles_path = outdir / "profiles.csv"
-    _write_json(metrics_path, metrics)
-    write_profiles_csv(profiles_path, labels, recon_profiles, truth_profiles)
+    write_json(metrics_path, metrics)
+    _write_csv(
+        profiles_path, ["frame", *(f"{label}_{kind}" for label in labels for kind in ("recon", "truth"))],
+        ([m, *row] for m, row in enumerate(profiles.reshape(m_total, -1))),
+    )
     snapshot_dir = outdir / "snapshots"
     snapshot_dir.mkdir(exist_ok=True)
     snapshot_paths = []

@@ -1,4 +1,4 @@
-"""JSON configuration and schedule parsing for the command-line front end.
+"""JSON in and out for the command-line front end: configuration and schedule parsing, and writing.
 
 A config dataclass is read from a JSON object by its field annotations
 alone: ``int`` takes a JSON integer and ``float`` a finite number
@@ -9,6 +9,9 @@ field takes the dataclass default.  The parsers below add only what no
 annotation says.  Every parse failure raises :class:`ConfigError` whose
 message names the dotted path of the offending field, which the CLI
 reports verbatim.
+
+Every JSON document the package writes (schedules, manifests,
+``selected.json`` and ``metrics.json``) goes through :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ from .solver import SolverConfig
 
 __all__ = [
     "load_json",
+    "write_json",
     "parse_geometry",
     "parse_phantom_config",
     "parse_design_config",
     "parse_solver_config",
     "schedule_from_json",
     "read_schedule",
+    "write_schedule",
 ]
 
 # the JSON kinds a field may be read as, by the Python type that holds them
@@ -67,6 +72,11 @@ def load_json(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return doc
+
+
+def write_json(path: str | Path, doc: Any) -> None:
+    """Write ``doc`` to ``path`` as JSON: a one-space indent, sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _typed(value: Any, kind: type, field: str) -> Any:
@@ -229,3 +239,14 @@ def schedule_from_json(text: str) -> SamplingSchedule:
 
 def read_schedule(path: str | Path) -> SamplingSchedule:
     return _parse_schedule(load_json(path))
+
+
+def write_schedule(path: str | Path, schedule: SamplingSchedule) -> None:
+    """Write ``schedule`` as the document :func:`read_schedule` reads: one entry per gap and per point."""
+    frames = []
+    for m, points in enumerate(schedule.frames):
+        if points is None:
+            frames.append({"m": m, "gap": True})
+        else:
+            frames += [{"m": m, "point": {"spectral": p.spectral_index, "k": list(p.k_index)}} for p in points]
+    write_json(path, {"M": schedule.n_frames, "frame_interval_s": schedule.frame_interval_s, "frames": frames})

@@ -5,6 +5,8 @@ and each class declares the exit code that ends a CLI command it
 escapes from.
 """
 
+import numbers
+
 
 class MrsiCsError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,3 +51,9 @@ class DivergenceError(MrsiCsError):
     def __init__(self, message, iteration):
         super().__init__(message)
         self.iteration = iteration
+
+
+def check_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")

@@ -1,4 +1,4 @@
-"""Reconstruction quality metrics and lightweight exports.
+"""Reconstruction quality metrics and snapshot images.
 
 Amount units are arbitrary, so every per-substance comparison first
 rescales by the tensor's maximum ("max normalization").  The summary
@@ -7,12 +7,12 @@ at the hottest voxel (the spatial argmax of the temporal maximum of the
 reconstruction), its Pearson correlation with the truth profile, its
 coefficient of variation, and a plateau-onset estimate.  Spatial
 snapshots are exported as binary 8-bit PGM images, optionally upscaled
-by integer nearest-neighbor replication.
+by integer nearest-neighbor replication.  The module writes no text:
+the CLI writes the metrics as JSON and the profiles as CSV.
 """
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,12 @@ __all__ = [
     "coefficient_of_variation",
     "detect_plateau_onset",
     "substance_metrics",
-    "write_profiles_csv",
     "write_pgm",
 ]
+
+# the plateau of a profile is the median of its last tenth; its onset is the first frame at 95% of that
+PLATEAU_TAIL = 0.1
+PLATEAU_THRESHOLD = 0.95
 
 
 def max_normalize(a: np.ndarray) -> np.ndarray:
@@ -91,21 +94,20 @@ def coefficient_of_variation(profile: np.ndarray) -> float | None:
     return float(profile.std() / abs(mean))
 
 
-def detect_plateau_onset(
-    profile: np.ndarray, tail_fraction: float = 0.1, threshold: float = 0.95
-) -> int | None:
-    """First frame at which the profile reaches ``threshold`` of its plateau.
+def detect_plateau_onset(profile: np.ndarray) -> int | None:
+    """First frame at which the profile reaches ``PLATEAU_THRESHOLD`` of its plateau.
 
-    The plateau level is the median of the trailing ``tail_fraction`` of
-    frames; None when that level is not positive.
+    The plateau level is the median of the trailing ``PLATEAU_TAIL``
+    fraction of frames, at least three; None when that level is not
+    positive.
     """
     profile = np.asarray(profile, dtype=np.float64)
     m = profile.shape[0]
-    tail = max(3, int(round(m * tail_fraction)))
+    tail = max(3, int(round(m * PLATEAU_TAIL)))
     level = _median(profile[-tail:])
     if level <= 0:
         return None
-    hits = np.flatnonzero(profile >= threshold * level)
+    hits = np.flatnonzero(profile >= PLATEAU_THRESHOLD * level)
     return int(hits[0]) if hits.size else None
 
 
@@ -138,28 +140,6 @@ def substance_metrics(recon: np.ndarray, truth: np.ndarray) -> dict:
         "coefficient_of_variation": coefficient_of_variation(recon_profile),
         "plateau_onset_frame": detect_plateau_onset(max_normalize(recon_profile)),
     }
-
-
-def write_profiles_csv(
-    path: str | Path,
-    labels: list[str],
-    recon_profiles: np.ndarray,
-    truth_profiles: np.ndarray,
-) -> None:
-    """Hottest-voxel temporal profiles, one row per frame."""
-    recon_profiles = np.atleast_2d(recon_profiles)
-    truth_profiles = np.atleast_2d(truth_profiles)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["frame"]
-        for label in labels:
-            header += [f"{label}_recon", f"{label}_truth"]
-        writer.writerow(header)
-        for m in range(recon_profiles.shape[1]):
-            row: list = [m]
-            for j in range(len(labels)):
-                row += [repr(float(recon_profiles[j, m])), repr(float(truth_profiles[j, m]))]
-            writer.writerow(row)
 
 
 def write_pgm(path: str | Path, image: np.ndarray, upsample: int = 1) -> None:

@@ -12,12 +12,12 @@ done, so they stay out of the peak memory of the stage itself.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Iterable
 
 from . import __version__
+from .configio import write_json
 
 __all__ = ["sha256_file", "write_manifest", "StageTimer"]
 
@@ -74,4 +74,4 @@ def write_manifest(
         "outputs": entries(outputs),
         "timings_s": timings_s,
     }
-    (Path(outdir) / "manifest.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(Path(outdir) / "manifest.json", doc)

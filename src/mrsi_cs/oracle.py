@@ -16,14 +16,13 @@ certificate that does not rely on either solver having converged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import lsq_linear
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_count
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
@@ -52,10 +51,8 @@ class OracleConfig:
     window: int = 50
 
     def __post_init__(self):
-        for name in ("max_iters", "window"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
+        check_count("max_iters", self.max_iters)
+        check_count("window", self.window)
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ParameterError(f"tol must be finite and > 0, got {self.tol}")
 

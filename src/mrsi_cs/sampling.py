@@ -14,14 +14,15 @@ below, at 30-bit resolution: coordinates are multiples of 2**-30 and at
 most 2**30 points exist (``skip + n``).  Points follow the gray-code
 order, so a sequence is reproducible given (n, d, skip) and equals
 scipy's ``qmc.Sobol(d, scramble=False)`` bit for bit.
+
+The module does no file I/O: :mod:`mrsi_cs.configio` reads and writes a
+schedule's JSON form.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -51,8 +52,6 @@ __all__ = [
     "sobol_sequence",
     "spectral_index_transform",
     "build_schedule",
-    "schedule_to_json",
-    "write_schedule",
 ]
 
 
@@ -216,25 +215,3 @@ def build_schedule(config: SamplerConfig, geometry: AcquisitionGeometry) -> Samp
             frames.append((SamplePoint(spectral[cursor], spatial[cursor]),))
             cursor += 1
     return SamplingSchedule(frames=tuple(frames), frame_interval_s=config.frame_interval_s)
-
-
-def schedule_to_json(schedule: SamplingSchedule) -> str:
-    frames = []
-    for m, f in enumerate(schedule.frames):
-        if f is None:
-            frames.append({"m": m, "gap": True})
-        else:
-            for p in f:
-                frames.append(
-                    {"m": m, "point": {"spectral": p.spectral_index, "k": list(p.k_index)}}
-                )
-    doc = {
-        "M": schedule.n_frames,
-        "frame_interval_s": schedule.frame_interval_s,
-        "frames": frames,
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def write_schedule(path: str | Path, schedule: SamplingSchedule) -> None:
-    Path(path).write_text(schedule_to_json(schedule) + "\n")

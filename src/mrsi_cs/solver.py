@@ -44,15 +44,12 @@ reuse it); a solve without a stack is the C = 1 case.
 
 from __future__ import annotations
 
-import csv
 import math
-import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, ShapeError
+from .errors import DivergenceError, ParameterError, ShapeError, check_count
 from .model import (
     AcquisitionGeometry,
     BaseSpectraSet,
@@ -113,10 +110,8 @@ class SolverConfig:
             raise ParameterError("regularization weights must be >= 0")
         if min(self.rho1, self.rho2, self.mu) <= 0:
             raise ParameterError("penalty parameters must be > 0")
-        for name in ("outer_iters", "inner_iters"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {count!r}")
+        check_count("outer_iters", self.outer_iters)
+        check_count("inner_iters", self.inner_iters)
 
     @property
     def gamma(self) -> float:
@@ -132,13 +127,6 @@ class ResidualLog:
 
     def __len__(self) -> int:
         return len(self.rms_x_minus_z)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "rms_x_minus_z", "rms_z_delta"])
-            for i, (a, b) in enumerate(zip(self.rms_x_minus_z, self.rms_z_delta), start=1):
-                writer.writerow([i, repr(float(a)), repr(float(b))])
 
 
 def _shrink(a: np.ndarray, threshold, work: np.ndarray) -> np.ndarray:
@@ -216,8 +204,7 @@ def band_cholesky(m: int, gamma: float, width: int | None = None) -> BandCholesk
         raise ParameterError(f"gamma must be finite and > 0, got {gamma}")
     b = math.isqrt(m)
     if width is not None:
-        if isinstance(width, bool) or not isinstance(width, numbers.Integral) or width < 1:
-            raise ParameterError(f"width must be an integer >= 1, got {width!r}")
+        check_count("width", width)
         b = min(m, max(b, math.isqrt(_BLOCK_ELEMENTS // width)))
     degree = np.full(m, 2.0)
     degree[0] -= 1.0

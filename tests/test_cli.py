@@ -11,13 +11,14 @@ from click.testing import CliRunner
 
 import mrsi_cs
 from mrsi_cs import ConfigError, DivergenceError, MrsiCsError, ParameterError, ScheduleError, ShapeError
-from mrsi_cs.cli import main
+from mrsi_cs import cli
+from mrsi_cs.cli import _write_csv, main
+from mrsi_cs.configio import write_json, write_schedule
 from mrsi_cs.manifest import sha256_file
 from mrsi_cs.model import SamplePoint, SamplingSchedule
 from mrsi_cs.mrst import read_tensor, write_tensor
-from mrsi_cs.sampling import write_schedule
 from mrsi_cs.selection import COARSE_GRID
-from mrsi_cs.solver import SolverConfig
+from mrsi_cs.solver import ResidualLog, SolverConfig
 from conftest import strict_json
 
 TINY_PHANTOM = {
@@ -247,6 +248,31 @@ class TestReconstructCommand:
         lines = Path(recon_out["residuals"]).read_text().strip().splitlines()
         assert lines[0] == "iteration,rms_x_minus_z,rms_z_delta"
         assert len(lines) == 11
+
+    def test_residual_csv_holds_plain_numbers(self, runner, tmp_path, monkeypatch):
+        solve_once, logs = cli.solve, []
+
+        def solve(*args):
+            estimate, log = solve_once(*args)
+            logs.append(log)
+            return estimate, log
+
+        monkeypatch.setattr(cli, "solve", solve)
+        _, _, _, _, recon_out = build_pipeline(runner, tmp_path, iters=4)
+        (log,) = logs
+        assert all(type(v) is float for v in log.rms_x_minus_z + log.rms_z_delta)
+        lines = Path(recon_out["residuals"]).read_text().splitlines()
+        assert lines[0] == "iteration,rms_x_minus_z,rms_z_delta"
+        rows = zip(log.rms_x_minus_z, log.rms_z_delta)
+        assert lines[1:] == [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(rows, start=1)]
+        assert all(float(v) >= 0 for line in lines[1:] for v in line.split(",")[1:])
+
+    def test_residual_csv_converts_numpy_scalars(self, runner, tmp_path, monkeypatch):
+        solve_once = cli.solve
+        log = ResidualLog(rms_x_minus_z=[np.float64(0.5)], rms_z_delta=[np.float64(0.25)])
+        monkeypatch.setattr(cli, "solve", lambda *args: (solve_once(*args)[0], log))
+        _, _, _, _, recon_out = build_pipeline(runner, tmp_path, iters=4)
+        assert Path(recon_out["residuals"]).read_text().splitlines()[1:] == ["1,0.5,0.25"]
 
     def test_divergence_exits_4(self, runner, tmp_path):
         config, phantom_out, design_out, acquire_out, _ = build_pipeline(runner, tmp_path)
@@ -998,6 +1024,41 @@ class TestEvaluateCommand:
         assert_clean_exit(result, 2)
         assert "--frames" in result.output
         assert not out.exists()
+
+
+class TestProfilesCsv:
+    def test_round_trippable_rows(self, runner, tmp_path):
+        recon, truth = tmp_path / "recon.mrst", tmp_path / "truth.mrst"
+        write_tensor(recon, np.array([0.0, 0.5, 1.0]).reshape(3, 1, 1))
+        write_tensor(truth, np.array([0.1, 0.6, 0.9]).reshape(3, 1, 1))
+        config = write_config(tmp_path / "phantom.json", TINY_PHANTOM)  # labels the substance glucose
+        out = run_ok(
+            runner,
+            ["evaluate", "--recon", str(recon), "--truth", str(truth), "--config", config,
+             "--out", str(tmp_path / "ev")],
+        )
+        lines = Path(out["profiles"]).read_text().strip().splitlines()
+        assert lines[0] == "frame,glucose_recon,glucose_truth"
+        assert len(lines) == 4
+        assert lines[1].split(",") == ["0", "0.0", "0.1"]
+
+
+class TestTextWriters:
+    """The one CSV writer and the one JSON writer, byte for byte."""
+
+    def test_csv_keeps_ints_and_prints_floats_by_repr(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [(1, np.float64(0.5), 0.25), [20, np.float64(1e-20), np.float64(-3.0)]]
+        _write_csv(path, ["frame", "a,b", "c"], iter(rows))
+        assert path.read_bytes() == b'frame,"a,b",c\r\n1,0.5,0.25\r\n20,1e-20,-3.0\r\n'
+
+    def test_json_is_indented_sorted_and_ends_in_a_newline(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"substances": {"b": {"pearson_r": None, "hottest_voxel": 3}}, "a": [np.float64(0.5), 1]})
+        assert path.read_text() == (
+            '{\n "a": [\n  0.5,\n  1\n ],\n "substances": {\n  "b": {\n'
+            '   "hottest_voxel": 3,\n   "pearson_r": null\n  }\n }\n}\n'
+        )
 
 
 class TestPipelineDeterminism:

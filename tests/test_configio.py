@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import tempfile
 import types
 import typing
 from pathlib import Path
@@ -19,10 +20,11 @@ from mrsi_cs.configio import (
     parse_design_config,
     parse_phantom_config,
     parse_solver_config,
+    read_schedule,
     schedule_from_json,
+    write_schedule,
 )
 from mrsi_cs.model import AcquisitionGeometry
-from mrsi_cs.sampling import schedule_to_json
 from mrsi_cs.solver import SolverConfig
 from test_cli import TINY_DESIGN, replaced
 
@@ -96,8 +98,16 @@ def field_paths(doc, prefix=()):
         yield from field_paths(value, prefix + (key,))
 
 
+def written_schedule(schedule):
+    """The document :func:`write_schedule` writes for ``schedule``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.json"
+        write_schedule(path, schedule)
+        return json.loads(path.read_text())
+
+
 EXP1 = json.loads((Path(mrsi_cs.__file__).parent / "configs" / "exp1.json").read_text())
-SCHEDULE = json.loads(schedule_to_json(build_schedule(*parse_design_config(TINY_DESIGN))))
+SCHEDULE = written_schedule(build_schedule(*parse_design_config(TINY_DESIGN)))
 
 
 def parse_phantom(doc):
@@ -135,3 +145,21 @@ def test_document_field_parses_to_typed_values_or_a_package_error(parse, documen
 
     assert all(conforms(result, hint) for result, hint in parse(document))
     check()
+
+
+class TestWriteSchedule:
+    GEOMETRY = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=16, readout_points=4)
+
+    def test_deterministic_serialization(self, tmp_path):
+        config = SamplerConfig(n_points=64, dims=(16, 8, 8), gap_spec=((10, 5),))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_schedule(a, build_schedule(config, self.GEOMETRY))
+        write_schedule(b, build_schedule(config, self.GEOMETRY))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_json_round_trip(self, tmp_path):
+        schedule = build_schedule(
+            SamplerConfig(n_points=32, dims=(16, 8, 8), gap_spec=((0, 3),)), self.GEOMETRY
+        )
+        write_schedule(tmp_path / "schedule.json", schedule)
+        assert read_schedule(tmp_path / "schedule.json") == schedule

@@ -11,7 +11,6 @@ from mrsi_cs.evaluate import (
     pearson,
     substance_metrics,
     write_pgm,
-    write_profiles_csv,
 )
 
 
@@ -109,15 +108,3 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         write_pgm(path, np.linspace(0, 1, 5))
         assert path.read_bytes().startswith(b"P5\n5 1\n255\n")
-
-
-class TestProfilesCsv:
-    def test_round_trippable_rows(self, tmp_path):
-        path = tmp_path / "profiles.csv"
-        recon = np.array([[0.0, 0.5, 1.0]])
-        truth = np.array([[0.1, 0.6, 0.9]])
-        write_profiles_csv(path, ["glucose"], recon, truth)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "frame,glucose_recon,glucose_truth"
-        assert len(lines) == 4
-        assert lines[1].split(",") == ["0", "0.0", "0.1"]

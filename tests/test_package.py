@@ -44,3 +44,35 @@ def test_oracle_names_load_on_first_use(name):
     from mrsi_cs import oracle
 
     assert getattr(mrsi_cs, name) is getattr(oracle, name)
+
+
+@pytest.mark.parametrize("module_name", ["solver", "sampling", "evaluate", "model", "selection"])
+def test_numeric_modules_import_no_text_format(module_name):
+    """configio writes every JSON document and the CLI every CSV table, so the numeric modules import neither."""
+    module = importlib.import_module(f"mrsi_cs.{module_name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = set()  # top-level names of the modules imported, at any depth of the file
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" in imported, "the import scan missed the module's imports"
+    assert not imported & {"csv", "json"}, sorted(imported)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: mrsi_cs.SolverConfig(outer_iters=v), "outer_iters"),
+        (lambda v: mrsi_cs.SolverConfig(inner_iters=v), "inner_iters"),
+        (lambda v: mrsi_cs.OracleConfig(max_iters=v), "max_iters"),
+        (lambda v: mrsi_cs.OracleConfig(window=v), "window"),
+        (lambda v: mrsi_cs.band_cholesky(4, 1.0, width=v), "width"),
+    ],
+    ids=["outer_iters", "inner_iters", "max_iters", "window", "width"],
+)
+@pytest.mark.parametrize("value", [0, -2, True, 2.0, "3"])
+def test_every_count_is_refused_alike(make, name, value):
+    with pytest.raises(mrsi_cs.ParameterError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+        make(value)

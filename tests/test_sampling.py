@@ -22,7 +22,6 @@ from mrsi_cs.sampling import (
     SOBOL_MAX_DIM,
     SOBOL_MAX_POINTS,
     _JOE_KUO,
-    schedule_to_json,
 )
 
 
@@ -159,21 +158,6 @@ class TestBuildSchedule:
         schedule = build_schedule(config, geometry)
         assert schedule.n_frames == 1024 + 5 * 92
         assert schedule.n_acquired == 1024
-
-    def test_deterministic_serialization(self):
-        geometry = self.make_geometry()
-        config = SamplerConfig(n_points=64, dims=(16, 8, 8), gap_spec=((10, 5),))
-        a = schedule_to_json(build_schedule(config, geometry))
-        b = schedule_to_json(build_schedule(config, geometry))
-        assert a == b
-
-    def test_json_round_trip(self):
-        geometry = self.make_geometry()
-        schedule = build_schedule(
-            SamplerConfig(n_points=32, dims=(16, 8, 8), gap_spec=((0, 3),)), geometry
-        )
-        back = schedule_from_json(schedule_to_json(schedule))
-        assert back == schedule
 
     @pytest.mark.parametrize(
         "entry",

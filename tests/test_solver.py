@@ -27,7 +27,7 @@ from mrsi_cs import (
 )
 from mrsi_cs import solver as solver_module, split_readouts
 from mrsi_cs.model import FactorizationCache, NormalFactor
-from mrsi_cs.solver import _ROW_STATE_ARRAYS, ResidualLog, SolverConfig, prepare, update_x_frame
+from mrsi_cs.solver import _ROW_STATE_ARRAYS, SolverConfig, prepare, update_x_frame
 from conftest import random_points, random_schedule
 
 
@@ -766,23 +766,6 @@ class TestSolve:
         _, log = solve(signals, schedule, small_base, small_geometry, config)
         assert len(log) == 17
 
-    def test_residual_csv_holds_plain_numbers(self, rng, small_base, small_geometry, tmp_path):
-        schedule = random_schedule(rng, small_geometry, 5)
-        truth = SubstanceDistribution(values=np.ones((5, 16, 2)), geometry=small_geometry)
-        signals = acquire(truth, small_base, schedule, 0.1, rng_seed=1)
-        _, log = solve(signals, schedule, small_base, small_geometry, SolverConfig(outer_iters=4))
-        assert all(type(v) is float for v in log.rms_x_minus_z + log.rms_z_delta)
-        path = tmp_path / "residuals.csv"
-        log.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,rms_x_minus_z,rms_z_delta"
-        assert all(float(v) >= 0 for line in lines[1:] for v in line.split(",")[1:])
-
-    def test_residual_csv_converts_numpy_scalars(self, tmp_path):
-        log = ResidualLog(rms_x_minus_z=[np.float64(0.5)], rms_z_delta=[np.float64(0.25)])
-        log.write_csv(tmp_path / "r.csv")
-        assert (tmp_path / "r.csv").read_text().splitlines()[1] == "1,0.5,0.25"
-
     def test_early_stop(self, rng, small_base, small_geometry):
         schedule = random_schedule(rng, small_geometry, 5)
         truth = SubstanceDistribution(
@@ -825,7 +808,8 @@ class TestWeightStack:
 
     @pytest.mark.parametrize("acquire_prob", [0.6, 1.0], ids=["gaps", "every-frame"])
     def test_rows_stop_at_their_solo_iteration(self, acquire_prob, rng, small_base, small_geometry):
-        # with every frame acquired the l1 thresholds are (C, 1) columns, dropped rows and all
+        # with every frame acquired the x-update takes its every-frame path; the l1 thresholds are
+        # (C, N*J) rows there too, and a row that stops is compressed out of them with the state
         schedule, signals = gapped_instance(rng, small_base, small_geometry, acquire_prob=acquire_prob)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3000, stop_tol=1e-4)
         values, logs = solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK)

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from mrsi_cs.model import SamplePoint, SamplingSchedule
-from mrsi_cs.sampling import write_schedule
+from mrsi_cs.configio import write_schedule
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
