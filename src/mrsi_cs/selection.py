@@ -10,12 +10,12 @@ over both orientations.  The search is an exhaustive sweep of the grid.
 The sweep runs as a regularization path without warm starts: the
 triples form a (C, 3) weight axis, and each orientation solves the stack
 with :func:`~mrsi_cs.solver.solve` in blocks of rows that iterate in
-lockstep.  The solver holds up to ten (M, N*J) arrays per row (state,
-work buffers and smaller temporaries; the inner splitting's two cover
-the frames with data only), and :data:`STACK_BYTES` bounds one block's
-share: 32 rows at 32 frames and NJ = 16 (a 1.3 MB budget, within a
-2 MiB L2 cache), but one row on exp3 (256 frames, NJ = 384, 7.9 MB per
-row), where the rows run one after another.  Each orientation prepares its training fold once
+lockstep.  The solver holds up to nine (M, N*J) arrays per row (state,
+work buffers and smaller temporaries; the inner splitting's one state
+covers the frames with data only), and :data:`STACK_BYTES` bounds one
+block's share: 32 rows at 32 frames and NJ = 16 (a 1.2 MB budget,
+within a 2 MiB L2 cache), but one row on exp3 (256 frames, NJ = 384,
+7.1 MB per row), where the rows run one after another.  Each orientation prepares its training fold once
 (:func:`~mrsi_cs.solver.prepare`: the adjoints, the stacked factor and
 the banded factor), every block's solve reuses that set-up, and each
 block is scored before the next is solved.  A row's score does not

@@ -20,7 +20,8 @@ core, never the N*J-row column block, so a solve is three small matrix
 products per frame with data; the inner rounds run over those frames alone.
 A data-free frame is not shrunk: its inner copy and dual stay x and 0, and
 it takes a weighted average per round.  1/shift is folded into the
-right-hand side's coefficients, and the inner dual is a clip.
+right-hand side's coefficients, and the inner splitting keeps one state,
+the pre-clip point v = x + beta, from which its dual is a clip.
 
 The outer loop runs in place: each step writes into arrays allocated
 once per solve, and the projection's banded substitution is blocked
@@ -34,10 +35,11 @@ iterates are laid out (frame, row, N*J), the weights broadcast per
 row, and the checks, adjoints, factors and banded Cholesky factor form
 one set-up (:func:`prepare`) that solves may share.  Rows never mix,
 and every product keeps the row axis as a batch axis, so each row's
-result does not depend on the stack it ran in.  The loop holds seven
-(M, N*J) arrays per row (five of state, two work buffers) and two over
-the frames with data (``_ROW_STATE_ARRAYS`` counts them with the
-smaller temporaries), so the caller bounds C to bound the memory (the
+result does not depend on the stack it ran in.  The loop holds six
+(M, N*J) arrays per row (x, z, u and nu of state, two work buffers; s =
+Wz lives in a work buffer) and one over the frames with data, v
+(``_ROW_STATE_ARRAYS`` counts them with the smaller temporaries), so
+the caller bounds C to bound the memory (the
 CV sweep prepares each fold once and solves its grid in blocks that
 reuse it); a solve without a stack is the C = 1 case.
 """
@@ -129,11 +131,15 @@ class ResidualLog:
         return len(self.rms_x_minus_z)
 
 
+def _clip(a: np.ndarray, threshold, out: np.ndarray) -> np.ndarray:
+    """clip(a, -t, t) into ``out``: the minimum with t, then the maximum with -t."""
+    np.minimum(a, threshold, out=out)
+    return np.maximum(out, np.negative(threshold), out=out)
+
+
 def _shrink(a: np.ndarray, threshold, work: np.ndarray) -> np.ndarray:
     """Soft-threshold ``a`` in place as a - clip(a, -t, t); ``work`` is scratch shaped like ``a``."""
-    clipped = np.minimum(a, threshold, out=work)
-    np.maximum(clipped, np.negative(threshold), out=clipped)
-    a -= clipped
+    a -= _clip(a, threshold, work)
     return a
 
 
@@ -262,8 +268,10 @@ def project_constraint(
     is computed alike whatever the stack.
 
     ``out`` is an optional (z, s) pair of C-contiguous arrays shaped like
-    ``omega`` and ``q`` to write the result into; it may be (omega, q)
-    itself.  ``work`` is optional C-contiguous scratch shaped like ``omega``.
+    ``omega`` and ``q`` to write the result into; z may be ``omega`` and s
+    may be ``q``.  ``work`` is optional C-contiguous scratch shaped like
+    ``omega``; s may also be ``work[:-1]``, since s is written after the
+    scratch is spent.
     """
     omega = np.asarray(omega, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -325,8 +333,7 @@ def update_x_frame(
     factor: NormalFactor,
     z_m: np.ndarray,
     u_m: np.ndarray,
-    alpha_m: np.ndarray,
-    beta_m: np.ndarray,
+    v_m: np.ndarray,
     config: SolverConfig,
     lambda_x: np.ndarray | float,
     *,
@@ -338,25 +345,29 @@ def update_x_frame(
 
     ``aty_m`` is the precomputed Re(A^H y) / shift for the frame, shift
     being ``factor.shift`` = rho1 + mu, and ``factor`` its normal-matrix
-    factor.  ``alpha_m`` and ``beta_m`` are updated in place; ``out``
-    receives the new x_m, which is returned.  Each round solves with the
-    right-hand side already divided by shift, then takes the dual as
-    beta = clip(x + beta, -t, t) and alpha = (x + beta) - beta, the
-    soft-threshold of x + beta at t = lambda_x / mu (Boyd et al. 2011, 6.4).
+    factor.  ``v_m`` is the inner splitting's one state, the pre-clip
+    point v = x + beta, updated in place; ``out`` receives the new x_m,
+    which is returned.  The inner copy and dual follow from v as
+    beta = clip(v, -t, t) and alpha = v - beta, the soft-threshold of v at
+    t = lambda_x / mu (Boyd et al. 2011, 6.4).  Each round takes beta into
+    scratch, forms the right-hand side, already divided by shift, in v as
+    ((v - beta) - beta) (mu/shift) + fixed, solves, and sets v = x + beta.
 
     Every array may carry a leading frame axis, with ``factor`` stacked
     to match (:meth:`~mrsi_cs.model.FactorizationCache.stack`).  When its
-    ``index`` names the frames with data, ``alpha_m`` and ``beta_m`` hold
-    those frames only, and the rounds run over them alone, solving into
-    ``work``: the call gathers their part of ``fixed`` once and scatters
-    their x into ``out`` once.  A data-free frame is not shrunk (that would
-    drive it to zero), so alpha = x and beta = 0 there, and each round
-    takes x = (mu/shift) x + (rho1/shift) (z - u) from the x ``out`` holds
-    on entry.  ``lambda_x`` must be >= 0 (:func:`solve` checks its weights
-    once); as an array it broadcasts against the iterates, e.g. as (C,
-    N*J) rows or (C, 1) columns, one per row of (frame, C, N*J) iterates.
-    ``work`` and ``fixed`` are scratch shaped like ``out``, the latter for
-    the shared part (rho1 (z - u) + Re(A^H y)) / shift of the rounds.
+    ``index`` names the frames with data, ``v_m`` holds those D frames
+    only.  A data-free frame is not shrunk (that would drive it to zero),
+    so v = x and beta = 0 there, and each round takes
+    x = (mu/shift) x + (rho1/shift) (z - u) from the x ``out`` holds on
+    entry; those rounds run first.  The call then gathers the frames with
+    data's part of ``fixed`` into ``work[:D]`` once, runs their rounds with
+    beta in ``fixed[:D]`` and x in ``work[D:2D]``, and scatters their x into
+    ``out`` once.  ``lambda_x`` must be >= 0 (:func:`solve` checks its
+    weights once); as an array it broadcasts against the iterates, e.g. as
+    (C, N*J) rows or (C, 1) columns, one per row of (frame, C, N*J)
+    iterates.  ``fixed`` is scratch shaped like ``out``, for the shared part
+    (rho1 (z - u) + Re(A^H y)) / shift of the rounds; ``work`` is scratch
+    shaped like ``out``, with max(M, 2D) frames when D < M.
     """
     x_m, data = out, factor.index
     c_mu, c_rho = config.mu / factor.shift, config.rho1 / factor.shift
@@ -365,19 +376,25 @@ def update_x_frame(
     fixed *= c_rho
     fixed += aty_m
     gapped = not isinstance(data, slice)
-    fixed_data, x_data = (np.take(fixed, data, axis=0), work[: len(data)]) if gapped else (fixed, x_m)
-    for _ in range(config.inner_iters):
-        # the right-hand side, formed in alpha: c_mu * (alpha - beta) + fixed
-        alpha_m -= beta_m
-        alpha_m *= c_mu
-        alpha_m += fixed_data
-        factor.solve(alpha_m, x_data)
-        np.add(x_data, beta_m, out=alpha_m)
-        _shrink(alpha_m, threshold, beta_m)
     if gapped:
-        for _ in range(config.inner_iters):  # the data-free frames, where alpha = x and beta = 0
+        for _ in range(config.inner_iters):  # the data-free frames, where v = x and beta = 0
             x_m *= c_mu
             x_m += fixed
+        d = len(data)
+        fixed_data = np.take(fixed, data, axis=0, out=work[:d], mode="clip")  # "raise" would buffer
+        beta, x_data = fixed[:d], work[d : 2 * d]
+    else:
+        fixed_data, beta, x_data = fixed, work, x_m
+    for _ in range(config.inner_iters):
+        _clip(v_m, threshold, beta)
+        # the right-hand side, formed in v: c_mu * ((v - beta) - beta) + fixed
+        v_m -= beta
+        v_m -= beta
+        v_m *= c_mu
+        v_m += fixed_data
+        factor.solve(v_m, x_data)
+        np.add(x_data, beta, out=v_m)
+    if gapped:
         x_m[data] = x_data
     return x_m
 
@@ -397,7 +414,8 @@ def update_h(
     ``lambda_w1`` and ``lambda_w2`` replace the config's weights, must
     be >= 0 and may broadcast per row, as in :func:`update_x_frame`;
     ``out`` and ``work`` are optional arrays shaped like ``s`` for the
-    result and for scratch.
+    result and for scratch.  ``work`` may be ``s`` itself, which is read
+    only before the scratch is written; it must not overlap ``out``.
     """
     if lambda_w1 is None:
         lambda_w1 = config.lambda_w1
@@ -504,9 +522,11 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.ascontiguousarray(per_frame.T).sum(axis=-1))
 
 
-# (M, N*J) arrays per row that _iterate allocates: x, z, u, s, nu, omega and work, alpha and beta
-# (over the frames with data only), and one for the smaller per-row temporaries and residual logs
-_ROW_STATE_ARRAYS = 10
+# (M, N*J) arrays per row that _iterate allocates: x, z, u, nu, omega and work, v (over the frames
+# with data only), and the smaller per-row temporaries and residual logs.  Traced at M = 64, N*J = 128
+# from 1 to 3 rows, a row adds 8.05-8.12 arrays without data-free frames and 8.32-8.38 with 49 of 64
+# frames acquired, where work holds 2D = 98 frames
+_ROW_STATE_ARRAYS = 9
 
 
 def _iterate(
@@ -520,48 +540,56 @@ def _iterate(
 
     ``aty`` is :func:`prepare`'s Re(A^H y) / shift, and shift times it is
     the start point (up to rounding).  Returns the rows' (C, M, N*J)
-    estimates and residual logs.  Every step writes into seven (M, N*J)
-    arrays per row allocated here and two over the frames with data.  A
-    row that meets ``stop_tol`` is copied out and dropped from the stack.
-    The arrays are re-sliced one at a time, and the estimates are only
-    gathered after the loop, so dropping rows costs about one (M, N*J)
-    array per row on top of the loop's own peak.
+    estimates and residual logs.  Every step writes into six (M, N*J)
+    arrays per row allocated here and one over the frames with data, the
+    inner state v; when the D frames with data are more than M / 2 but
+    not all, the work buffer grows to 2D frames for the x-update.  s = Wz is not kept
+    as an array: the projection writes it into the work buffer, and the
+    next iteration's h-update runs from it at the end of the current one
+    (the first one before the loop, from s = 0).  A row that meets
+    ``stop_tol`` is copied out and dropped from the stack.  The arrays are
+    re-sliced one at a time, and the estimates are only gathered after the
+    loop, so dropping rows costs about one (M, N*J) array per row on top of
+    the loop's own peak.
     """
     n_rows = len(weights)
     m_total, n_unknown = aty.shape
+    n_data = len(factor.phi)
     stopped_x = {}  # the estimates of rows dropped from the stack, by row
     # the weights as (1, 1) columns for one row, else (C, N*J) rows: ufuncs buffer them, yet beat (C, 1) columns
     lambda_x, lambda_w1, lambda_w2 = (
         weights[:, k : k + 1] if n_rows == 1 else np.repeat(weights[:, k : k + 1], n_unknown, axis=1) for k in range(3)
     )
-    # primal x, its copy z and dual u per frame; the differences' copy s and dual nu; the inner
-    # splitting's copy alpha and dual beta over the frames with data; each laid out (frame, row, N*J).
-    # omega is the x-update's fixed right-hand side, then the differences h, then the projection's
-    # input and output; work is scratch for every step.
+    # primal x, its copy z and dual u per frame; the differences' dual nu; the inner splitting's state
+    # v = x + beta over the frames with data; each laid out (frame, row, N*J).  omega is the x-update's
+    # fixed right-hand side, then the differences h, then the projection's input and output; work is
+    # scratch for every step, and from the projection to the h-update its first M - 1 frames hold s.
     x = np.repeat(aty[:, None], n_rows, axis=1)
     x *= factor.shift
     z = x.copy()
     u = np.zeros_like(x)
-    alpha, beta = (np.zeros((len(factor.phi), n_rows, n_unknown)) for _ in range(2))
-    omega, work = np.empty_like(x), np.empty_like(x)
-    s, nu = (np.zeros((m_total - 1, n_rows, n_unknown)) for _ in range(2))
+    v = np.zeros((n_data, n_rows, n_unknown))
+    omega = np.empty_like(x)
+    work = np.zeros((m_total if n_data == m_total else max(m_total, 2 * n_data), n_rows, n_unknown))
+    nu = np.zeros((m_total - 1, n_rows, n_unknown))
     logs = [ResidualLog() for _ in range(n_rows)]
     live = np.arange(n_rows)  # the weight row each stacked row belongs to
     denom = math.sqrt(m_total * n_unknown)
+    # nu holds q = h + nu from each h-update to the dual step: nu_new = q - s_new; the first runs from s = 0
+    s = work[: m_total - 1]
+    nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=s)
 
     for k in range(1, config.outer_iters + 1):
-        update_x_frame(aty[:, None], factor, z, u, alpha, beta, config, lambda_x, out=x, work=work, fixed=omega)
-        # nu holds q = h + nu until the dual step: nu_new = q - s_new
-        nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=work[:-1])
+        update_x_frame(aty[:, None], factor, z, u, v, config, lambda_x, out=x, work=work, fixed=omega)
         np.add(x, u, out=omega)
-        project_constraint(omega, nu, chol, config.gamma, out=(omega, s), work=work)
-        # omega and s now hold the new z and s
-        np.subtract(x, omega, out=work)
-        gap = _row_norms(work)
-        u += work
-        np.subtract(omega, z, out=work)
-        step = _row_norms(work)
+        project_constraint(omega, nu, chol, config.gamma, out=(omega, s), work=work[:m_total])
         nu -= s
+        # omega holds the new z; the old z's buffer takes the residuals
+        np.subtract(omega, z, out=z)
+        step = _row_norms(z)
+        np.subtract(x, omega, out=z)
+        gap = _row_norms(z)
+        u += z
         z, omega = omega, z
         if not np.isfinite(gap.sum() + step.sum()):  # a finite norm is below 1.4e154: the sum cannot overflow
             raise DivergenceError(f"non-finite iterates at outer iteration {k}", iteration=k)
@@ -577,14 +605,17 @@ def _iterate(
             if stopped.any():
                 stopped_x.update((live[i], x[:, i].copy()) for i in np.flatnonzero(stopped))
                 keep = ~stopped
-                state = [x, z, u, alpha, beta, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2]
-                del x, z, u, alpha, beta, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2
+                state = [x, z, u, v, omega, work, nu, lambda_x, lambda_w1, lambda_w2]
+                del x, z, u, v, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2
                 for i in range(len(state)):  # one at a time: each old array is freed before the next copy
                     state[i] = state[i].compress(keep, axis=-2)  # the row axis
-                x, z, u, alpha, beta, omega, work, s, nu, lambda_x, lambda_w1, lambda_w2 = state
+                x, z, u, v, omega, work, nu, lambda_x, lambda_w1, lambda_w2 = state
                 del state
+                s = work[: m_total - 1]
                 live = live[keep]
-    del z, u, alpha, beta, omega, work, s, nu  # freed before the estimates are gathered
+        if k < config.outer_iters:  # the next iteration's h-update, from this one's s
+            nu += update_h(s, nu, config, lambda_w1, lambda_w2, out=omega[:-1], work=s)
+    del z, u, v, omega, work, s, nu  # freed before the estimates are gathered
     out = np.empty((n_rows, m_total, n_unknown))
     out[live] = x.swapaxes(0, 1)
     for row, estimate in stopped_x.items():

@@ -11,6 +11,15 @@ from mrsi_cs import (
 )
 from mrsi_cs import model
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # every property test replays the same examples: no random seed, no deadline, no example database
+    settings.register_profile("mrsi-cs", derandomize=True, deadline=None, database=None)
+    settings.load_profile("mrsi-cs")
+
 
 @pytest.fixture
 def built_point_sets(monkeypatch):

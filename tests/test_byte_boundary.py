@@ -21,7 +21,7 @@ from mrsi_cs import MrsiCsError, ShapeError
 from mrsi_cs.configio import load_json
 from mrsi_cs.mrst import MAGIC, read_tensor, write_tensor
 
-FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=400)
+FUZZ = settings(max_examples=400)
 
 
 def valid_mrst(tmp_path) -> bytes:

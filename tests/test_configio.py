@@ -46,7 +46,7 @@ JSON_VALUES = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@settings(max_examples=500)
 @given(st.sampled_from(FIELDS), JSON_VALUES)
 def test_solver_field_parses_to_a_valid_config_or_a_package_error(field, value):
     try:
@@ -129,7 +129,7 @@ def parse_schedule(doc):
     ids=["phantom", "design", "schedule"],
 )
 def test_document_field_parses_to_typed_values_or_a_package_error(parse, document):
-    @settings(derandomize=True, deadline=None, database=None, max_examples=400)
+    @settings(max_examples=400)
     @given(st.sampled_from(list(field_paths(document))), JSON_VALUES)
     def check(path, value):
         try:

@@ -35,7 +35,7 @@ def same_bits(a: float, b: float) -> bool:
 
 @pytest.mark.parametrize("smallest", [1, 2], ids=["odd", "even"])
 def test_median_matches_numpy_bit_for_bit(smallest):
-    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(tails(smallest))
     def check(tail):
         tail = np.array(tail)

@@ -203,15 +203,18 @@ class TestLockstepSweep:
         assert STACK_BYTES // (per_unknown * 32 * 16) == 32  # cv-coarse: 32 frames, N*J = 16
         assert STACK_BYTES < per_unknown * 256 * 384  # exp3: one row exceeds it, so blocks hold one
 
-    def test_block_solve_stays_within_budget(self, rng):
+    @pytest.mark.parametrize("acquire_prob", [0.75, 1.0], ids=["gapped", "gap-free"])
+    def test_block_solve_stays_within_budget(self, acquire_prob, rng):
         # each row a solve runs adds at most _ROW_STATE_ARRAYS (M, N*J) arrays to its traced
         # peak, so a block of STACK_BYTES // row_bytes rows stays within STACK_BYTES plus the
         # set-up a one-row solve holds besides its row (adjoints, factors, numpy's ufunc buffer;
-        # these arrays exceed that buffer's getbufsize() elements, so it is full size at 1 row)
+        # these arrays exceed that buffer's getbufsize() elements, so it is full size at 1 row).
+        # The x-update takes one path with data-free frames and another without.
         geometry = AcquisitionGeometry(spatial_dims=(8, 8), spectral_evolution_points=4, readout_points=8)
         spectra = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
         base = BaseSpectraSet.from_spectra(spectra)
-        schedule = random_schedule(rng, geometry, 64, acquire_prob=0.75)
+        schedule = random_schedule(rng, geometry, 64, acquire_prob=acquire_prob)
+        assert (schedule.n_acquired < 64) == (acquire_prob < 1.0)
         truth = SubstanceDistribution(values=np.full((64, 64, 2), 0.1), geometry=geometry)
         signals = acquire(truth, base, schedule, 0.05, rng_seed=3)
         config = SolverConfig(rho1=0.1, rho2=0.5, mu=0.1, outer_iters=3)

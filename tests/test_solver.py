@@ -31,15 +31,20 @@ from mrsi_cs.solver import _ROW_STATE_ARRAYS, SolverConfig, prepare, update_x_fr
 from conftest import random_points, random_schedule
 
 
-def x_update(aty, factor, z, u, alpha, beta, config, lambda_x, x=None):
+def x_work(out, v):
+    """Scratch for ``update_x_frame``: shaped like ``out``, with max(M, 2D) frames when v covers D < M frames."""
+    return np.empty((max(len(out), 2 * len(v)) if len(v) < len(out) else len(out), *np.shape(out)[1:]))
+
+
+def x_update(aty, factor, z, u, v, config, lambda_x, x=None):
     """``update_x_frame`` with fresh buffers, given Re(A^H y), which the loop passes divided by shift.
 
     ``x`` is the iterate held on entry, which a stacked factor's data-free frames start from.
     """
     out = np.empty(np.shape(z)) if x is None else np.array(x, dtype=np.float64)
-    work, fixed = np.empty_like(out), np.empty_like(out)
     return update_x_frame(
-        np.divide(aty, factor.shift), factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed
+        np.divide(aty, factor.shift), factor, z, u, v, config, lambda_x, out=out, work=x_work(out, v),
+        fixed=np.empty_like(out),
     )
 
 
@@ -333,9 +338,27 @@ class TestProjectConstraint:
         np.testing.assert_array_equal(z, expected_z)
         np.testing.assert_array_equal(s, expected_s)
 
+    @pytest.mark.parametrize(
+        "m, width",
+        [(1, None), (2, None), (17, None), (256, None), (100, 64), (32, 16)],
+        ids=["one-frame", "two-frames", "short-last-block", "whole-blocks", "width-raised", "one-block"],
+    )
+    def test_s_may_be_written_over_the_spent_scratch(self, m, width, rng):
+        # the loop keeps s = Wz in work[:-1] from the projection to the next h-update
+        gamma = 2.5
+        chol = band_cholesky(m, gamma, width)
+        omega = rng.standard_normal((m, 3, width or 5))
+        q = rng.standard_normal((m - 1, 3, width or 5))
+        z, s = project_constraint(omega, q, chol, gamma)
+        work = rng.standard_normal(omega.shape)
+        z2, s2 = project_constraint(omega, q, chol, gamma, out=(omega, work[:-1]), work=work)
+        assert z2 is omega and s2.base is work
+        np.testing.assert_array_equal(z2, z)
+        np.testing.assert_array_equal(s2, s)
+
 
 def per_round_layout_x_update(aty, factor, z, u, alpha, beta, config, lambda_x, *, out, work, fixed):
-    """The x-update as it ran with the frame layout read in every inner round.
+    """The x-update in its (alpha, beta) form, with the frame layout read in every inner round.
 
     Each round gathers the frames with data's part of ``fixed`` again, advances every frame's
     weighted average and scatters the solve into ``out``; the dual is an inline clip.
@@ -371,21 +394,18 @@ class TestUpdateXFrame:
         factor = NormalFactor(*FactorizationCache(base, geometry).get([point]), 2.0)
         aty = np.array([2.0])  # Re(A^H y) with y = 2
         config = SolverConfig(rho1=1.0, mu=1.0, inner_iters=1)
-        x = x_update(
-            aty, factor, np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), config, config.lambda_x
-        )
+        x = x_update(aty, factor, np.zeros(1), np.zeros(1), np.zeros(1), config, config.lambda_x)
         assert x[0] == pytest.approx(2.0 / 3.0)
 
     def test_gap_frame_weighted_average_fixed_point(self, rng):
         c = rng.standard_normal(6)
         config = SolverConfig(rho1=0.4, mu=0.7, inner_iters=3)
-        alpha = c.copy()
-        beta = np.zeros(6)
+        v = c.copy()  # alpha = c and beta = 0
         # a data-free frame: zero Re(A^H y), a factor without columns and no shrinkage
         empty = NormalFactor(np.zeros((0, 6)), np.zeros((0, 0)), config.rho1 + config.mu)
-        x = x_update(np.zeros(6), empty, c.copy(), np.zeros(6), alpha, beta, config, 0.0)
+        x = x_update(np.zeros(6), empty, c.copy(), np.zeros(6), v, config, 0.0)
         np.testing.assert_allclose(x, c, atol=1e-14)
-        np.testing.assert_allclose(beta, 0.0, atol=1e-14)
+        np.testing.assert_allclose(v, c, atol=1e-14)  # v = x + beta, beta = clip(v, 0, 0) = 0
 
     def test_inner_fixed_point_satisfies_subproblem_optimality(self, rng):
         # converged inner loop minimizes 0.5|y-Ax|^2 + lam|x|_1 + rho/2|x-(z-u)|^2
@@ -401,9 +421,7 @@ class TestUpdateXFrame:
         factor = NormalFactor(*FactorizationCache(base, geometry).get(points), config.rho1 + config.mu)
         aty = apply_adjoint(y, points, base, geometry)
         z = rng.standard_normal(4)
-        x = x_update(
-            aty, factor, z, np.zeros(4), np.zeros(4), np.zeros(4), config, config.lambda_x
-        )
+        x = x_update(aty, factor, z, np.zeros(4), np.zeros(4), config, config.lambda_x)
         a_dense = np.stack(
             [apply_forward(np.eye(4)[i], points, base, geometry) for i in range(4)], axis=1
         )
@@ -419,36 +437,34 @@ class TestUpdateXFrame:
         shift = config.rho1 + config.mu
         counts = (1, None, 3, 2, None, 1)  # points per frame; None marks a data-free frame
         n = 32
-        x, z, u, alpha, beta = (rng.standard_normal((len(counts), n)) for _ in range(5))
+        x, z, u, v = (rng.standard_normal((len(counts), n)) for _ in range(4))
         frames = [None if c is None else tuple(random_points(rng, small_geometry, c)) for c in counts]
         aty = np.array([np.zeros(n) if f is None else rng.standard_normal(n) for f in frames])
         data, free = [0, 2, 3, 5], [1, 4]
         cache = FactorizationCache(small_base, small_geometry)
 
         # one frame at a time; a data-free frame runs the full inner splitting on a factor without
-        # columns and a zero threshold, from alpha = x and beta = 0
+        # columns and a zero threshold, from v = x (alpha = x and beta = 0)
         empty = NormalFactor(np.zeros((0, n)), np.zeros((0, 0)), shift)
-        expected_alpha, expected_beta = alpha.copy(), beta.copy()
-        expected_alpha[free], expected_beta[free] = x[free], 0.0
+        expected_v = v.copy()
+        expected_v[free] = x[free]
         expected = np.stack([
-            x_update(aty[m], empty, z[m], u[m], expected_alpha[m], expected_beta[m], config, 0.0)
+            x_update(aty[m], empty, z[m], u[m], expected_v[m], config, 0.0)
             if points is None
             else x_update(
-                aty[m], NormalFactor(*cache.get(points), shift), z[m], u[m], expected_alpha[m], expected_beta[m],
-                config, config.lambda_x,
+                aty[m], NormalFactor(*cache.get(points), shift), z[m], u[m], expected_v[m], config, config.lambda_x
             )
             for m, points in enumerate(frames)
         ])
 
-        # one batch over every frame, as solve runs it: alpha and beta over the frames with data only
-        alpha, beta = alpha[data, None], beta[data, None]
+        # one batch over every frame, as solve runs it: v over the frames with data only
+        v = v[data, None]
         got = x_update(
-            aty[:, None], cache.stack(frames, shift), z[:, None], u[:, None], alpha, beta, config, config.lambda_x,
+            aty[:, None], cache.stack(frames, shift), z[:, None], u[:, None], v, config, config.lambda_x,
             x=x[:, None],
         )[:, 0]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(alpha[:, 0], expected_alpha[data], rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(beta[:, 0], expected_beta[data], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(v[:, 0], expected_v[data], rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("rounds", [1, 2, 3])
     def test_data_free_frames_take_the_weighted_average_in_each_round(self, rounds, rng, small_base, small_geometry):
@@ -460,8 +476,8 @@ class TestUpdateXFrame:
         x, z, u = (rng.standard_normal((9, 3, 32)) for _ in range(3))
         aty = rng.standard_normal((9, 1, 32))
         aty[free] = 0.0
-        alpha, beta = (rng.standard_normal((len(factor.index), 3, 32)) for _ in range(2))
-        got = x_update(aty, factor, z, u, alpha, beta, config, config.lambda_x, x=x)
+        v = rng.standard_normal((len(factor.index), 3, 32))
+        got = x_update(aty, factor, z, u, v, config, config.lambda_x, x=x)
         expected = x[free]
         c_mu, c_rho = config.mu / factor.shift, config.rho1 / factor.shift
         for _ in range(rounds):
@@ -484,15 +500,23 @@ class TestUpdateXFrame:
         aty[[k for k, points in enumerate(frames) if points is None]] = 0.0
         weights = rng.uniform(0.0, 0.1, (n_rows, 1))  # thresholds of 0 to 0.5: some entries clip, some not
         lambda_x = weights if n_rows == 1 else np.repeat(weights, n, axis=1)  # as the loop lays them out
+        threshold = np.divide(lambda_x, config.mu)
         x = np.repeat(aty * factor.shift, n_rows, axis=1)
-        states = [[x.copy(), *(np.zeros((len(factor.phi), n_rows, n)) for _ in range(2))] for _ in range(2)]
+        v = rng.standard_normal((len(factor.phi), n_rows, n))  # a reachable state, from any pre-clip point
+        beta = np.maximum(np.minimum(v, threshold), np.negative(threshold))
+        alpha = v - beta
+        got, expected = x.copy(), x.copy()
         for _ in range(4):  # consecutive calls, as the outer loop makes them
             z, u = rng.standard_normal((2, m, n_rows, n))
-            for update, (x, alpha, beta) in zip((update_x_frame, per_round_layout_x_update), states):
-                update(aty, factor, z, u, alpha, beta, config, lambda_x, out=x, work=np.empty_like(x),
-                       fixed=np.empty_like(x))
-            for got, expected in zip(*states):
-                np.testing.assert_array_equal(got, expected)
+            update_x_frame(aty, factor, z, u, v, config, lambda_x, out=got, work=x_work(got, v), fixed=np.empty_like(x))
+            per_round_layout_x_update(
+                aty, factor, z, u, alpha, beta, config, lambda_x, out=expected, work=np.empty_like(x),
+                fixed=np.empty_like(x),
+            )
+            np.testing.assert_array_equal(got, expected)
+            clipped = np.maximum(np.minimum(v, threshold), np.negative(threshold))
+            np.testing.assert_array_equal(clipped, beta)
+            np.testing.assert_array_equal(v - clipped, alpha)
 
     def test_inner_state_holds_the_frames_with_data_only(self, rng, small_base, small_geometry, monkeypatch):
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
@@ -502,13 +526,13 @@ class TestUpdateXFrame:
         assert len(data) < schedule.n_frames
         shapes = []
 
-        def recording(aty, factor, z, u, alpha, beta, *args, **kwargs):
-            shapes.append((alpha.shape, beta.shape))
-            return update_x_frame(aty, factor, z, u, alpha, beta, *args, **kwargs)
+        def recording(aty, factor, z, u, v, *args, **kwargs):
+            shapes.append(v.shape)
+            return update_x_frame(aty, factor, z, u, v, *args, **kwargs)
 
         monkeypatch.setattr(solver_module, "update_x_frame", recording)
         solve(signals, schedule, small_base, small_geometry, config, weights=WEIGHT_STACK, prepared=prepared)
-        assert shapes == [((len(data), len(WEIGHT_STACK), 32),) * 2] * config.outer_iters
+        assert shapes == [(len(data), len(WEIGHT_STACK), 32)] * config.outer_iters
 
 
 def shrink_then_ascend_x_update(aty):
@@ -517,16 +541,17 @@ def shrink_then_ascend_x_update(aty):
     alpha and beta span every frame, a data-free frame gets a zero l1 threshold, the solve divides
     by shift after the products, and the dual shrinks alpha, then adds x - alpha to beta.  It keeps
     its own alpha and beta across the calls of one solve, starting from zero, and takes the
-    unscaled Re(A^H y) ``aty``; the loop's ``alpha``, ``beta`` and scaled Re(A^H y) are ignored.
+    unscaled Re(A^H y) ``aty``; the loop's ``v`` and scaled Re(A^H y) are ignored.
     """
     state = {}
 
-    def update(aty_scaled, factor, z, u, alpha, beta, config, lambda_x, *, out, work, fixed):
+    def update(aty_scaled, factor, z, u, v, config, lambda_x, *, out, work, fixed):
         if not state:
             state["alpha"], state["beta"] = np.zeros_like(out), np.zeros_like(out)
             state["threshold"] = np.zeros((len(out), out.shape[1], 1))
             state["threshold"][factor.index] = np.broadcast_to(lambda_x, out.shape[1:])[:, :1] / config.mu
         a, b, t = state["alpha"], state["beta"], state["threshold"]
+        work = work[: len(out)]
         np.subtract(z, u, out=fixed)
         fixed *= config.rho1
         fixed += aty[:, None]
@@ -576,6 +601,21 @@ class TestUpdateH:
             row_config = replace(config, lambda_w1=float(w1[c, 0]), lambda_w2=float(w2[c, 0]))
             np.testing.assert_array_equal(out[:, c], update_h(s[:, c], nu[:, c], row_config))
 
+    @pytest.mark.parametrize("m", [1, 2, 17])
+    @pytest.mark.parametrize("layout", ["columns", "rows"])
+    def test_work_may_be_s(self, m, layout, rng):
+        # the loop runs the h-update from s in the projection's scratch, and takes that as its own
+        config = SolverConfig(rho2=0.7)
+        w1, w2 = np.array([[0.0], [0.2], [1.5]]), np.array([[0.4], [0.0], [3.0]])
+        if layout == "rows":
+            w1, w2 = np.repeat(w1, 5, axis=1), np.repeat(w2, 5, axis=1)
+        s, nu = rng.standard_normal((2, m - 1, 3, 5))
+        expected = update_h(s, nu, config, w1, w2)
+        h = np.empty_like(s)
+        got = update_h(s, nu, config, w1, w2, out=h, work=s)
+        assert got is h
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestSolve:
     def test_starts_from_the_adjoint(self, rng, small_base, small_geometry, monkeypatch):
@@ -583,9 +623,9 @@ class TestSolve:
         schedule, signals = gapped_instance(rng, small_base, small_geometry)
         seen = []
 
-        def recording(aty, factor, z, u, alpha, beta, config, lambda_x, *, out, work, fixed):
+        def recording(aty, factor, z, u, v, config, lambda_x, *, out, work, fixed):
             seen.append((out.copy(), z.copy(), aty * factor.shift))
-            return update_x_frame(aty, factor, z, u, alpha, beta, config, lambda_x, out=out, work=work, fixed=fixed)
+            return update_x_frame(aty, factor, z, u, v, config, lambda_x, out=out, work=work, fixed=fixed)
 
         monkeypatch.setattr(solver_module, "update_x_frame", recording)
         solve(signals, schedule, small_base, small_geometry, SolverConfig(rho1=0.1, mu=0.2, outer_iters=1))
